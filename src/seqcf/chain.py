@@ -1,6 +1,6 @@
 # Sequential per-AP LMMSE refinement along one fronthaul chain, tracking
 # the error covariance, the pre-compression correlation and the effective
-# combiner / compression-noise propagation matrix families.
+# channel of the forwarded estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -20,21 +20,18 @@ ZERO_RATE_TOL = 1e-12
 class ChainState:
     l: int                    # APs processed so far
     s_tilde: np.ndarray       # (K,) compressed refined estimate
-    C: np.ndarray             # (K,K) error covariance
+    C: np.ndarray             # (K,K) error covariance E[(s - s_tilde)(s - s_tilde)^H]
     P: np.ndarray             # (K,K) pre-compression correlation
-    V: list = field(default_factory=list)      # V_il, i = 1..l, each (K,N)
-    A: list = field(default_factory=list)      # A_il, i = 1..l, each (K,K)
-    Qhist: list = field(default_factory=list)  # Q_i, i = 1..l
+    T: np.ndarray             # (K,K) effective channel: s_tilde = T s + noise
     outcomes: list = field(default_factory=list)  # per-AP CompressionOutcome
-    ys: list = field(default_factory=list)     # realized received vectors
-    qs: list = field(default_factory=list)     # realized compression noise
 
 
 def initial_state(K: int, p: float) -> ChainState:
     return ChainState(l=0,
                       s_tilde=np.zeros(K, dtype=complex),
                       C=p * np.eye(K, dtype=complex),
-                      P=np.zeros((K, K), dtype=complex))
+                      P=np.zeros((K, K), dtype=complex),
+                      T=np.zeros((K, K), dtype=complex))
 
 
 def gain(C_prev: np.ndarray, H_l: np.ndarray, sigma2: float) -> np.ndarray:
@@ -70,18 +67,15 @@ def update_pre_compression_corr(P_prev: np.ndarray, Q_prev: np.ndarray,
     return ensure_psd(P, name="P")
 
 
-def propagate_combiners(V: list, A: list, Gamma: np.ndarray,
-                        H_l: np.ndarray) -> tuple[list, list]:
-    """Push the combiner families through one more AP.
+def propagate_combiners(T_prev: np.ndarray, Gamma: np.ndarray,
+                        H_l: np.ndarray) -> np.ndarray:
+    """Effective-channel step T_l = (I - Gamma H) T_{l-1} + Gamma H.
 
-    Existing members pick up the factor (I - Gamma H); the new AP itself
-    contributes V_ll = Gamma and A_ll = I.
+    T_l = sum_i V_il H_i is what the combiners V_il of all APs so far make of
+    the user signals, so the chain never has to carry the V_il themselves.
     """
-    K = Gamma.shape[0]
-    F = np.eye(K) - Gamma @ H_l
-    V_new = [F @ Vi for Vi in V] + [Gamma]
-    A_new = [F @ Ai for Ai in A] + [np.eye(K, dtype=complex)]
-    return V_new, A_new
+    GH = Gamma @ H_l
+    return T_prev - GH @ T_prev + GH
 
 
 def _compress(strategy: str, P: np.ndarray, R_l: float,
@@ -112,44 +106,34 @@ def run_chain(p: float, sigma2: float, H: list, y: list, strategy: str,
     for H_l, y_l, R_l in zip(H, y, rates):
         Gamma = gain(st.C, H_l, sigma2)
         s_hat = refine(st.s_tilde, Gamma, H_l, y_l)
-        V, A = propagate_combiners(st.V, st.A, Gamma, H_l)
-        Q_prev = st.Qhist[-1] if st.Qhist else np.zeros((K, K), dtype=complex)
+        T = propagate_combiners(st.T, Gamma, H_l)
+        Q_prev = st.outcomes[-1].Q if st.outcomes else np.zeros((K, K), dtype=complex)
         P = update_pre_compression_corr(st.P, Q_prev, st.C, Gamma, H_l)
-        st.ys.append(y_l)
         st.l += 1
 
         if strategy == "infinite":
-            Q = np.zeros((K, K), dtype=complex)
+            outcome = comp.CompressionOutcome(Q=np.zeros((K, K), dtype=complex),
+                                              achieved_rate=np.inf)
             q = np.zeros(K, dtype=complex)
-            outcome = comp.CompressionOutcome(Q=Q, achieved_rate=np.inf)
         elif R_l <= ZERO_RATE_TOL:
             # dead link: the next AP sees no estimate at all
-            st.s_tilde = np.zeros(K, dtype=complex)
-            st.C = p * np.eye(K, dtype=complex)
-            st.P = np.zeros((K, K), dtype=complex)
-            Z = np.zeros((K, K), dtype=complex)
-            st.V = [np.zeros_like(Vi) for Vi in V]
-            st.A = [np.zeros_like(Ai) for Ai in A]
-            st.Qhist.append(Z)
-            st.outcomes.append(comp.CompressionOutcome(Q=Z, achieved_rate=0.0))
-            st.qs.append(-s_hat)  # realized q that zeroes the forwarded estimate
+            fresh = initial_state(K, p)
+            st.s_tilde, st.C, st.P, st.T = fresh.s_tilde, fresh.C, fresh.P, fresh.T
+            st.outcomes.append(comp.CompressionOutcome(
+                Q=np.zeros((K, K), dtype=complex), achieved_rate=0.0))
             continue
         else:
             base = None
             if strategy == "wsinm":
-                ctx = metrics.interference_context(
-                    H[:st.l], V, A, st.Qhist, p, sigma2)
-                base = ctx.base
+                C_pre = st.C - Gamma @ H_l @ st.C
+                base = metrics.interference_context(T, C_pre, p)
             outcome = _compress(strategy, P, R_l, base)
-            Q = outcome.Q
-            q = sample_cn(rng, Q)
+            q = sample_cn(rng, outcome.Q)
 
         st.s_tilde = s_hat + q
-        st.C = update_error_cov(st.C, Gamma, H_l, Q)
+        st.C = update_error_cov(st.C, Gamma, H_l, outcome.Q)
         st.P = P
-        st.V, st.A = V, A
-        st.Qhist.append(Q)
+        st.T = T
         st.outcomes.append(outcome)
-        st.qs.append(q)
 
     return st

@@ -9,9 +9,10 @@ import numpy as np
 
 from . import allocation, metrics, twopath
 from .chain import run_chain
+from .compression import SolverError
 from .config import ConfigError, NetworkConfig
 from .geometry import draw_channels, place_network
-from .linalg import complex_normal
+from .linalg import PsdError, complex_normal
 
 PATH_MODES = ("sp", "tp")
 COMPRESSIONS = ("eiu", "scnm", "wsinm", "infinite")
@@ -97,8 +98,7 @@ def simulate_trial(cfg: NetworkConfig, strategy: Strategy, H: list, y: list,
     if strategy.path_mode == "sp":
         rates = _rates_for(strategy, cfg.R_T, cfg.L)
         st = run_chain(cfg.p, cfg.sigma2, H, y, strategy.compression, rates, rng)
-        sinr = metrics.sinr_chain(H, st.V, st.A, st.Qhist[:-1], st.Qhist[-1],
-                                  cfg.p, cfg.sigma2)
+        sinr = metrics.sinr_chain(st.T, st.C, cfg.p)
     else:
         idx1, idx2 = twopath.split_paths(cfg.L)
         summaries = []
@@ -108,7 +108,7 @@ def simulate_trial(cfg: NetworkConfig, strategy: Strategy, H: list, y: list,
             Hr = [H[i] for i in idx]
             yr = [y[i] for i in idx]
             st = run_chain(cfg.p, cfg.sigma2, Hr, yr, strategy.compression, rates, rng)
-            summaries.append(twopath.summarize_path(st, Hr, cfg.sigma2))
+            summaries.append(twopath.summarize_path(st, cfg.p))
         fused = twopath.fuse(summaries[0], summaries[1], cfg.p)
         sinr = twopath.sinr_fused(fused, cfg.p)
     return metrics.se_from_sinr(sinr, cfg.tau_u, cfg.tau_c).sum_se
@@ -129,8 +129,9 @@ def run_experiment(spec: ExperimentSpec, max_failure_frac: float = 0.01) -> list
     """Run all (sweep point x strategy) cells with paired per-trial drops.
 
     Within a trial every strategy sees the same layout, channels and thermal
-    noise; only the compression / allocation pipeline differs. Solver
-    failures are tolerated up to max_failure_frac of trials per cell.
+    noise; only the compression / allocation pipeline differs. Numerical
+    failures (SolverError, PsdError, LinAlgError) are tolerated up to
+    max_failure_frac of trials per cell; any other exception propagates.
     """
     rows = []
     for val in spec.values:
@@ -147,7 +148,7 @@ def run_experiment(spec: ExperimentSpec, max_failure_frac: float = 0.01) -> list
                 try:
                     sums[strat][t] = simulate_trial(
                         cfg, strat, H, y, _strategy_rng(spec.seed, t, strat))
-                except Exception:
+                except (SolverError, PsdError, np.linalg.LinAlgError):
                     failures[strat] += 1
         for strat in spec.strategies:
             nfail = failures[strat]

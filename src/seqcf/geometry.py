@@ -44,10 +44,14 @@ def place_network(cfg: NetworkConfig, rng: np.random.Generator) -> Layout:
 
 
 def pathloss_db(d: float | np.ndarray) -> float | np.ndarray:
-    """Large-scale channel gain in dB at distance d meters (d clamped at 1 m)."""
+    """Large-scale channel gain in dB at distance d meters.
+
+    Distances in [0, 1) m are clamped to 1 m; NaN or negative distances
+    raise ConfigError.
+    """
+    if not np.all(np.asarray(d) >= 0):
+        raise ConfigError("distance must be a non-negative number")
     d = np.maximum(d, MIN_DISTANCE_M)
-    if np.any(d <= 0):
-        raise ConfigError("non-positive distance")
     return _PL_OFFSET_DB - _PL_SLOPE * np.log10(d)
 
 

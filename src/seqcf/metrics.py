@@ -1,5 +1,6 @@
 # Per-user SINR / SE for a terminated chain, and the interference context
-# consumed by the interference-aware compression design.
+# consumed by the interference-aware compression design, both as closed
+# forms in the chain's effective channel T and error covariance C.
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -15,58 +16,36 @@ class SeReport:
     prelog: float
 
 
-@dataclass(frozen=True)
-class InterferenceContext:
-    base: np.ndarray     # (K,) interference-plus-noise excluding the current AP's Q[k,k]
+def _interference_plus_noise(T: np.ndarray, C: np.ndarray, p: float) -> np.ndarray:
+    """Per-user interference-plus-noise of s_tilde = T s + z with error cov C.
 
-
-def _effective_channel(V: list, H: list) -> np.ndarray:
-    """T[k, j] = sum_i V_i[k, :] @ H_i[:, j] (K x K)."""
-    T = np.zeros((V[0].shape[0], H[0].shape[1]), dtype=complex)
-    for Vi, Hi in zip(V, H):
-        T += Vi @ Hi
-    return T
-
-
-def _denominator_base(H: list, V: list, A: list, Qhist: list,
-                      p: float, sigma2: float) -> np.ndarray:
-    """Interference + thermal-noise image + prior compression-noise image.
-
-    Everything in the SINR denominator except the current AP's own Q[k,k].
-    Qhist holds the compression covariances of the APs *before* the current
-    one, paired with A[0..len(Qhist)-1].
+    C = p (I - T)(I - T)^H + cov(z), so p sum_{j != k} |T_kj|^2 + cov(z)_kk
+    equals C_kk - p |1 - T_kk|^2.
     """
-    T = _effective_channel(V, H)
-    K = T.shape[0]
-    abs2 = np.abs(T) ** 2
-    inter_user = p * (abs2.sum(axis=1) - np.diag(abs2))
-    noise = sigma2 * sum(np.sum(np.abs(Vi) ** 2, axis=1) for Vi in V)
-    comp = np.zeros(K)
-    for Ai, Qi in zip(A, Qhist):
-        comp += np.einsum("kn,nm,km->k", Ai, Qi, Ai.conj()).real
-    return inter_user + noise + comp
+    return np.diag(C).real - p * np.abs(1.0 - np.diag(T)) ** 2
 
 
-def sinr_chain(H: list, V: list, A: list, Qhist: list, Q_l: np.ndarray,
-               p: float, sigma2: float) -> np.ndarray:
-    """Per-user SINR at the terminal AP of a chain.
+def sinr_chain(T: np.ndarray, C: np.ndarray, p: float) -> np.ndarray:
+    """Per-user SINR p |T_kk|^2 / (C_kk - p |1 - T_kk|^2) at the end of a chain.
 
-    H, V, A cover APs 1..l of the chain; Qhist covers APs 1..l-1 and Q_l is
-    the terminal AP's compression covariance (its row combiner is I).
+    T and C are the chain's effective channel and error covariance after its
+    terminal AP's compression.
     """
-    T = _effective_channel(V, H)
     num = p * np.abs(np.diag(T)) ** 2
-    den = _denominator_base(H, V, A, Qhist, p, sigma2) + np.diag(Q_l).real
+    den = _interference_plus_noise(T, C, p)
     # a user with a zero effective channel has 0/0 here; its SINR is zero
     out = np.zeros_like(num)
     np.divide(num, den, out=out, where=den > 0)
     return out
 
 
-def interference_context(H: list, V: list, A: list, Qhist: list,
-                         p: float, sigma2: float) -> InterferenceContext:
-    """Denominator terms that do not depend on the current AP's Q."""
-    return InterferenceContext(base=_denominator_base(H, V, A, Qhist, p, sigma2))
+def interference_context(T: np.ndarray, C_pre: np.ndarray, p: float) -> np.ndarray:
+    """SINR denominator terms that do not depend on the current AP's Q.
+
+    C_pre = (I - Gamma H) C_{l-1} is the error covariance before the current
+    AP compresses, so the result excludes exactly that AP's own Q[k,k].
+    """
+    return _interference_plus_noise(T, C_pre, p)
 
 
 def se_from_sinr(sinr: np.ndarray, tau_u: int, tau_c: int) -> SeReport:

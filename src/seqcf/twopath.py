@@ -47,17 +47,12 @@ def split_paths(L: int) -> tuple[list, list]:
     return path1, path2
 
 
-def summarize_path(chain: ChainState, H: list, sigma2: float) -> PathSummary:
-    """Effective channel / noise statistics of one completed path."""
-    if chain.l != len(H):
-        raise ValueError("chain length does not match the supplied channels")
+def summarize_path(chain: ChainState, p: float) -> PathSummary:
+    """Effective channel G = T and noise Z = C - p (I-T)(I-T)^H of one path."""
     K = chain.s_tilde.shape[0]
-    G = np.zeros((K, K), dtype=complex)
-    Z = np.zeros((K, K), dtype=complex)
-    for Vi, Ai, Qi, Hi in zip(chain.V, chain.A, chain.Qhist, H):
-        G += Vi @ Hi
-        Z += sigma2 * (Vi @ Vi.conj().T) + Ai @ Qi @ Ai.conj().T
-    return PathSummary(s_tilde=chain.s_tilde, G=G, Z=ensure_psd(Z, name="Z"))
+    D = np.eye(K) - chain.T
+    Z = chain.C - p * (D @ D.conj().T)
+    return PathSummary(s_tilde=chain.s_tilde, G=chain.T, Z=ensure_psd(Z, name="Z"))
 
 
 def _fusion_gram(G: np.ndarray, Z: np.ndarray, p: float) -> np.ndarray:

@@ -1,6 +1,8 @@
 # Independent reference implementations used only to check the package:
-# batch (centralized) LMMSE, grid-search compression design, and random
-# problem-instance generators.
+# batch (centralized) LMMSE, the expansion form of a sequential chain,
+# grid-search compression design, and random problem-instance generators.
+import copy
+
 import numpy as np
 
 
@@ -85,3 +87,84 @@ def feasible_q_on_constraint(rng, P, R, jitter=1e-3, tol=1e-11):
         else:
             hi = t
     return t * Q0
+
+
+class ChainExpansion:
+    """Expansion form of a sequential chain, rebuilt from its own LMMSE gains.
+
+    With the combiner families V_i = F_l ... F_{i+1} Gamma_i and
+    A_i = F_l ... F_{i+1}, F_j = I - Gamma_j H_j, the forwarded estimate is
+    s_tilde = sum_i V_i y_i + sum_i A_i q_i. Only the compression covariances
+    Q_i are taken from the chain under test; the q_i are redrawn from a
+    generator in the state the chain's generator had when the chain started,
+    so they replay the chain's draws. A link with rate <= ZERO_RATE_TOL is
+    dead: it zeroes every family, and the next AP restarts from the prior.
+    """
+
+    def __init__(self, p, sigma2, H, y, rates, Qs, replay_rng):
+        from seqcf.chain import ZERO_RATE_TOL
+        from seqcf.linalg import sample_cn
+
+        K = H[0].shape[1]
+        self.p, self.sigma2, self.H = p, sigma2, H
+        self.V, self.A, self.Qs, self.qs = [], [], [], []
+        self.bases = []   # WSINM interference base seen by each AP
+        C = p * np.eye(K, dtype=complex)
+        for Hl, Rl, Ql in zip(H, rates, Qs):
+            S = Hl @ C @ Hl.conj().T + sigma2 * np.eye(Hl.shape[0])
+            G = np.linalg.solve(S, Hl @ C).conj().T   # C H^H S^-1, C Hermitian
+            F = np.eye(K) - G @ Hl
+            self.V = [F @ Vi for Vi in self.V] + [G]
+            self.A = [F @ Ai for Ai in self.A] + [np.eye(K, dtype=complex)]
+            self.bases.append(self._base(self.Qs))
+            if Rl <= ZERO_RATE_TOL:
+                self.V = [0 * Vi for Vi in self.V]
+                self.A = [0 * Ai for Ai in self.A]
+                q = np.zeros(K, dtype=complex)
+                C = p * np.eye(K, dtype=complex)
+            else:
+                q = sample_cn(replay_rng, Ql)
+                C = F @ C + Ql
+            self.Qs.append(Ql)
+            self.qs.append(q)
+        self.s_tilde = (sum(Vi @ yi for Vi, yi in zip(self.V, y))
+                        + sum(Ai @ qi for Ai, qi in zip(self.A, self.qs)))
+        self.T = self.effective_channel()
+        # effective noise covariance sigma2 sum_i V_i V_i^H + sum_i A_i Q_i A_i^H
+        self.Z = sum(sigma2 * Vi @ Vi.conj().T for Vi in self.V) + sum(
+            Ai @ Qi @ Ai.conj().T for Ai, Qi in zip(self.A, self.Qs))
+        self.sinr = self.sinr_with(self.Qs)
+
+    def effective_channel(self):
+        """T = sum_i V_i H_i."""
+        return sum(Vi @ Hi for Vi, Hi in zip(self.V, self.H))
+
+    def _base(self, Qs):
+        # interference + thermal noise + compression noise of the APs in Qs,
+        # term by term, with the current families
+        T = self.effective_channel()
+        abs2 = np.abs(T) ** 2
+        inter = self.p * (abs2.sum(axis=1) - np.diag(abs2))
+        noise = self.sigma2 * sum(np.sum(np.abs(Vi) ** 2, axis=1) for Vi in self.V)
+        comp = sum(np.einsum("kn,nm,km->k", Ai, Qi, Ai.conj()).real
+                   for Ai, Qi in zip(self.A, Qs))
+        return inter + noise + comp
+
+    def sinr_with(self, Qs):
+        """Per-user SINR of the terminal estimate for compression covariances Qs."""
+        T = self.effective_channel()
+        num = self.p * np.abs(np.diag(T)) ** 2
+        den = self._base(Qs)
+        out = np.zeros_like(num)
+        np.divide(num, den, out=out, where=den > 0)
+        return out
+
+
+def run_and_expand(p, sigma2, H, y, strategy, rates, rng):
+    """Run the chain under test and rebuild it in expansion form on the same draws."""
+    from seqcf import run_chain
+
+    replay = copy.deepcopy(rng)
+    st = run_chain(p, sigma2, H, y, strategy, rates, rng)
+    ex = ChainExpansion(p, sigma2, H, y, rates, [o.Q for o in st.outcomes], replay)
+    return st, ex

@@ -9,13 +9,13 @@ from seqcf import (ExperimentSpec, NetworkConfig, Strategy, eiu, gain,
                    run_chain, run_experiment, scnm, sinr_chain,
                    update_error_cov, update_pre_compression_corr,
                    weighted_scnm, wsinm)
-from seqcf.chain import initial_state, propagate_combiners
+from seqcf.chain import propagate_combiners
 from seqcf.compression import LN2, achieved_rate_bits
 from seqcf.linalg import sample_cn
 
-from oracles import (centralized_error_cov, centralized_estimate,
-                     centralized_sinr, complex_randn, grid_min_trace,
-                     rand_channels, rand_psd)
+from oracles import (centralized_combiner, centralized_error_cov,
+                     centralized_estimate, centralized_sinr, complex_randn,
+                     grid_min_trace, rand_channels, rand_psd, run_and_expand)
 
 
 def _random_instance(rng, K, L, N, p=1.0, sigma2=0.5):
@@ -29,7 +29,7 @@ def test_centralized_equivalence():
     rng = np.random.default_rng(2024)
     p, sigma2 = 1.0, 0.5
     combos = list(itertools.product((1, 2, 5), (2, 4), (1, 2, 4)))
-    worst_est, worst_sinr = 0.0, 0.0
+    worst_est, worst_T, worst_sinr = 0.0, 0.0, 0.0
     for i in range(100):
         K, L, N = combos[i % len(combos)]
         H, y, _ = _random_instance(rng, K, L, N, p, sigma2)
@@ -37,15 +37,18 @@ def test_centralized_equivalence():
         cen = centralized_estimate(H, y, p, sigma2)
         worst_est = max(worst_est,
                         np.linalg.norm(st.s_tilde - cen) / np.linalg.norm(cen))
-        sinr = sinr_chain(H, st.V, st.A, st.Qhist[:-1], st.Qhist[-1], p, sigma2)
+        T_cen = centralized_combiner(H, p, sigma2) @ np.vstack(H)
+        worst_T = max(worst_T, np.linalg.norm(st.T - T_cen) / np.linalg.norm(T_cen))
+        sinr = sinr_chain(st.T, st.C, p)
         ref = centralized_sinr(H, p, sigma2)
         worst_sinr = max(worst_sinr, np.max(np.abs(sinr - ref) / ref))
         C_cen = centralized_error_cov(H, p, sigma2)
         assert np.linalg.norm(st.C - C_cen) / np.linalg.norm(C_cen) < 1e-8
     assert worst_est < 1e-8
+    assert worst_T < 1e-8
     assert worst_sinr < 1e-8
     print(f"\n[PASS] centralized-equivalence: worst estimate err {worst_est:.2e}, "
-          f"worst SINR err {worst_sinr:.2e} (tol 1e-8)")
+          f"worst T err {worst_T:.2e}, worst SINR err {worst_sinr:.2e} (tol 1e-8)")
 
 
 def test_algebraic_reconstruction():
@@ -59,11 +62,10 @@ def test_algebraic_reconstruction():
         H, y, _ = _random_instance(rng, K, L, N)
         strat = strategies[i % 4]
         rates = rng.uniform(3.0, 10.0, size=L)
-        st = run_chain(1.0, 0.5, H, y, strat, rates, rng)
-        recon = sum(Vi @ yi for Vi, yi in zip(st.V, st.ys))
-        recon += sum(Ai @ qi for Ai, qi in zip(st.A, st.qs))
-        worst = max(worst, np.linalg.norm(st.s_tilde - recon)
-                    / np.linalg.norm(st.s_tilde))
+        st, ex = run_and_expand(1.0, 0.5, H, y, strat, rates, rng)
+        worst = max(worst, np.linalg.norm(st.s_tilde - ex.s_tilde)
+                    / np.linalg.norm(st.s_tilde),
+                    np.linalg.norm(st.T - ex.T) / np.linalg.norm(ex.T))
     assert worst < 1e-9
     print(f"\n[PASS] algebraic-reconstruction: worst relative err {worst:.2e} "
           f"(tol 1e-9)")
@@ -75,13 +77,16 @@ def test_covariance_fidelity_monte_carlo():
     H = rand_channels(rng, L, N, K)
     R_l = 6.0
 
-    # deterministic pass: Gamma_l, Q_l, C_l, P_l at every step
+    # deterministic pass: Gamma_l, Q_l, C_l, P_l, T_l at every step
     C = p * np.eye(K, dtype=complex)
     P = np.zeros((K, K), dtype=complex)
+    T_eff = np.zeros((K, K), dtype=complex)
     Q_prev = np.zeros((K, K), dtype=complex)
-    gammas, Qs, Cs, Ps = [], [], [], []
+    gammas, Qs, Cs, Ps, Ts = [], [], [], [], []
     for Hl in H:
         G = gain(C, Hl, sigma2)
+        T_eff = propagate_combiners(T_eff, G, Hl)
+        Ts.append(T_eff)
         P = update_pre_compression_corr(P, Q_prev, C, G, Hl)
         Q = eiu(P, R_l).Q
         C = update_error_cov(C, G, Hl, Q)
@@ -94,8 +99,8 @@ def test_covariance_fidelity_monte_carlo():
     # vectorized Monte-Carlo re-simulation of the same chain
     s = np.sqrt(p) * complex_randn(rng, (K, T))
     s_tilde = np.zeros((K, T), dtype=complex)
-    worst_P, worst_C = 0.0, 0.0
-    for Hl, G, Q, C_l, P_l in zip(H, gammas, Qs, Cs, Ps):
+    worst_P, worst_C, worst_T = 0.0, 0.0, 0.0
+    for Hl, G, Q, C_l, P_l, T_l in zip(H, gammas, Qs, Cs, Ps, Ts):
         n = np.sqrt(sigma2) * complex_randn(rng, (N, T))
         y = Hl @ s + n
         s_hat = s_tilde + G @ (y - Hl @ s_tilde)
@@ -105,10 +110,14 @@ def test_covariance_fidelity_monte_carlo():
         e = s - s_tilde
         emp_C = e @ e.conj().T / T
         worst_C = max(worst_C, np.linalg.norm(emp_C - C_l) / np.linalg.norm(C_l))
+        # effective channel: E[s_tilde s^H] = p T
+        emp_T = s_tilde @ s.conj().T / (p * T)
+        worst_T = max(worst_T, np.linalg.norm(emp_T - T_l) / np.linalg.norm(T_l))
     assert worst_P < 0.03
     assert worst_C < 0.03
+    assert worst_T < 0.03
     print(f"\n[PASS] covariance-fidelity: worst Frobenius err P {worst_P:.3f}, "
-          f"C {worst_C:.3f} at {T} realizations (tol 0.03)")
+          f"C {worst_C:.3f}, T {worst_T:.3f} at {T} realizations (tol 0.03)")
 
 
 def test_scnm_optimality_and_rate_equality():
@@ -225,12 +234,18 @@ def test_sinr_monotone_in_compression_noise():
         K = int(rng.integers(2, 4))
         L = int(rng.integers(2, 5))
         H, y, _ = _random_instance(rng, K, L, 3)
-        st = run_chain(1.0, 0.5, H, y, "scnm", rng.uniform(3.0, 8.0, size=L), rng)
-        before = sinr_chain(H, st.V, st.A, st.Qhist[:-1], st.Qhist[-1], 1.0, 0.5)
+        st, ex = run_and_expand(1.0, 0.5, H, y, "scnm",
+                                rng.uniform(3.0, 8.0, size=L), rng)
+        before = sinr_chain(st.T, st.C, 1.0)
+        assert np.allclose(before, ex.sinr, rtol=1e-9)
         for i in range(L):
-            Qs = [Q.copy() for Q in st.Qhist]
-            Qs[i] = Qs[i] + rand_psd(rng, K) * rng.uniform(0.01, 1.0)
-            after = sinr_chain(H, st.V, st.A, Qs[:-1], Qs[-1], 1.0, 0.5)
+            # with the combiners fixed, extra noise dQ at AP i reaches the
+            # terminal error covariance as A_i dQ A_i^H
+            Qs = [Q.copy() for Q in ex.Qs]
+            dQ = rand_psd(rng, K) * rng.uniform(0.01, 1.0)
+            Qs[i] = Qs[i] + dQ
+            after = sinr_chain(st.T, st.C + ex.A[i] @ dQ @ ex.A[i].conj().T, 1.0)
+            assert np.allclose(after, ex.sinr_with(Qs), rtol=1e-9)
             assert np.all(after <= before + 1e-12)
             checks += 1
     print(f"\n[PASS] sinr-monotonicity: {checks} PSD-increment injections, "

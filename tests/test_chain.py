@@ -1,22 +1,43 @@
 import numpy as np
 import pytest
 
-from seqcf import (gain, initial_state, propagate_combiners, refine, run_chain,
+from seqcf import (NetworkConfig, draw_channels, gain, initial_state,
+                   interference_context, logarithmic, place_network,
+                   propagate_combiners, refine, run_chain, sinr_chain,
                    update_error_cov, update_pre_compression_corr)
+from seqcf.compression import LN2
 from seqcf.linalg import herm
 
 from oracles import (centralized_error_cov, centralized_estimate, complex_randn,
-                     rand_channels)
+                     rand_channels, run_and_expand)
 
 
 def run_random_chain(rng, p=1.0, sigma2=0.4, K=2, L=3, N=3, strategy="eiu", rates=None):
+    """A chain on a random instance and its expansion oracle on the same draws."""
     H = rand_channels(rng, L, N, K)
     s = np.sqrt(p) * complex_randn(rng, K)
     y = [Hl @ s + np.sqrt(sigma2) * complex_randn(rng, N) for Hl in H]
     if rates is None:
         rates = np.full(L, 6.0)
-    st = run_chain(p, sigma2, H, y, strategy, rates, rng)
-    return st, H, y, s
+    st, ex = run_and_expand(p, sigma2, H, y, strategy, rates, rng)
+    return st, ex, H, y, s
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+# (strategy, rate schedule) cases: every compression design, a LOG schedule
+# whose first link is dead, and an equal schedule with a dead mid-chain link
+def chain_cases(R_T, L):
+    ef = np.full(L, R_T / L)
+    dead_mid = ef.copy()
+    dead_mid[L // 2] = 0.0
+    return [("eiu", ef), ("scnm", ef), ("wsinm", ef), ("infinite", np.full(L, np.inf)),
+            ("eiu", logarithmic(R_T, L).rates), ("eiu", dead_mid)]
+
+
+CASE_IDS = ["eiu", "scnm", "wsinm", "infinite", "log-eiu", "dead-mid-eiu"]
 
 
 class TestGain:
@@ -110,12 +131,14 @@ class TestCovarianceUpdates:
 
 
 class TestCombinerFamilies:
+    # propagate_combiners is the effective-channel step: T_l = sum_i V_il H_i
+    # without the combiner families V_il = F_l ... F_{i+1} Gamma_i themselves
+
     def test_base_case(self, rng):
         G = complex_randn(rng, (2, 3))
         H = complex_randn(rng, (3, 2))
-        V, A = propagate_combiners([], [], G, H)
-        assert np.array_equal(V[0], G)
-        assert np.array_equal(A[0], np.eye(2))
+        T = propagate_combiners(np.zeros((2, 2), dtype=complex), G, H)
+        assert np.array_equal(T, G @ H)
 
     def test_two_step_product_form(self, rng):
         p, s2, K, N = 1.0, 0.5, 2, 3
@@ -124,21 +147,19 @@ class TestCombinerFamilies:
         G1 = gain(C0, H1, s2)
         C1 = update_error_cov(C0, G1, H1, np.zeros((K, K)))
         G2 = gain(C1, H2, s2)
-        V, A = propagate_combiners(*propagate_combiners([], [], G1, H1), G2, H2)
+        T0 = np.zeros((K, K), dtype=complex)
+        T = propagate_combiners(propagate_combiners(T0, G1, H1), G2, H2)
         F2 = np.eye(K) - G2 @ H2
-        assert np.allclose(V[0], F2 @ G1, atol=1e-12)
-        assert np.allclose(A[0], F2, atol=1e-12)
-        assert np.array_equal(V[1], G2)
-        assert np.array_equal(A[1], np.eye(K))
+        # V_12 = F2 G1, V_22 = G2
+        assert np.allclose(T, F2 @ G1 @ H1 + G2 @ H2, atol=1e-12)
 
     @pytest.mark.parametrize("strategy", ["eiu", "scnm", "wsinm", "infinite"])
     def test_recursion_matches_expansion(self, rng, strategy):
-        # terminal estimate equals sum_i V_i y_i + A_i q_i for realized noise
-        st, H, y, _ = run_random_chain(rng, strategy=strategy)
-        recon = sum(Vi @ yi for Vi, yi in zip(st.V, st.ys))
-        recon += sum(Ai @ qi for Ai, qi in zip(st.A, st.qs))
-        err = np.linalg.norm(st.s_tilde - recon) / np.linalg.norm(st.s_tilde)
-        assert err < 1e-9
+        # terminal estimate equals sum_i V_i y_i + A_i q_i for the replayed
+        # compression noise, and the tracked T equals sum_i V_i H_i
+        st, ex, *_ = run_random_chain(rng, strategy=strategy)
+        assert rel_err(st.s_tilde, ex.s_tilde) < 1e-9
+        assert rel_err(st.T, ex.T) < 1e-9
 
 
 class TestRunChain:
@@ -158,10 +179,10 @@ class TestRunChain:
         H = rand_channels(rng, 1, N, K)
         s = np.sqrt(p) * complex_randn(rng, K)
         y = [H[0] @ s + np.sqrt(s2) * complex_randn(rng, N)]
-        st = run_chain(p, s2, H, y, "eiu", [8.0], rng)
+        st, ex = run_and_expand(p, s2, H, y, "eiu", [8.0], rng)
         s_hat = centralized_estimate(H, y, p, s2)
-        assert np.allclose(st.s_tilde - st.qs[0], s_hat, atol=1e-10)
-        assert np.allclose(st.C, centralized_error_cov(H, p, s2) + st.Qhist[0],
+        assert np.allclose(st.s_tilde - ex.qs[0], s_hat, atol=1e-10)
+        assert np.allclose(st.C, centralized_error_cov(H, p, s2) + st.outcomes[0].Q,
                            atol=1e-10)
 
     def test_terminal_mse_non_increasing_in_rate(self, rng):
@@ -180,7 +201,7 @@ class TestRunChain:
             assert np.all(np.diff(traces) <= 1e-9)
 
     def test_trace_inequality_every_step(self, rng):
-        st, H, y, _ = run_random_chain(rng, L=4, strategy="scnm")
+        st, _, H, y, _ = run_random_chain(rng, L=4, strategy="scnm")
         # rerun step by step to observe intermediate traces
         p, s2 = 1.0, 0.4
         prev = np.trace(initial_state(2, p).C).real
@@ -188,27 +209,28 @@ class TestRunChain:
             stl = run_chain(p, s2, H[:l], y[:l], "scnm", np.full(l, 6.0),
                             np.random.default_rng(0))
             tr = np.trace(stl.C).real
-            assert tr <= prev + np.trace(stl.Qhist[-1]).real + 1e-9
+            assert tr <= prev + np.trace(stl.outcomes[-1].Q).real + 1e-9
             prev = tr
 
     def test_psd_state_every_step(self, rng):
         st, *_ = run_random_chain(rng, L=4, strategy="wsinm")
-        for X in [st.C, st.P] + st.Qhist:
+        for X in [st.C, st.P] + [o.Q for o in st.outcomes]:
             w = np.linalg.eigvalsh(herm(X))
             assert w.min() >= -1e-10 * max(abs(w).max(), 1e-300)
 
     def test_zero_rate_link_restarts_chain(self, rng):
-        # a dead first link must leave AP 2 with a fresh prior
+        # a dead first link must leave AP 2 with a fresh prior; it draws no
+        # compression noise, so both chains see the same draw at AP 2
         p, s2, K, N = 1.0, 0.5, 2, 3
         H = rand_channels(rng, 2, N, K)
         s = np.sqrt(p) * complex_randn(rng, K)
         y = [Hl @ s + np.sqrt(s2) * complex_randn(rng, N) for Hl in H]
-        st = run_chain(p, s2, H, y, "eiu", [0.0, 10.0], rng)
+        st = run_chain(p, s2, H, y, "eiu", [0.0, 10.0], np.random.default_rng(0))
         fresh = run_chain(p, s2, H[1:], y[1:], "eiu", [10.0],
                           np.random.default_rng(0))
-        assert np.allclose(st.s_tilde - st.qs[-1], fresh.s_tilde - fresh.qs[-1],
-                           atol=1e-12)
+        assert np.allclose(st.s_tilde, fresh.s_tilde, atol=1e-12)
         assert np.allclose(st.C, fresh.C, atol=1e-12)
+        assert np.allclose(st.T, fresh.T, atol=1e-12)
 
     def test_deterministic_given_seed(self, rng):
         H = rand_channels(rng, 3, 2, 2)
@@ -217,3 +239,49 @@ class TestRunChain:
         a = run_chain(1.0, 0.5, H, y, "eiu", np.full(3, 6.0), np.random.default_rng(3))
         b = run_chain(1.0, 0.5, H, y, "eiu", np.full(3, 6.0), np.random.default_rng(3))
         assert np.array_equal(a.s_tilde, b.s_tilde)
+
+    @pytest.mark.parametrize("case", range(len(CASE_IDS)), ids=CASE_IDS)
+    def test_signal_part_is_effective_channel(self, rng, case):
+        # s_tilde is linear in y, so with the compression-noise draws replayed
+        # s_tilde(y = H s + n) - s_tilde(y = n) = T s
+        p, s2, K, L, N = 1.0, 0.4, 3, 4, 3
+        strategy, rates = chain_cases(24.0, L)[case]
+        H = rand_channels(rng, L, N, K)
+        s = np.sqrt(p) * complex_randn(rng, K)
+        n = [np.sqrt(s2) * complex_randn(rng, N) for _ in range(L)]
+        y = [Hl @ s + nl for Hl, nl in zip(H, n)]
+        st = run_chain(p, s2, H, y, strategy, rates, np.random.default_rng(5))
+        st0 = run_chain(p, s2, H, n, strategy, rates, np.random.default_rng(5))
+        assert rel_err(st.s_tilde - st0.s_tilde, st.T @ s) < 1e-9
+
+
+class TestExperimentSize:
+    # the (T, C) closed forms against the expansion oracle at the size the
+    # experiments run, on a drop from the paper's geometry
+
+    @pytest.mark.parametrize("case", range(len(CASE_IDS)), ids=CASE_IDS)
+    def test_closed_forms_match_expansion(self, case):
+        cfg = NetworkConfig(L=12, N=10, K=20)
+        p, s2 = cfg.p, cfg.sigma2
+        rng = np.random.default_rng(2026)
+        H = draw_channels(cfg, place_network(cfg, rng), rng).H
+        s = np.sqrt(p) * complex_randn(rng, cfg.K)
+        y = [Hl @ s + np.sqrt(s2) * complex_randn(rng, cfg.N) for Hl in H]
+        strategy, rates = chain_cases(cfg.R_T, cfg.L)[case]
+        st, ex = run_and_expand(p, s2, H, y, strategy, rates, rng)
+
+        assert rel_err(st.s_tilde, ex.s_tilde) < 1e-9
+        assert rel_err(st.T, ex.T) < 1e-9
+        D = np.eye(cfg.K) - st.T
+        assert rel_err(st.C - p * D @ D.conj().T, ex.Z) < 1e-9
+        sinr = sinr_chain(st.T, st.C, p)
+        assert np.max(np.abs(sinr - ex.sinr) / ex.sinr) < 1e-9
+        # the terminal AP's interference base, and for WSINM the base each AP
+        # used, recovered from its final weights w_k = 1 / (ln2 (base_k + Q_kk))
+        Q_L = st.outcomes[-1].Q
+        base = interference_context(st.T, st.C - Q_L, p)
+        assert np.max(np.abs(base - ex.bases[-1]) / ex.bases[-1]) < 1e-9
+        if strategy == "wsinm":
+            for o, ref in zip(st.outcomes, ex.bases):
+                used = 1.0 / (LN2 * o.weights) - np.diag(o.Q).real
+                assert np.max(np.abs(used - ref) / ref) < 1e-9

@@ -4,6 +4,7 @@ import pytest
 from seqcf import (ExperimentSpec, NetworkConfig, Strategy, emit_csv,
                    parse_config_file, parse_csv, run_experiment)
 from seqcf.cli import main
+from seqcf.compression import SolverError
 from seqcf.config import ConfigError
 from seqcf.experiment import CSV_HEADER, ExperimentError, ResultRow
 
@@ -71,11 +72,30 @@ class TestRunExperiment:
         import seqcf.experiment as exp
 
         def boom(*a, **k):
-            raise RuntimeError("solver blew up")
+            raise SolverError("solver blew up")
 
         monkeypatch.setattr(exp, "simulate_trial", boom)
         with pytest.raises(ExperimentError):
             exp.run_experiment(small_spec(["sp-ef-eiu"], trials=3, values=(2,)))
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # only typed numerical failures count as failed trials; a bug stops
+        # the run even when it hits fewer trials than the failure allowance
+        import seqcf.experiment as exp
+
+        real = exp.simulate_trial
+        calls = []
+
+        def buggy(*a, **k):
+            calls.append(1)
+            if len(calls) == 2:
+                raise TypeError("bad argument")
+            return real(*a, **k)
+
+        monkeypatch.setattr(exp, "simulate_trial", buggy)
+        with pytest.raises(TypeError):
+            exp.run_experiment(small_spec(["sp-ef-eiu"], trials=3, values=(2,)),
+                               max_failure_frac=1.0)
 
 
 class TestCsv:

@@ -56,7 +56,18 @@ class TestPathloss:
 
     def test_clamped_below_one_meter(self):
         assert pathloss_db(0.01) == pathloss_db(1.0)
+        assert pathloss_db(0.0) == pathloss_db(1.0)
         assert pathloss_db(0.5) <= 0.0
+
+    @pytest.mark.parametrize("d", [-5.0, -1e-12, np.array([10.0, -1.0])])
+    def test_rejects_negative_distance(self, d):
+        with pytest.raises(ConfigError):
+            pathloss_db(d)
+
+    @pytest.mark.parametrize("d", [np.nan, np.array([10.0, np.nan])])
+    def test_rejects_nan_distance(self, d):
+        with pytest.raises(ConfigError):
+            pathloss_db(d)
 
 
 class TestDrawChannels:

@@ -1,30 +1,32 @@
 import numpy as np
 import pytest
 
-from seqcf import (interference_context, run_chain, se_from_sinr, sinr_chain)
+from seqcf import gain, interference_context, run_chain, se_from_sinr, sinr_chain
 
-from oracles import centralized_sinr, complex_randn, rand_channels, rand_psd
+from oracles import (centralized_sinr, complex_randn, rand_channels, rand_psd,
+                     run_and_expand)
 
 
 def chain_families(rng, p=1.0, sigma2=0.4, K=2, L=3, N=3, strategy="eiu", rates=None):
+    """A chain on a random instance and its expansion oracle on the same draws."""
     H = rand_channels(rng, L, N, K)
     s = np.sqrt(p) * complex_randn(rng, K)
     y = [Hl @ s + np.sqrt(sigma2) * complex_randn(rng, N) for Hl in H]
     if rates is None:
         rates = np.full(L, 6.0)
-    st = run_chain(p, sigma2, H, y, strategy, rates, rng)
-    return H, st
+    st, ex = run_and_expand(p, sigma2, H, y, strategy, rates, rng)
+    return H, st, ex
 
 
 class TestSinrChain:
     def test_single_user_single_ap_matched_filter(self, rng):
         # K=1, no compression: SINR = p |Gamma h|^2 / (sigma2 Gamma Gamma^H)
         p, s2, N = 1.0, 0.3, 4
-        H, st = chain_families(rng, p=p, sigma2=s2, K=1, L=1, N=N,
-                               strategy="infinite", rates=[np.inf])
-        G = st.V[0]
+        H, st, _ = chain_families(rng, p=p, sigma2=s2, K=1, L=1, N=N,
+                                  strategy="infinite", rates=[np.inf])
+        G = gain(p * np.eye(1, dtype=complex), H[0], s2)
         expected = p * np.abs(G @ H[0][:, 0]) ** 2 / (s2 * (G @ G.conj().T).real)
-        sinr = sinr_chain(H, st.V, st.A, [], st.Qhist[-1], p, s2)
+        sinr = sinr_chain(st.T, st.C, p)
         assert sinr[0] == pytest.approx(float(expected[0, 0]), rel=1e-10)
         # for the single-antenna-stack LMMSE combiner this is p ||h||^2 / s2
         assert sinr[0] == pytest.approx(
@@ -32,9 +34,9 @@ class TestSinrChain:
 
     def test_matches_centralized_without_compression(self, rng):
         p, s2 = 1.0, 0.5
-        H, st = chain_families(rng, p=p, sigma2=s2, K=3, L=4, N=2,
-                               strategy="infinite", rates=np.full(4, np.inf))
-        sinr = sinr_chain(H, st.V, st.A, st.Qhist[:-1], st.Qhist[-1], p, s2)
+        H, st, _ = chain_families(rng, p=p, sigma2=s2, K=3, L=4, N=2,
+                                  strategy="infinite", rates=np.full(4, np.inf))
+        sinr = sinr_chain(st.T, st.C, p)
         cen = centralized_sinr(H, p, s2)
         assert np.allclose(sinr, cen, rtol=1e-8)
 
@@ -44,65 +46,73 @@ class TestSinrChain:
         H[0][:, 0] = 0.0
         y = [H[0] @ (np.sqrt(p) * complex_randn(rng, K))]
         st = run_chain(p, s2, H, y, "infinite", [np.inf], rng)
-        sinr = sinr_chain(H, st.V, st.A, [], st.Qhist[-1], p, s2)
+        sinr = sinr_chain(st.T, st.C, p)
         assert sinr[0] == 0.0
 
     def test_row_scaling_invariance(self, rng):
+        # scaling user k's row of every combiner by c gives T' = D T and
+        # noise D Z D^H; C' follows from C = p (I-T)(I-T)^H + Z
         p, s2 = 1.0, 0.4
-        H, st = chain_families(rng, K=3, strategy="eiu")
-        sinr = sinr_chain(H, st.V, st.A, st.Qhist[:-1], st.Qhist[-1], p, s2)
+        _, st, _ = chain_families(rng, K=3, strategy="eiu")
+        sinr = sinr_chain(st.T, st.C, p)
         c = 0.3 - 1.7j
         k = 1
-        V2 = [Vi.copy() for Vi in st.V]
-        A2 = [Ai.copy() for Ai in st.A]
-        for Vi, Ai in zip(V2, A2):
-            Vi[k, :] *= c
-            Ai[k, :] *= c
-        Ql = st.Qhist[-1].copy()
-        Ql[k, k] *= abs(c) ** 2  # terminal term rides on A_ll = I's k-th row
-        sinr2 = sinr_chain(H, V2, A2, st.Qhist[:-1], Ql, p, s2)
+        D = np.eye(3, dtype=complex)
+        D[k, k] = c
+        I = np.eye(3)
+        Z = st.C - p * (I - st.T) @ (I - st.T).conj().T
+        T2 = D @ st.T
+        C2 = D @ Z @ D.conj().T + p * (I - T2) @ (I - T2).conj().T
+        sinr2 = sinr_chain(T2, C2, p)
         assert sinr2[k] == pytest.approx(sinr[k], rel=1e-10)
 
     def test_psd_increment_never_helps(self, rng):
+        # extra compression noise dQ at AP i reaches the terminal error
+        # covariance as A_i dQ A_i^H
         p, s2 = 1.0, 0.4
-        H, st = chain_families(rng, K=3, L=4, strategy="scnm")
-        before = sinr_chain(H, st.V, st.A, st.Qhist[:-1], st.Qhist[-1], p, s2)
+        _, st, ex = chain_families(rng, K=3, L=4, strategy="scnm")
+        before = sinr_chain(st.T, st.C, p)
+        assert np.allclose(before, ex.sinr, rtol=1e-9)
         for i in range(4):
-            Qs = [Q.copy() for Q in st.Qhist]
-            Qs[i] = Qs[i] + rand_psd(rng, 3) * 0.1
-            after = sinr_chain(H, st.V, st.A, Qs[:-1], Qs[-1], p, s2)
+            Qs = [Q.copy() for Q in ex.Qs]
+            dQ = rand_psd(rng, 3) * 0.1
+            Qs[i] = Qs[i] + dQ
+            after = sinr_chain(st.T, st.C + ex.A[i] @ dQ @ ex.A[i].conj().T, p)
+            assert np.allclose(after, ex.sinr_with(Qs), rtol=1e-9)
             assert np.all(after <= before + 1e-12)
 
 
 class TestInterferenceContext:
     def test_first_ap_terms(self, rng):
         p, s2 = 1.3, 0.6
-        H, st = chain_families(rng, p=p, sigma2=s2, K=2, L=1, N=3,
-                               strategy="infinite", rates=[np.inf])
-        ctx = interference_context(H, st.V, st.A, [], p, s2)
-        T = st.V[0] @ H[0]
+        H, st, _ = chain_families(rng, p=p, sigma2=s2, K=2, L=1, N=3,
+                                  strategy="infinite", rates=[np.inf])
+        base = interference_context(st.T, st.C, p)   # Q_1 = 0: C_pre = C
+        G = gain(p * np.eye(2, dtype=complex), H[0], s2)
+        T = G @ H[0]
         for k in range(2):
             inter = sum(p * np.abs(T[k, j]) ** 2 for j in range(2) if j != k)
-            noise = s2 * np.sum(np.abs(st.V[0][k, :]) ** 2)
-            assert ctx.base[k] == pytest.approx(inter + noise, rel=1e-12)
+            noise = s2 * np.sum(np.abs(G[k, :]) ** 2)
+            assert base[k] == pytest.approx(inter + noise, rel=1e-12)
 
     def test_history_increment_never_decreases_base(self, rng):
         p, s2 = 1.0, 0.4
-        H, st = chain_families(rng, K=3, L=3, strategy="eiu")
-        base = interference_context(H, st.V, st.A, st.Qhist[:-1], p, s2).base
-        Qs = [Q.copy() for Q in st.Qhist[:-1]]
-        Qs[0] = Qs[0] + rand_psd(rng, 3)
-        base2 = interference_context(H, st.V, st.A, Qs, p, s2).base
+        _, st, ex = chain_families(rng, K=3, L=3, strategy="eiu")
+        C_pre = st.C - st.outcomes[-1].Q
+        base = interference_context(st.T, C_pre, p)
+        assert np.allclose(base, ex.bases[-1], rtol=1e-9)
+        dQ = rand_psd(rng, 3)
+        base2 = interference_context(st.T, C_pre + ex.A[0] @ dQ @ ex.A[0].conj().T, p)
         assert np.all(base2 >= base - 1e-12)
 
     def test_consistency_with_sinr_denominator(self, rng):
         p, s2 = 1.0, 0.4
-        H, st = chain_families(rng, K=3, L=3, strategy="scnm")
-        base = interference_context(H, st.V, st.A, st.Qhist[:-1], p, s2).base
-        sinr = sinr_chain(H, st.V, st.A, st.Qhist[:-1], st.Qhist[-1], p, s2)
-        T = sum(Vi @ Hi for Vi, Hi in zip(st.V, H))
-        num = p * np.abs(np.diag(T)) ** 2
-        den = base + np.diag(st.Qhist[-1]).real
+        _, st, _ = chain_families(rng, K=3, L=3, strategy="scnm")
+        Q_l = st.outcomes[-1].Q
+        base = interference_context(st.T, st.C - Q_l, p)
+        sinr = sinr_chain(st.T, st.C, p)
+        num = p * np.abs(np.diag(st.T)) ** 2
+        den = base + np.diag(Q_l).real
         assert np.allclose(num / den, sinr, rtol=1e-12)
 
 
