@@ -18,7 +18,6 @@ ZERO_RATE_TOL = 1e-12
 
 @dataclass
 class ChainState:
-    l: int                    # APs processed so far
     s_tilde: np.ndarray       # (K,) compressed refined estimate
     C: np.ndarray             # (K,K) error covariance E[(s - s_tilde)(s - s_tilde)^H]
     P: np.ndarray             # (K,K) pre-compression correlation
@@ -27,8 +26,7 @@ class ChainState:
 
 
 def initial_state(K: int, p: float) -> ChainState:
-    return ChainState(l=0,
-                      s_tilde=np.zeros(K, dtype=complex),
+    return ChainState(s_tilde=np.zeros(K, dtype=complex),
                       C=p * np.eye(K, dtype=complex),
                       P=np.zeros((K, K), dtype=complex),
                       T=np.zeros((K, K), dtype=complex))
@@ -50,31 +48,31 @@ def refine(s_tilde_prev: np.ndarray, Gamma: np.ndarray,
     return s_tilde_prev + Gamma @ (y_l - H_l @ s_tilde_prev)
 
 
-def update_error_cov(C_prev: np.ndarray, Gamma: np.ndarray,
-                     H_l: np.ndarray, Q_l: np.ndarray) -> np.ndarray:
-    """C_l = (I - Gamma H) C_{l-1} + Q_l, symmetrized and PSD-repaired."""
-    K = C_prev.shape[0]
-    C = (np.eye(K) - Gamma @ H_l) @ C_prev + Q_l
-    return ensure_psd(C, name="C")
+def update_error_cov(C_pre: np.ndarray, Q_l: np.ndarray) -> np.ndarray:
+    """C_l = C_pre + Q_l, symmetrized and PSD-repaired.
+
+    C_pre = (I - Gamma H) C_{l-1} is the error covariance before the AP
+    compresses.
+    """
+    return ensure_psd(C_pre + Q_l, name="C")
 
 
 def update_pre_compression_corr(P_prev: np.ndarray, Q_prev: np.ndarray,
-                                C_prev: np.ndarray, Gamma: np.ndarray,
-                                H_l: np.ndarray) -> np.ndarray:
-    """Correlation of the refined estimate before compression."""
-    GH = Gamma @ H_l
-    P = P_prev + Q_prev + GH @ C_prev - Q_prev @ GH.conj().T - GH @ Q_prev
+                                GH: np.ndarray, GHC: np.ndarray) -> np.ndarray:
+    """Correlation of the refined estimate before compression.
+
+    GH = Gamma H and GHC = Gamma H C_{l-1} are the chain step's products.
+    """
+    P = P_prev + Q_prev + GHC - Q_prev @ GH.conj().T - GH @ Q_prev
     return ensure_psd(P, name="P")
 
 
-def propagate_combiners(T_prev: np.ndarray, Gamma: np.ndarray,
-                        H_l: np.ndarray) -> np.ndarray:
+def propagate_combiners(T_prev: np.ndarray, GH: np.ndarray) -> np.ndarray:
     """Effective-channel step T_l = (I - Gamma H) T_{l-1} + Gamma H.
 
     T_l = sum_i V_il H_i is what the combiners V_il of all APs so far make of
     the user signals, so the chain never has to carry the V_il themselves.
     """
-    GH = Gamma @ H_l
     return T_prev - GH @ T_prev + GH
 
 
@@ -106,10 +104,12 @@ def run_chain(p: float, sigma2: float, H: list, y: list, strategy: str,
     for H_l, y_l, R_l in zip(H, y, rates):
         Gamma = gain(st.C, H_l, sigma2)
         s_hat = refine(st.s_tilde, Gamma, H_l, y_l)
-        T = propagate_combiners(st.T, Gamma, H_l)
+        GH = Gamma @ H_l
+        GHC = GH @ st.C
+        C_pre = st.C - GHC        # (I - Gamma H) C_{l-1}, before compression
+        T = propagate_combiners(st.T, GH)
         Q_prev = st.outcomes[-1].Q if st.outcomes else np.zeros((K, K), dtype=complex)
-        P = update_pre_compression_corr(st.P, Q_prev, st.C, Gamma, H_l)
-        st.l += 1
+        P = update_pre_compression_corr(st.P, Q_prev, GH, GHC)
 
         if strategy == "infinite":
             outcome = comp.CompressionOutcome(Q=np.zeros((K, K), dtype=complex),
@@ -123,15 +123,12 @@ def run_chain(p: float, sigma2: float, H: list, y: list, strategy: str,
                 Q=np.zeros((K, K), dtype=complex), achieved_rate=0.0))
             continue
         else:
-            base = None
-            if strategy == "wsinm":
-                C_pre = st.C - Gamma @ H_l @ st.C
-                base = metrics.interference_context(T, C_pre, p)
+            base = metrics.interference_context(T, C_pre, p) if strategy == "wsinm" else None
             outcome = _compress(strategy, P, R_l, base)
             q = sample_cn(rng, outcome.Q)
 
         st.s_tilde = s_hat + q
-        st.C = update_error_cov(st.C, Gamma, H_l, outcome.Q)
+        st.C = update_error_cov(C_pre, outcome.Q)
         st.P = P
         st.T = T
         st.outcomes.append(outcome)

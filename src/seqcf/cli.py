@@ -14,35 +14,29 @@ DEFAULT_STRATEGIES = "sp-ef-wsinm,sp-lf-wsinm,tp-ef-wsinm,tp-lf-wsinm,sp-ef-infi
 def _add_common(sub: argparse.ArgumentParser, axis: str) -> None:
     sub.add_argument("--config", metavar="PATH",
                      help="flat key=value config file (defaults: L=12, N=10, K=20)")
-    sub.add_argument("--seed", type=int, default=None, metavar="U64",
-                     help="master RNG seed (overrides config)")
-    sub.add_argument("--trials", type=int, default=None, metavar="N",
-                     help="Monte-Carlo drops per sweep point (overrides config)")
+    sub.add_argument("--seed", type=int, default=1, metavar="U64",
+                     help="master RNG seed (default: 1)")
+    sub.add_argument("--trials", type=int, default=200, metavar="N",
+                     help="Monte-Carlo drops per sweep point (default: 200)")
     sub.add_argument("--out", default="results.csv", metavar="PATH",
                      help="output CSV path")
     sub.add_argument("--strategies", default=DEFAULT_STRATEGIES, metavar="LIST",
                      help="comma list of path-allocation-compression triples, "
                           "e.g. sp-ef-eiu,tp-lf-wsinm")
-    sub.add_argument("--sweep", choices=("users", "rate"), default=axis,
-                     help=argparse.SUPPRESS)
     sub.add_argument("--values", metavar="LIST", required=True,
                      help=f"comma list of sweep values ({axis})")
+    sub.set_defaults(sweep=axis)
 
 
 def _build_spec(args) -> ExperimentSpec:
     base = parse_config_file(args.config) if args.config else NetworkConfig()
-    if args.seed is not None:
-        base = base.replace(rng_seed=args.seed)
-    if args.trials is not None:
-        base = base.replace(trials=args.trials)
     strategies = tuple(Strategy.parse(s) for s in args.strategies.split(","))
     if args.sweep == "users":
         values = tuple(int(v) for v in args.values.split(","))
     else:
         values = tuple(float(v) for v in args.values.split(","))
     return ExperimentSpec(base=base, sweep=args.sweep, values=values,
-                          strategies=strategies, trials=base.trials,
-                          seed=base.rng_seed)
+                          strategies=strategies, trials=args.trials, seed=args.seed)
 
 
 def main(argv=None) -> int:

@@ -7,13 +7,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import herm, ensure_psd
+from .linalg import check_psd_spectrum, herm
 
 LN2 = np.log(2.0)
 
 # eigenvalues of P below this fraction of the largest are treated as a
 # null space: those modes carry no rate and no compression noise
 RANK_TOL = 1e-12
+
+# SCNM rate solve: bisection stops within RATE_TOL_BITS of R_l
+RATE_TOL_BITS = 1e-9
+RATE_MAX_ITER = 200
+
+# WSINM block coordinate descent: stops when the objective moves by at most
+# BCD_REL_TOL relative, or after BCD_MAX_ITER iterations
+BCD_REL_TOL = 1e-8
+BCD_MAX_ITER = 100
 
 
 class SolverError(RuntimeError):
@@ -29,20 +38,18 @@ class CompressionOutcome:
     objective_trace: list = field(default_factory=list)
 
 
-def achieved_rate_bits(P: np.ndarray, Q: np.ndarray, tol: float = RANK_TOL) -> float:
+def _support_rate_bits(Pr: np.ndarray, d: np.ndarray) -> float:
+    """log2 det(Pr + D) - log2 det(D) for D = diag(d), d > 0."""
+    _, ld = np.linalg.slogdet(Pr + np.diag(d))
+    return float((ld - np.sum(np.log(d))) / LN2)
+
+
+def achieved_rate_bits(P: np.ndarray, Q: np.ndarray) -> float:
     """log2 det(P Q^-1 + I_K), restricted to the support of Q."""
     w, U = np.linalg.eigh(herm(Q))
-    keep = w > tol * max(float(w.max(initial=0.0)), 0.0)
-    if np.all(keep):
-        s1, ld1 = np.linalg.slogdet(herm(P) + herm(Q))
-        s2, ld2 = np.linalg.slogdet(herm(Q))
-        return float((ld1 - ld2) / LN2)
+    keep = w > RANK_TOL * w.max(initial=0.0)
     Us = U[:, keep]
-    Pr = Us.conj().T @ herm(P) @ Us
-    Qr = np.diag(w[keep])
-    s1, ld1 = np.linalg.slogdet(Pr + Qr)
-    s2, ld2 = np.linalg.slogdet(Qr)
-    return float((ld1 - ld2) / LN2)
+    return _support_rate_bits(Us.conj().T @ herm(P) @ Us, w[keep])
 
 
 def eiu(P: np.ndarray, R_l: float) -> CompressionOutcome:
@@ -59,8 +66,9 @@ def eiu(P: np.ndarray, R_l: float) -> CompressionOutcome:
     if np.any(pdiag < -RANK_TOL * max(pdiag.max(initial=0.0), 1.0)):
         raise SolverError("P has a negative diagonal entry")
     q = np.clip(pdiag, 0.0, None) / (2.0 ** b - 1.0)
-    Q = np.diag(q).astype(complex)
-    return CompressionOutcome(Q=Q, achieved_rate=achieved_rate_bits(P, Q))
+    keep = q > RANK_TOL * q.max(initial=0.0)
+    rate = _support_rate_bits(herm(P)[np.ix_(keep, keep)], q[keep])
+    return CompressionOutcome(Q=np.diag(q).astype(complex), achieved_rate=rate)
 
 
 def _mode_noise(lam: np.ndarray, mu: float) -> np.ndarray:
@@ -72,8 +80,7 @@ def _mode_rate(lam: np.ndarray, mu: float) -> float:
     return float(np.sum(np.log2(1.0 + lam / _mode_noise(lam, mu))))
 
 
-def _solve_mode_noises(lam: np.ndarray, R_l: float,
-                       tol_bits: float = 1e-9, max_iter: int = 200) -> np.ndarray:
+def _solve_mode_noises(lam: np.ndarray, R_l: float) -> np.ndarray:
     """Per-eigenmode noise variances meeting the rate constraint with equality.
 
     The rate is strictly decreasing in the multiplier mu, so the constraint
@@ -92,10 +99,10 @@ def _solve_mode_noises(lam: np.ndarray, R_l: float,
         grow += 1
         if grow > 1200:
             raise SolverError("failed to bracket the rate constraint from below")
-    for _ in range(max_iter):
+    for _ in range(RATE_MAX_ITER):
         mu = 0.5 * (mu_lo + mu_hi)
         r = _mode_rate(lam, mu)
-        if abs(r - R_l) <= tol_bits:
+        if abs(r - R_l) <= RATE_TOL_BITS:
             return _mode_noise(lam, mu)
         if r > R_l:
             mu_lo = mu
@@ -113,10 +120,12 @@ def scnm(P: np.ndarray, R_l: float) -> CompressionOutcome:
     """
     if R_l <= 0:
         raise SolverError("vector-wise compression needs R_l > 0")
-    P = ensure_psd(P, name="P")
+    P = herm(P)
     w, U = np.linalg.eigh(P)
-    lam_max = float(w.max(initial=0.0))
-    pos = w > RANK_TOL * lam_max
+    # modes with round-off-level negative eigenvalues fall below RANK_TOL
+    # and get no noise, as if P had been PSD-repaired first
+    check_psd_spectrum(w, name="P")
+    pos = w > RANK_TOL * w.max(initial=0.0)
     if not np.any(pos):
         # nothing to forward: zero estimate costs zero rate and zero noise
         Q = np.zeros_like(P)
@@ -146,8 +155,7 @@ def weighted_scnm(P: np.ndarray, R_l: float, weights: np.ndarray) -> Compression
     return CompressionOutcome(Q=Q, achieved_rate=inner.achieved_rate)
 
 
-def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray,
-          rel_tol: float = 1e-8, max_iter: int = 100) -> CompressionOutcome:
+def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> CompressionOutcome:
     """Interference-aware compression via block coordinate descent.
 
     Alternates (i) weighted trace minimization at the current weights and
@@ -163,7 +171,7 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray,
     trace_vals: list[float] = []
     prev_obj = None
     iters = 0
-    for it in range(max_iter):
+    for it in range(BCD_MAX_ITER):
         iters = it + 1
         out = weighted_scnm(P, R_l, w)
         X = base + np.diag(out.Q).real
@@ -173,7 +181,8 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray,
         obj_w = float(w_new @ X - np.sum(np.log2(w_new)))
         trace_vals.append(obj_w)
         w = w_new
-        if prev_obj is not None and abs(prev_obj - obj_w) <= rel_tol * max(abs(prev_obj), 1e-300):
+        if prev_obj is not None and (abs(prev_obj - obj_w)
+                                     <= BCD_REL_TOL * max(abs(prev_obj), 1e-300)):
             break
         prev_obj = obj_w
     return CompressionOutcome(Q=out.Q, achieved_rate=out.achieved_rate,

@@ -26,8 +26,6 @@ class NetworkConfig:
     R_T: float = 500.0           # total fronthaul bits per uplink sample
     ap_ring_radius: float = 300.0
     user_disk_radius: float = 150.0
-    rng_seed: int = 1
-    trials: int = 200
 
     @property
     def M(self) -> int:
@@ -51,8 +49,6 @@ class NetworkConfig:
             raise ConfigError("radii must be strictly positive")
         if self.tau_u <= 0:
             raise ConfigError("tau_c must exceed tau_p = K")
-        if self.trials < 1:
-            raise ConfigError("trials must be positive")
 
     def replace(self, **kw) -> "NetworkConfig":
         return dataclasses.replace(self, **kw)
@@ -60,7 +56,7 @@ class NetworkConfig:
 
 # keys accepted in the flat key=value config file; *_dbm entries are
 # converted to linear watts at parse time
-_INT_KEYS = {"L", "N", "K", "tau_c", "rng_seed", "trials"}
+_INT_KEYS = {"L", "N", "K", "tau_c"}
 _FLOAT_KEYS = {"R_T", "ap_ring_radius", "user_disk_radius"}
 _DBM_KEYS = {"p_dbm": "p", "sigma2_dbm": "sigma2"}
 

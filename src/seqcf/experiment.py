@@ -17,6 +17,9 @@ from .linalg import PsdError, complex_normal
 PATH_MODES = ("sp", "tp")
 COMPRESSIONS = ("eiu", "scnm", "wsinm", "infinite")
 
+# share of a cell's trials that may fail numerically before the run stops
+MAX_FAILURE_FRAC = 0.01
+
 CSV_HEADER = "sweep,path_mode,allocation,compression,mean_sum_se,stderr,trials,seed"
 
 
@@ -110,7 +113,7 @@ def simulate_trial(cfg: NetworkConfig, strategy: Strategy, H: list, y: list,
             st = run_chain(cfg.p, cfg.sigma2, Hr, yr, strategy.compression, rates, rng)
             summaries.append(twopath.summarize_path(st, cfg.p))
         fused = twopath.fuse(summaries[0], summaries[1], cfg.p)
-        sinr = twopath.sinr_fused(fused, cfg.p)
+        sinr = twopath.sinr_fused(fused)
     return metrics.se_from_sinr(sinr, cfg.tau_u, cfg.tau_c).sum_se
 
 
@@ -125,13 +128,13 @@ def _draw_drop(cfg: NetworkConfig, rng: np.random.Generator):
     return chans.H, y
 
 
-def run_experiment(spec: ExperimentSpec, max_failure_frac: float = 0.01) -> list:
+def run_experiment(spec: ExperimentSpec) -> list:
     """Run all (sweep point x strategy) cells with paired per-trial drops.
 
     Within a trial every strategy sees the same layout, channels and thermal
     noise; only the compression / allocation pipeline differs. Numerical
     failures (SolverError, PsdError, LinAlgError) are tolerated up to
-    max_failure_frac of trials per cell; any other exception propagates.
+    MAX_FAILURE_FRAC of trials per cell; any other exception propagates.
     """
     rows = []
     for val in spec.values:
@@ -152,7 +155,7 @@ def run_experiment(spec: ExperimentSpec, max_failure_frac: float = 0.01) -> list
                     failures[strat] += 1
         for strat in spec.strategies:
             nfail = failures[strat]
-            if nfail > max_failure_frac * spec.trials:
+            if nfail > MAX_FAILURE_FRAC * spec.trials:
                 raise ExperimentError(
                     f"{nfail}/{spec.trials} trials failed for {strat.label()} "
                     f"at sweep value {val}")

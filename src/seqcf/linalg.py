@@ -4,6 +4,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
+# eigenvalues below -PSD_REL_TOL * ||X||_2 indicate a bug, not round-off
+PSD_REL_TOL = 1e-10
+
 
 class PsdError(RuntimeError):
     """A matrix that should be PSD has a genuinely negative eigenvalue."""
@@ -14,17 +17,18 @@ def herm(X: np.ndarray) -> np.ndarray:
     return 0.5 * (X + X.conj().T)
 
 
-def ensure_psd(X: np.ndarray, rel_tol: float = 1e-10, name: str = "matrix") -> np.ndarray:
-    """Symmetrize X and clip round-off-level negative eigenvalues to zero.
+def check_psd_spectrum(w: np.ndarray, name: str = "matrix") -> None:
+    """Raise PsdError if the ascending eigenvalues w have a genuinely negative one."""
+    scale = max(np.max(np.abs(w)), 1e-300)
+    if w[0] < -PSD_REL_TOL * scale:
+        raise PsdError(f"{name} has negative eigenvalue {w[0]:.3e} (scale {scale:.3e})")
 
-    Eigenvalues below ``-rel_tol * ||X||_2`` indicate a bug, not round-off,
-    and raise PsdError.
-    """
+
+def ensure_psd(X: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Symmetrize X and clip round-off-level negative eigenvalues to zero."""
     X = herm(X)
     w, U = np.linalg.eigh(X)
-    scale = max(np.max(np.abs(w)), 1e-300)
-    if w[0] < -rel_tol * scale:
-        raise PsdError(f"{name} has negative eigenvalue {w[0]:.3e} (scale {scale:.3e})")
+    check_psd_spectrum(w, name)
     if w[0] >= 0.0:
         return X
     return herm((U * np.clip(w, 0.0, None)) @ U.conj().T)

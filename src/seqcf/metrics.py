@@ -16,11 +16,13 @@ class SeReport:
     prelog: float
 
 
-def _interference_plus_noise(T: np.ndarray, C: np.ndarray, p: float) -> np.ndarray:
+def interference_context(T: np.ndarray, C: np.ndarray, p: float) -> np.ndarray:
     """Per-user interference-plus-noise of s_tilde = T s + z with error cov C.
 
     C = p (I - T)(I - T)^H + cov(z), so p sum_{j != k} |T_kj|^2 + cov(z)_kk
-    equals C_kk - p |1 - T_kk|^2.
+    equals C_kk - p |1 - T_kk|^2. Given C_pre = (I - Gamma H) C_{l-1}, the
+    error covariance before the current AP compresses, it is the SINR
+    denominator without that AP's own Q[k,k], the base WSINM designs against.
     """
     return np.diag(C).real - p * np.abs(1.0 - np.diag(T)) ** 2
 
@@ -32,20 +34,11 @@ def sinr_chain(T: np.ndarray, C: np.ndarray, p: float) -> np.ndarray:
     terminal AP's compression.
     """
     num = p * np.abs(np.diag(T)) ** 2
-    den = _interference_plus_noise(T, C, p)
+    den = interference_context(T, C, p)
     # a user with a zero effective channel has 0/0 here; its SINR is zero
     out = np.zeros_like(num)
     np.divide(num, den, out=out, where=den > 0)
     return out
-
-
-def interference_context(T: np.ndarray, C_pre: np.ndarray, p: float) -> np.ndarray:
-    """SINR denominator terms that do not depend on the current AP's Q.
-
-    C_pre = (I - Gamma H) C_{l-1} is the error covariance before the current
-    AP compresses, so the result excludes exactly that AP's own Q[k,k].
-    """
-    return _interference_plus_noise(T, C_pre, p)
 
 
 def se_from_sinr(sinr: np.ndarray, tau_u: int, tau_c: int) -> SeReport:

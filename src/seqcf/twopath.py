@@ -78,15 +78,14 @@ def fuse(p1: PathSummary, p2: PathSummary, p: float) -> FusedEstimate:
     return FusedEstimate(y=y, G=G, Z=Z, V=V, s_hat=V @ y)
 
 
-def sinr_fused(fused: FusedEstimate, p: float) -> np.ndarray:
+def sinr_fused(fused: FusedEstimate) -> np.ndarray:
     """Per-user LMMSE SINR of the stacked two-path observation model.
 
-    Computed from u_k = p g_k^H S^-1 g_k with S the full Gram matrix: by a
-    rank-one identity the SINR excluding user k's own column is u/(1 - u),
-    which avoids solving one deflated (possibly singular) system per user.
+    Computed from u_k = (V G)_kk = p g_k^H S^-1 g_k with S the full Gram
+    matrix: by a rank-one identity the SINR excluding user k's own column is
+    u/(1 - u), which avoids solving one deflated (possibly singular) system
+    per user.
     """
-    G, Z = fused.G, fused.Z
-    S = _fusion_gram(G, Z, p)
-    u = p * np.real(np.sum(G.conj() * herm_solve(S, G), axis=0))
+    u = np.real(np.sum(fused.V.T * fused.G, axis=0))
     u = np.clip(u, 0.0, 1.0 - np.finfo(float).eps)
     return u / (1.0 - u)

@@ -85,11 +85,13 @@ def test_covariance_fidelity_monte_carlo():
     gammas, Qs, Cs, Ps, Ts = [], [], [], [], []
     for Hl in H:
         G = gain(C, Hl, sigma2)
-        T_eff = propagate_combiners(T_eff, G, Hl)
+        GH = G @ Hl
+        GHC = GH @ C
+        T_eff = propagate_combiners(T_eff, GH)
         Ts.append(T_eff)
-        P = update_pre_compression_corr(P, Q_prev, C, G, Hl)
+        P = update_pre_compression_corr(P, Q_prev, GH, GHC)
         Q = eiu(P, R_l).Q
-        C = update_error_cov(C, G, Hl, Q)
+        C = update_error_cov(C - GHC, Q)
         gammas.append(G)
         Qs.append(Q)
         Cs.append(C)

@@ -98,7 +98,7 @@ class TestCovarianceUpdates:
         C0 = p * np.eye(K, dtype=complex)
         G = gain(C0, H, s2)
         Z = np.zeros((K, K), dtype=complex)
-        P1 = update_pre_compression_corr(Z, Z, C0, G, H)
+        P1 = update_pre_compression_corr(Z, Z, G @ H, G @ H @ C0)
         direct = G @ (p * H @ H.conj().T + s2 * np.eye(N)) @ G.conj().T
         assert np.linalg.norm(P1 - direct) / np.linalg.norm(direct) < 1e-9
 
@@ -111,13 +111,13 @@ class TestCovarianceUpdates:
         H = complex_randn(rng, (N, K))
         G = gain(C, H, 0.5)
         Z = np.zeros((K, K), dtype=complex)
-        P = update_pre_compression_corr(P_prev, Z, C, G, H)
+        P = update_pre_compression_corr(P_prev, Z, G @ H, G @ H @ C)
         assert np.allclose(P, herm(P_prev + G @ H @ C), atol=1e-12)
 
     def test_error_cov_trivial(self, rng):
         C = np.eye(2, dtype=complex) * 0.8
-        out = update_error_cov(C, np.zeros((2, 3)), complex_randn(rng, (3, 2)),
-                               np.zeros((2, 2)))
+        GH = np.zeros((2, 3)) @ complex_randn(rng, (3, 2))
+        out = update_error_cov(C - GH @ C, np.zeros((2, 2)))
         assert np.allclose(out, C)
 
     def test_error_cov_scalar_algebra(self):
@@ -125,7 +125,7 @@ class TestCovarianceUpdates:
         C = np.array([[p]], dtype=complex)
         H = np.array([[h]])
         G = gain(C, H, s2)
-        out = update_error_cov(C, G, H, np.array([[q]], dtype=complex))
+        out = update_error_cov(C - G @ H @ C, np.array([[q]], dtype=complex))
         expected = s2 * p / (p * abs(h) ** 2 + s2) + q
         assert out[0, 0].real == pytest.approx(expected, rel=1e-12)
 
@@ -137,7 +137,7 @@ class TestCombinerFamilies:
     def test_base_case(self, rng):
         G = complex_randn(rng, (2, 3))
         H = complex_randn(rng, (3, 2))
-        T = propagate_combiners(np.zeros((2, 2), dtype=complex), G, H)
+        T = propagate_combiners(np.zeros((2, 2), dtype=complex), G @ H)
         assert np.array_equal(T, G @ H)
 
     def test_two_step_product_form(self, rng):
@@ -145,10 +145,10 @@ class TestCombinerFamilies:
         H1, H2 = complex_randn(rng, (N, K)), complex_randn(rng, (N, K))
         C0 = p * np.eye(K, dtype=complex)
         G1 = gain(C0, H1, s2)
-        C1 = update_error_cov(C0, G1, H1, np.zeros((K, K)))
+        C1 = update_error_cov(C0 - G1 @ H1 @ C0, np.zeros((K, K)))
         G2 = gain(C1, H2, s2)
         T0 = np.zeros((K, K), dtype=complex)
-        T = propagate_combiners(propagate_combiners(T0, G1, H1), G2, H2)
+        T = propagate_combiners(propagate_combiners(T0, G1 @ H1), G2 @ H2)
         F2 = np.eye(K) - G2 @ H2
         # V_12 = F2 G1, V_22 = G2
         assert np.allclose(T, F2 @ G1 @ H1 + G2 @ H2, atol=1e-12)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from seqcf import achieved_rate_bits, eiu, scnm, weighted_scnm, wsinm
 from seqcf.compression import LN2, SolverError
+from seqcf.linalg import PsdError
 
 from oracles import feasible_q_on_constraint, grid_min_trace, rand_psd
 
@@ -33,6 +34,19 @@ class TestEiu:
     def test_zero_bits_rejected(self, rng):
         with pytest.raises(SolverError):
             eiu(rand_psd(rng, 2), 0.0)
+
+    def test_reported_rate_matches_general_form(self, rng):
+        # the diagonal-Q rate equals log2 det(P Q^-1 + I) on Q's support,
+        # also when a user with a zero P entry leaves that support; by
+        # Hadamard's inequality it stays within the per-entry bit budget
+        P = rand_psd(rng, 3)
+        P0 = P.copy()
+        P0[1, :] = P0[:, 1] = 0.0
+        for X in (P, P0):
+            out = eiu(X, 12.0)
+            assert out.achieved_rate == pytest.approx(achieved_rate_bits(X, out.Q),
+                                                      abs=1e-9)
+        assert eiu(P, 12.0).achieved_rate <= 12.0 + 1e-9
 
 
 class TestScnm:
@@ -93,6 +107,15 @@ class TestScnm:
     def test_nonpositive_rate_rejected(self, rng):
         with pytest.raises(SolverError):
             scnm(rand_psd(rng, 2), 0.0)
+
+    def test_rejects_genuinely_indefinite(self):
+        with pytest.raises(PsdError):
+            scnm(np.diag([1.0, -1e-3]).astype(complex), 4.0)
+
+    def test_roundoff_negative_mode_gets_no_noise(self):
+        out = scnm(np.diag([1.0, -1e-12]).astype(complex), 4.0)
+        assert out.Q[1, 1] == 0.0
+        assert out.Q[0, 0].real == pytest.approx(1.0 / 15.0, rel=1e-8)
 
 
 class TestWeightedScnm:

@@ -93,9 +93,9 @@ class TestRunExperiment:
             return real(*a, **k)
 
         monkeypatch.setattr(exp, "simulate_trial", buggy)
+        monkeypatch.setattr(exp, "MAX_FAILURE_FRAC", 1.0)
         with pytest.raises(TypeError):
-            exp.run_experiment(small_spec(["sp-ef-eiu"], trials=3, values=(2,)),
-                               max_failure_frac=1.0)
+            exp.run_experiment(small_spec(["sp-ef-eiu"], trials=3, values=(2,)))
 
 
 class TestCsv:
@@ -140,6 +140,14 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_config_file(str(f))
 
+    @pytest.mark.parametrize("key", ["trials", "rng_seed"])
+    def test_experiment_keys_rejected(self, tmp_path, key):
+        # trials and seed belong to the experiment (--trials, --seed)
+        f = tmp_path / "net.cfg"
+        f.write_text(f"L = 4\n{key} = 3\n")
+        with pytest.raises(ConfigError):
+            parse_config_file(str(f))
+
 
 class TestCli:
     def test_sweep_users_smoke(self, tmp_path):
@@ -168,6 +176,21 @@ class TestCli:
                    "--trials", "1", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_default_trials_and_seed(self, tmp_path, monkeypatch):
+        import seqcf.cli as cli
+        specs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: specs.append(spec) or [])
+        assert main(["sweep-rate", "--values", "100",
+                     "--out", str(tmp_path / "x.csv")]) == 0
+        assert (specs[0].trials, specs[0].seed, specs[0].sweep) == (200, 1, "rate")
+
+    def test_sweep_axis_is_not_an_option(self, tmp_path):
+        # the subcommand fixes the sweep axis; --sweep is an unknown option
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-users", "--sweep", "rate", "--values", "100",
+                  "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
 
     def test_selftest_smoke(self, capsys):
         assert main(["selftest"]) == 0

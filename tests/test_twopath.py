@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from seqcf import fuse, gain, sinr_fused, split_paths, summarize_path
+from seqcf import (NetworkConfig, draw_channels, fuse, gain, place_network,
+                   run_chain, sinr_fused, split_paths, summarize_path)
 from seqcf.twopath import PathSummary
 
 from oracles import (centralized_estimate, centralized_sinr, complex_randn,
@@ -118,10 +119,10 @@ class TestFuse:
         S1 = p * s1.G @ s1.G.conj().T + s1.Z
         alone = p * s1.G.conj().T @ np.linalg.solve(S1, s1.s_tilde)
         assert np.linalg.norm(f.s_hat - alone) < 1e-6 * np.linalg.norm(alone)
-        sinr = sinr_fused(f, p)
+        sinr = sinr_fused(f)
         f1 = fuse(s1, PathSummary(s_tilde=s2_.s_tilde, G=np.zeros((2, 2)),
                                   Z=np.eye(2, dtype=complex)), p)
-        assert np.allclose(sinr, sinr_fused(f1, p), rtol=1e-6)
+        assert np.allclose(sinr, sinr_fused(f1), rtol=1e-6)
 
     def test_fusion_never_hurts_either_path(self, rng):
         # LMMSE on both paths dominates LMMSE on each alone, in PSD order
@@ -155,11 +156,27 @@ class TestSinrFused:
         f = fuse(PathSummary(np.zeros(1, complex), g[:1], Z[:1, :1]),
                  PathSummary(np.zeros(1, complex), g[1:], Z[1:, 1:]), p)
         expected = p * np.real(g[:, 0].conj() @ np.linalg.solve(Z, g[:, 0]))
-        assert sinr_fused(f, p)[0] == pytest.approx(expected, rel=1e-10)
+        assert sinr_fused(f)[0] == pytest.approx(expected, rel=1e-10)
 
     def test_matches_centralized_sinr(self, rng):
         p, s2 = 1.0, 0.5
         helper = TestFuse()
         H, y, s, (p1, p2) = helper.two_path_setup(rng)
         f = fuse(p1, p2, p)
-        assert np.allclose(sinr_fused(f, p), centralized_sinr(H, p, s2), rtol=1e-8)
+        assert np.allclose(sinr_fused(f), centralized_sinr(H, p, s2), rtol=1e-8)
+
+    def test_matches_centralized_sinr_experiment_size(self):
+        # a geometry drop at the experiments' size, without compression
+        cfg = NetworkConfig(L=12, N=10, K=20)
+        p, s2 = cfg.p, cfg.sigma2
+        rng = np.random.default_rng(2026)
+        H = draw_channels(cfg, place_network(cfg, rng), rng).H
+        s = np.sqrt(p) * complex_randn(rng, cfg.K)
+        y = [Hl @ s + np.sqrt(s2) * complex_randn(rng, cfg.N) for Hl in H]
+        summs = []
+        for idx in split_paths(cfg.L):
+            st = run_chain(p, s2, [H[i] for i in idx], [y[i] for i in idx],
+                           "infinite", np.full(len(idx), np.inf), rng)
+            summs.append(summarize_path(st, p))
+        f = fuse(summs[0], summs[1], p)
+        assert np.allclose(sinr_fused(f), centralized_sinr(H, p, s2), rtol=1e-8)
