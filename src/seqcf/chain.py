@@ -20,7 +20,8 @@ ZERO_RATE_TOL = 1e-12
 class ChainState:
     s_tilde: np.ndarray       # (K,) compressed refined estimate
     C: np.ndarray             # (K,K) error covariance E[(s - s_tilde)(s - s_tilde)^H]
-    P: np.ndarray             # (K,K) pre-compression correlation
+    P: np.ndarray             # (K,K) pre-compression correlation; stays 0 on an
+                              # "infinite" chain, where no compression reads it
     T: np.ndarray             # (K,K) effective channel: s_tilde = T s + noise
     outcomes: list = field(default_factory=list)  # per-AP CompressionOutcome
 
@@ -108,13 +109,12 @@ def run_chain(p: float, sigma2: float, H: list, y: list, strategy: str,
         GHC = GH @ st.C
         C_pre = st.C - GHC        # (I - Gamma H) C_{l-1}, before compression
         T = propagate_combiners(st.T, GH)
-        Q_prev = st.outcomes[-1].Q if st.outcomes else np.zeros((K, K), dtype=complex)
-        P = update_pre_compression_corr(st.P, Q_prev, GH, GHC)
 
         if strategy == "infinite":
             outcome = comp.CompressionOutcome(Q=np.zeros((K, K), dtype=complex),
                                               achieved_rate=np.inf)
             q = np.zeros(K, dtype=complex)
+            P = st.P
         elif R_l <= ZERO_RATE_TOL:
             # dead link: the next AP sees no estimate at all
             fresh = initial_state(K, p)
@@ -123,6 +123,8 @@ def run_chain(p: float, sigma2: float, H: list, y: list, strategy: str,
                 Q=np.zeros((K, K), dtype=complex), achieved_rate=0.0))
             continue
         else:
+            Q_prev = st.outcomes[-1].Q if st.outcomes else np.zeros((K, K), dtype=complex)
+            P = update_pre_compression_corr(st.P, Q_prev, GH, GHC)
             base = metrics.interference_context(T, C_pre, p) if strategy == "wsinm" else None
             outcome = _compress(strategy, P, R_l, base)
             q = sample_cn(rng, outcome.Q)

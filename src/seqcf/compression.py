@@ -3,6 +3,7 @@
 # minimization and its weighted / interference-aware BCD variant).
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,9 +16,15 @@ LN2 = np.log(2.0)
 # null space: those modes carry no rate and no compression noise
 RANK_TOL = 1e-12
 
-# SCNM rate solve: bisection stops within RATE_TOL_BITS of R_l
+# SCNM rate solve: the bisection on the multiplier stops at the first
+# midpoint whose rate is within RATE_TOL_BITS of R_l, after at most
+# RATE_MAX_ITER midpoints
 RATE_TOL_BITS = 1e-9
 RATE_MAX_ITER = 200
+# powers j of the bracket candidates lam.max() * 8^j rated in one call, and
+# the Newton steps allowed for one root estimate
+_BRACKET_POWERS = np.arange(-6, 7)
+_NEWTON_MAX_ITER = 64
 
 # WSINM block coordinate descent: stops when the objective moves by at most
 # BCD_REL_TOL relative, or after BCD_MAX_ITER iterations
@@ -71,43 +78,125 @@ def eiu(P: np.ndarray, R_l: float) -> CompressionOutcome:
     return CompressionOutcome(Q=np.diag(q).astype(complex), achieved_rate=rate)
 
 
-def _mode_noise(lam: np.ndarray, mu: float) -> np.ndarray:
-    # positive root of d^2 + lam*d - mu*lam = 0, cancellation-free form
+def _mode_noise(lam: np.ndarray, mu) -> np.ndarray:
+    # positive root of d^2 + lam*d - mu*lam = 0, cancellation-free form; a
+    # column of multipliers gives one row of noises per multiplier
     return 2.0 * mu * lam / (lam + np.sqrt(lam * lam + 4.0 * mu * lam))
 
 
-def _mode_rate(lam: np.ndarray, mu: float) -> float:
-    return float(np.sum(np.log2(1.0 + lam / _mode_noise(lam, mu))))
+def _mode_rates(lam: np.ndarray, mus) -> np.ndarray:
+    """Rate sum_k log2(1 + lam_k / d_k(mu)) of each multiplier in mus."""
+    d = _mode_noise(lam, np.asarray(mus, dtype=float)[:, None])
+    return np.log2(1.0 + lam / d).sum(axis=1)
+
+
+def _bracket(lam: np.ndarray, R_l: float) -> tuple:
+    """(mu_lo, r_lo, mu_hi, r_hi) of the geometric x8 search from lam.max().
+
+    mu_hi is the first lam.max() * 8^j, j >= 0, whose rate is at most R_l;
+    mu_lo the first mu_hi / 8^i, i >= 0, whose rate is at least R_l. All
+    candidates in the window _BRACKET_POWERS are rated in one call. Scaling
+    by a power of two is exact while the result stays a finite normal
+    float, so a window within that range holds the values the loops visit.
+    """
+    mu_max = float(lam.max())
+    mus = np.ldexp(mu_max, 3 * _BRACKET_POWERS)
+    if mus[0] >= np.finfo(float).tiny and np.isfinite(mus[-1]):
+        rates = _mode_rates(lam, mus).tolist()
+        mus = mus.tolist()
+        start = -int(_BRACKET_POWERS[0])   # the index of j = 0
+        hi = next((i for i in range(start, len(mus)) if not rates[i] > R_l), None)
+        lo = None if hi is None else next(
+            (i for i in range(hi, -1, -1) if not rates[i] < R_l), None)
+        if lo is not None:
+            return mus[lo], rates[lo], mus[hi], rates[hi]
+    # the window does not hold the bracket: walk the loops themselves
+    mu_hi = mu_max
+    grow = 0
+    while (r_hi := _mode_rates(lam, [mu_hi])[0]) > R_l:
+        mu_hi *= 8.0
+        grow += 1
+        if grow > 600:
+            raise SolverError("failed to bracket the rate constraint from above")
+    mu_lo, r_lo = mu_hi, r_hi
+    while r_lo < R_l:
+        mu_lo /= 8.0
+        r_lo = _mode_rates(lam, [mu_lo])[0]
+        grow += 1
+        if grow > 1200:
+            raise SolverError("failed to bracket the rate constraint from below")
+    return mu_lo, float(r_lo), mu_hi, float(r_hi)
+
+
+def _estimate_root(lam: np.ndarray, R_l: float, mu_lo: float, r_lo: float,
+                   mu_hi: float, r_hi: float) -> float:
+    """A multiplier in [mu_lo, mu_hi] whose rate is within RATE_TOL_BITS/2 of R_l.
+
+    Newton on t = ln mu, started from the log-linear interpolation of the
+    bracket rates; a step that leaves the bracket is replaced by the
+    bracket's midpoint in t.
+    """
+    if not 0.0 < mu_lo < mu_hi < math.inf:
+        return mu_hi
+    t_lo, t_hi = math.log(mu_lo), math.log(mu_hi)
+    t = t_lo + (r_lo - R_l) / (r_lo - r_hi) * (t_hi - t_lo) if r_lo != r_hi else t_lo
+    for _ in range(_NEWTON_MAX_ITER):
+        if not t_lo < t < t_hi:
+            t = 0.5 * (t_lo + t_hi)
+        mu = math.exp(t)
+        r = float(_mode_rates(lam, (mu,))[0])
+        if abs(r - R_l) <= 0.5 * RATE_TOL_BITS:
+            break
+        if r > R_l:
+            t_lo = t
+        else:
+            t_hi = t
+        # d rate / dt = -sum_k lam_k / (2 d_k + lam_k) / ln2, and
+        # 2 d_k + lam_k = sqrt(lam_k^2 + 4 mu lam_k)
+        t += (r - R_l) * LN2 / float(np.sqrt(lam / (lam + 4.0 * mu)).sum())
+    return mu
 
 
 def _solve_mode_noises(lam: np.ndarray, R_l: float) -> np.ndarray:
     """Per-eigenmode noise variances meeting the rate constraint with equality.
 
-    The rate is strictly decreasing in the multiplier mu, so the constraint
-    is solved by bracketing mu geometrically and bisecting.
+    The rate is strictly decreasing in the multiplier mu. The constraint is
+    solved by bisecting mu inside the bracket of _bracket until a midpoint's
+    rate is within RATE_TOL_BITS of R_l. A Newton estimate of the root
+    predicts every bisection decision, so the midpoints are listed and rated
+    in one call; the walk over them makes the unchanged decisions, and the
+    first one that disagrees with the prediction starts a new estimate from
+    the current bracket. Every midpoint consumed, and its rate, is the plain
+    bisection's own, so the result is bit-for-bit the plain bisection's.
     """
-    mu_hi = float(lam.max())
-    grow = 0
-    while _mode_rate(lam, mu_hi) > R_l:
-        mu_hi *= 8.0
-        grow += 1
-        if grow > 600:
-            raise SolverError("failed to bracket the rate constraint from above")
-    mu_lo = mu_hi
-    while _mode_rate(lam, mu_lo) < R_l:
-        mu_lo /= 8.0
-        grow += 1
-        if grow > 1200:
-            raise SolverError("failed to bracket the rate constraint from below")
-    for _ in range(RATE_MAX_ITER):
-        mu = 0.5 * (mu_lo + mu_hi)
-        r = _mode_rate(lam, mu)
-        if abs(r - R_l) <= RATE_TOL_BITS:
-            return _mode_noise(lam, mu)
-        if r > R_l:
-            mu_lo = mu
-        else:
-            mu_hi = mu
+    R_l = float(R_l)
+    mu_lo, r_lo, mu_hi, r_hi = _bracket(lam, R_l)
+    est = _estimate_root(lam, R_l, mu_lo, r_lo, mu_hi, r_hi)
+    left = RATE_MAX_ITER
+    while left > 0:
+        # the midpoints the bisection visits if every decision agrees with est
+        mids = []
+        lo, hi = mu_lo, mu_hi
+        while len(mids) < left:
+            mu = 0.5 * (lo + hi)
+            mids.append(mu)
+            if mu in (lo, hi):
+                break   # converged in floating point: the bisection repeats mu
+            if mu < est:
+                lo = mu
+            else:
+                hi = mu
+        for mu, r in zip(mids, _mode_rates(lam, mids).tolist()):
+            left -= 1
+            if abs(r - R_l) <= RATE_TOL_BITS:
+                return _mode_noise(lam, mu)
+            if r > R_l:
+                mu_lo, r_lo = mu, r
+            else:
+                mu_hi, r_hi = mu, r
+            if (r > R_l) != (mu < est):
+                est = _estimate_root(lam, R_l, mu_lo, r_lo, mu_hi, r_hi)
+                break
     raise SolverError(
         f"rate bisection did not converge: R={R_l}, last rate={r}, mu=[{mu_lo},{mu_hi}]")
 
@@ -116,7 +205,9 @@ def scnm(P: np.ndarray, R_l: float) -> CompressionOutcome:
     """Minimize trace(Q) s.t. log2 det(P Q^-1 + I) = R_l, Q >= 0.
 
     Q shares the eigenbasis of P; each mode's noise solves the KKT
-    quadratic d^2 + lam*d - mu*lam = 0 with mu found by bisection.
+    quadratic d^2 + lam*d - mu*lam = 0. The multiplier mu is found by
+    bisection (_solve_mode_noises), whose midpoints a Newton estimate lets
+    it rate in one vectorised call.
     """
     if R_l <= 0:
         raise SolverError("vector-wise compression needs R_l > 0")

@@ -59,9 +59,15 @@ def _fusion_gram(G: np.ndarray, Z: np.ndarray, p: float) -> np.ndarray:
     """p G G^H + Z, with a diagonal bump when nearly singular."""
     n = G.shape[0]
     S = herm(p * (G @ G.conj().T) + Z)
-    if np.linalg.cond(S) > _COND_LIMIT:
-        S = S + (_REG_SCALE * np.trace(S).real / n) * np.eye(n)
-        if np.linalg.cond(S) > 1 / np.finfo(float).eps:
+    # S is Hermitian: its singular values are the |eigenvalues|, so one
+    # eigvalsh gives the 2-norm condition number before and after the bump
+    ev = np.linalg.eigvalsh(S)
+    w = np.abs(ev)
+    if w.max() > _COND_LIMIT * w.min():
+        bump = _REG_SCALE * np.trace(S).real / n
+        S = S + bump * np.eye(n)
+        w = np.abs(ev + bump)
+        if w.max() > w.min() / np.finfo(float).eps:
             raise np.linalg.LinAlgError("fusion Gram matrix is singular")
     return S
 

@@ -62,6 +62,59 @@ def grid_min_trace(lam, R, npts=40001):
     return float(tot[i]), (float(d1[i]), float(d2[i]))
 
 
+def bisect_mode_noises(lam, R):
+    """SCNM per-mode noises by the plain scalar rate bisection.
+
+    The multiplier mu is bracketed by x8 steps from lam.max() and bisected
+    until a midpoint's rate is within RATE_TOL_BITS of R. The package's solver
+    must return exactly these noises (and raise exactly these errors).
+    """
+    from seqcf import compression as comp
+
+    def noise(mu):
+        return 2.0 * mu * lam / (lam + np.sqrt(lam * lam + 4.0 * mu * lam))
+
+    def rate(mu):
+        return float(np.sum(np.log2(1.0 + lam / noise(mu))))
+
+    mu_hi = float(lam.max())
+    grow = 0
+    while rate(mu_hi) > R:
+        mu_hi *= 8.0
+        grow += 1
+        if grow > 600:
+            raise comp.SolverError("failed to bracket the rate constraint from above")
+    mu_lo = mu_hi
+    while rate(mu_lo) < R:
+        mu_lo /= 8.0
+        grow += 1
+        if grow > 1200:
+            raise comp.SolverError("failed to bracket the rate constraint from below")
+    for _ in range(comp.RATE_MAX_ITER):
+        mu = 0.5 * (mu_lo + mu_hi)
+        r = rate(mu)
+        if abs(r - R) <= comp.RATE_TOL_BITS:
+            return noise(mu)
+        if r > R:
+            mu_lo = mu
+        else:
+            mu_hi = mu
+    raise comp.SolverError(
+        f"rate bisection did not converge: R={R}, last rate={r}, mu=[{mu_lo},{mu_hi}]")
+
+
+def cond_fusion_gram(G, Z, p, cond_limit=1e14, reg_scale=1e-12):
+    """Fusion Gram matrix p G G^H + Z, bumped and checked with np.linalg.cond."""
+    n = G.shape[0]
+    S = p * (G @ G.conj().T) + Z
+    S = 0.5 * (S + S.conj().T)
+    if np.linalg.cond(S) > cond_limit:
+        S = S + (reg_scale * np.trace(S).real / n) * np.eye(n)
+        if np.linalg.cond(S) > 1 / np.finfo(float).eps:
+            raise np.linalg.LinAlgError("fusion Gram matrix is singular")
+    return S
+
+
 def feasible_q_on_constraint(rng, P, R, jitter=1e-3, tol=1e-11):
     """Random PSD Q scaled onto the rate-constraint surface by bisection."""
     K = P.shape[0]

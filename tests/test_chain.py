@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import seqcf.chain
 from seqcf import (NetworkConfig, draw_channels, gain, initial_state,
                    interference_context, logarithmic, place_network,
                    propagate_combiners, refine, run_chain, sinr_chain,
@@ -231,6 +232,33 @@ class TestRunChain:
         assert np.allclose(st.s_tilde, fresh.s_tilde, atol=1e-12)
         assert np.allclose(st.C, fresh.C, atol=1e-12)
         assert np.allclose(st.T, fresh.T, atol=1e-12)
+
+    def test_infinite_chain_never_forms_p(self, rng, monkeypatch):
+        # nothing reads P without compression: it is never formed, stays at
+        # its initial zeros, and s_tilde, C and T are the uncompressed
+        # recursions exactly
+        def never(*args):
+            raise AssertionError("P formed on an infinite chain")
+
+        monkeypatch.setattr(seqcf.chain, "update_pre_compression_corr", never)
+        p, s2, K, L, N = 1.0, 0.4, 3, 5, 3
+        H = rand_channels(rng, L, N, K)
+        s = np.sqrt(p) * complex_randn(rng, K)
+        y = [Hl @ s + np.sqrt(s2) * complex_randn(rng, N) for Hl in H]
+        st = run_chain(p, s2, H, y, "infinite", np.full(L, np.inf),
+                       np.random.default_rng(0))
+        assert np.array_equal(st.P, np.zeros((K, K)))
+        ref = initial_state(K, p)
+        zero_q = np.zeros((K, K), dtype=complex)
+        for H_l, y_l in zip(H, y):
+            Gamma = gain(ref.C, H_l, s2)
+            GH = Gamma @ H_l
+            ref.s_tilde = refine(ref.s_tilde, Gamma, H_l, y_l) + np.zeros(K, dtype=complex)
+            ref.T = propagate_combiners(ref.T, GH)
+            ref.C = update_error_cov(ref.C - GH @ ref.C, zero_q)
+        assert np.array_equal(st.s_tilde, ref.s_tilde)
+        assert np.array_equal(st.C, ref.C)
+        assert np.array_equal(st.T, ref.T)
 
     def test_deterministic_given_seed(self, rng):
         H = rand_channels(rng, 3, 2, 2)

@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcf import achieved_rate_bits, eiu, scnm, weighted_scnm, wsinm
+from seqcf import (NetworkConfig, achieved_rate_bits, draw_channels, eiu, equal,
+                   place_network, run_chain, scnm, weighted_scnm, wsinm)
+from seqcf import compression as comp
 from seqcf.compression import LN2, SolverError
 from seqcf.linalg import PsdError
 
-from oracles import feasible_q_on_constraint, grid_min_trace, rand_psd
+from oracles import (bisect_mode_noises, complex_randn, feasible_q_on_constraint,
+                     grid_min_trace, rand_psd)
 
 
 class TestEiu:
@@ -116,6 +119,105 @@ class TestScnm:
         out = scnm(np.diag([1.0, -1e-12]).astype(complex), 4.0)
         assert out.Q[1, 1] == 0.0
         assert out.Q[0, 0].real == pytest.approx(1.0 / 15.0, rel=1e-8)
+
+
+def solve_outcome(solve, lam, R):
+    """The noises a rate solver returns, or the message of its SolverError."""
+    try:
+        return solve(lam, R)
+    except SolverError as exc:
+        return str(exc)
+
+
+def assert_same_solve(lam, R):
+    lam = np.asarray(lam, dtype=float)
+    with np.errstate(all="ignore"):
+        got = solve_outcome(comp._solve_mode_noises, lam, R)
+        ref = solve_outcome(bisect_mode_noises, lam, R)
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, ref)
+
+
+class TestRateSolve:
+    # the vectorised rate solve must make the plain bisection's every step
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_lam=st.lists(st.floats(-10.0, 6.0), min_size=1, max_size=40),
+           log_R=st.floats(-3.0, np.log10(2000.0)))
+    def test_matches_scalar_bisection(self, log_lam, log_R):
+        assert_same_solve(10.0 ** np.array(log_lam), 10.0 ** log_R)
+
+    def test_bracket_outside_vectorised_window(self):
+        # one mode at 19.2 bits needs mu below lam * 8^-6, the window's edge
+        lam = np.array([1.0])
+        assert comp._mode_rates(lam, [np.ldexp(1.0, -18)])[0] < 19.2
+        assert_same_solve(lam, 19.2)
+
+    @pytest.mark.parametrize("K, R", [(1, 2000.0), (3, 1500.0), (1, 150.0), (20, 1900.0)])
+    def test_huge_rate(self, K, R):
+        lam = np.geomspace(1.0, 1e-3, K)
+        assert_same_solve(lam, R)
+
+    @pytest.mark.parametrize("R", [1e-3, 0.7, 6.0, 80.0])
+    def test_equal_modes(self, R):
+        lam = np.full(5, 0.7)
+        assert_same_solve(lam, R)
+        d = comp._solve_mode_noises(lam, R)
+        assert np.all(d == d[0])
+        assert 5 * np.log2(1.0 + 0.7 / d[0]) == pytest.approx(R, abs=1e-9)
+
+    @pytest.mark.parametrize("R", [1e-3, 1.0, 10.0, 30.0])
+    def test_single_mode(self, R):
+        assert_same_solve(np.array([2.5]), R)
+
+    @pytest.mark.parametrize("estimate", ["low", "high", "geometric"])
+    def test_poor_estimate_changes_nothing(self, monkeypatch, estimate):
+        # the root estimate only chooses which midpoints are rated ahead; a
+        # poor one makes predictions fail and forces new estimates, but the
+        # walk still takes the bisection's own steps
+        def poor(lam, R_l, mu_lo, r_lo, mu_hi, r_hi):
+            return {"low": mu_lo, "high": mu_hi,
+                    "geometric": float(np.sqrt(mu_lo * mu_hi))}[estimate]
+
+        monkeypatch.setattr(comp, "_estimate_root", poor)
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            lam = 10.0 ** rng.uniform(-6.0, 3.0, int(rng.integers(1, 30)))
+            assert_same_solve(lam, float(10.0 ** rng.uniform(-2.0, 2.5)))
+
+    def test_iteration_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(comp, "RATE_MAX_ITER", 3)
+        lam = np.array([1.0, 0.3, 0.01])
+        with pytest.raises(SolverError, match="did not converge"):
+            comp._solve_mode_noises(lam, 5.0)
+        assert_same_solve(lam, 5.0)
+
+    def test_few_rate_evaluations_per_solve(self, monkeypatch):
+        # bracket, Newton steps and speculative midpoints are all rate
+        # evaluations; rating the midpoints one at a time would take ~35
+        counts = {"rates": 0, "solves": 0}
+        rates, solve = comp._mode_rates, comp._solve_mode_noises
+
+        def counted_rates(lam, mus):
+            counts["rates"] += 1
+            return rates(lam, mus)
+
+        def counted_solve(lam, R_l):
+            counts["solves"] += 1
+            return solve(lam, R_l)
+
+        monkeypatch.setattr(comp, "_mode_rates", counted_rates)
+        monkeypatch.setattr(comp, "_solve_mode_noises", counted_solve)
+        cfg = NetworkConfig(L=12, N=10, K=20)
+        rng = np.random.default_rng(7)
+        H = draw_channels(cfg, place_network(cfg, rng), rng).H
+        s = np.sqrt(cfg.p) * complex_randn(rng, cfg.K)
+        y = [Hl @ s + np.sqrt(cfg.sigma2) * complex_randn(rng, cfg.N) for Hl in H]
+        run_chain(cfg.p, cfg.sigma2, H, y, "wsinm", equal(cfg.R_T, cfg.L).rates, rng)
+        assert counts["solves"] > cfg.L
+        assert counts["rates"] / counts["solves"] <= 10.0
 
 
 class TestWeightedScnm:

@@ -3,10 +3,10 @@ import pytest
 
 from seqcf import (NetworkConfig, draw_channels, fuse, gain, place_network,
                    run_chain, sinr_fused, split_paths, summarize_path)
-from seqcf.twopath import PathSummary
+from seqcf.twopath import PathSummary, _fusion_gram
 
 from oracles import (centralized_estimate, centralized_sinr, complex_randn,
-                     rand_channels, run_and_expand)
+                     cond_fusion_gram, rand_channels, run_and_expand)
 
 
 def run_path(rng, H, y, p, s2, strategy="eiu", rates=None):
@@ -146,6 +146,53 @@ class TestFuse:
         f = fuse(p1, p2, p)
         cen = centralized_estimate(H, y, p, s2)
         assert np.linalg.norm(f.s_hat - cen) / np.linalg.norm(cen) < 1e-8
+
+
+class TestFusionGram:
+    # one eigvalsh must bump and reject exactly where the condition numbers do
+
+    def assert_same_gram(self, G, Z, p=1.0):
+        try:
+            ref = cond_fusion_gram(G, Z, p)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                _fusion_gram(G, Z, p)
+            return None
+        S = _fusion_gram(G, Z, p)
+        assert np.array_equal(S, ref)
+        return S
+
+    def test_well_conditioned_unchanged(self, rng):
+        G = complex_randn(rng, (4, 2))
+        Z = np.diag([0.3, 0.5, 0.2, 0.9]).astype(complex)
+        self.assert_same_gram(G, Z)
+
+    def test_ill_scaled_path_not_bumped(self, rng):
+        G = complex_randn(rng, (4, 2))
+        Z = np.diag([0.3, 0.5, 1e12, 1e12]).astype(complex)
+        self.assert_same_gram(G, Z)
+
+    def test_near_singular_gets_bump(self):
+        G = np.zeros((2, 1), dtype=complex)
+        Z = np.diag([1.0, 1e-16]).astype(complex)
+        S = self.assert_same_gram(G, Z)
+        assert S[1, 1].real == pytest.approx(1e-16 + 1e-12 * (1.0 + 1e-16) / 2, rel=1e-12)
+
+    def test_singular_after_bump_rejected(self):
+        # one eigenvalue cancels the bump exactly: S + bump I is singular
+        n = 200
+        ev = np.ones(n)
+        ev[0] = 1e4
+        x = 0.0
+        for _ in range(5):
+            ev[1] = -x
+            x = 1e-12 * ev.sum() / n
+        ev[1] = -x
+        G = np.zeros((n, 1), dtype=complex)
+        Z = np.diag(ev).astype(complex)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            _fusion_gram(G, Z, 1.0)
+        self.assert_same_gram(G, Z)
 
 
 class TestSinrFused:
