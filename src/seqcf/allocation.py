@@ -1,46 +1,35 @@
-# Splitting the total fronthaul budget across the APs of a chain.
+# Splitting the total fronthaul budget across the APs of a chain. Each scheme
+# returns the rates in bits per uplink sample, one entry per chain position.
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 SCHEMES = ("ef", "lf", "log")
 
 
-@dataclass(frozen=True)
-class RateSchedule:
-    rates: np.ndarray   # bits per uplink sample, one entry per chain position
-    scheme: str
-
-    @property
-    def total(self) -> float:
-        return float(self.rates.sum())
-
-
-def equal(R_T: float, L_chain: int) -> RateSchedule:
+def equal(R_T: float, L_chain: int) -> np.ndarray:
     """Every AP gets R_T / L."""
     _check(R_T, L_chain)
-    return RateSchedule(np.full(L_chain, R_T / L_chain), "ef")
+    return np.full(L_chain, R_T / L_chain)
 
 
-def linear(R_T: float, L_chain: int) -> RateSchedule:
+def linear(R_T: float, L_chain: int) -> np.ndarray:
     """R_l grows linearly with chain position: R_l = 2 R_T l / (L(L+1))."""
     _check(R_T, L_chain)
     l = np.arange(1, L_chain + 1, dtype=float)
-    return RateSchedule(2.0 * R_T * l / (L_chain * (L_chain + 1)), "lf")
+    return 2.0 * R_T * l / (L_chain * (L_chain + 1))
 
 
-def logarithmic(R_T: float, L_chain: int) -> RateSchedule:
+def logarithmic(R_T: float, L_chain: int) -> np.ndarray:
     """R_l proportional to log2(l); position 1 gets zero bits."""
     _check(R_T, L_chain)
     if L_chain < 2:
         raise ValueError("logarithmic allocation needs at least 2 chain positions")
     logs = np.log2(np.arange(1, L_chain + 1, dtype=float))
-    return RateSchedule(R_T * logs / logs.sum(), "log")
+    return R_T * logs / logs.sum()
 
 
-def schedule(scheme: str, R_T: float, L_chain: int) -> RateSchedule:
+def schedule(scheme: str, R_T: float, L_chain: int) -> np.ndarray:
     if scheme == "ef":
         return equal(R_T, L_chain)
     if scheme == "lf":

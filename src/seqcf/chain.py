@@ -9,7 +9,7 @@ import numpy as np
 
 from . import compression as comp
 from . import metrics
-from .linalg import ensure_psd, herm, herm_solve, sample_cn
+from .linalg import ensure_psd, herm, herm_solve
 
 # rates at or below this are treated as a dead link: the next AP restarts
 # the chain from the prior (zero bits convey zero information)
@@ -18,17 +18,16 @@ ZERO_RATE_TOL = 1e-12
 
 @dataclass
 class ChainState:
-    s_tilde: np.ndarray       # (K,) compressed refined estimate
-    C: np.ndarray             # (K,K) error covariance E[(s - s_tilde)(s - s_tilde)^H]
+    """K x K statistics of the estimate s̃ a chain forwards; s̃ is never formed."""
+    C: np.ndarray             # (K,K) error covariance E[(s - s̃)(s - s̃)^H]
     P: np.ndarray             # (K,K) pre-compression correlation; stays 0 on an
                               # "infinite" chain, where no compression reads it
-    T: np.ndarray             # (K,K) effective channel: s_tilde = T s + noise
+    T: np.ndarray             # (K,K) effective channel: s̃ = T s + noise
     outcomes: list = field(default_factory=list)  # per-AP CompressionOutcome
 
 
 def initial_state(K: int, p: float) -> ChainState:
-    return ChainState(s_tilde=np.zeros(K, dtype=complex),
-                      C=p * np.eye(K, dtype=complex),
+    return ChainState(C=p * np.eye(K, dtype=complex),
                       P=np.zeros((K, K), dtype=complex),
                       T=np.zeros((K, K), dtype=complex))
 
@@ -45,7 +44,11 @@ def gain(C_prev: np.ndarray, H_l: np.ndarray, sigma2: float) -> np.ndarray:
 
 def refine(s_tilde_prev: np.ndarray, Gamma: np.ndarray,
            H_l: np.ndarray, y_l: np.ndarray) -> np.ndarray:
-    """Innovation update of the running estimate."""
+    """Innovation update of a realized estimate.
+
+    run_chain tracks only statistics and never calls this; it states the
+    per-AP update that those statistics describe.
+    """
     return s_tilde_prev + Gamma @ (y_l - H_l @ s_tilde_prev)
 
 
@@ -88,23 +91,22 @@ def _compress(strategy: str, P: np.ndarray, R_l: float,
     raise ValueError(f"unknown compression strategy {strategy!r}")
 
 
-def run_chain(p: float, sigma2: float, H: list, y: list, strategy: str,
-              rates, rng: np.random.Generator) -> ChainState:
+def run_chain(p: float, sigma2: float, H: list, strategy: str, rates) -> ChainState:
     """Run the full refine -> compress pass over an ordered AP subset.
 
-    H and y are the per-AP channels and realized received vectors in chain
-    order; rates gives R_l per AP. strategy is one of eiu | scnm | wsinm |
-    infinite ("infinite" disables compression, Q_l = 0).
+    H holds the per-AP channels in chain order and rates gives R_l per AP.
+    strategy is one of eiu | scnm | wsinm | infinite ("infinite" disables
+    compression, Q_l = 0). Only the statistics of the forwarded estimate are
+    tracked, so the result is a deterministic function of the channels.
     """
     K = H[0].shape[1]
     st = initial_state(K, p)
     rates = np.asarray(rates, dtype=float)
-    if len(rates) != len(H) or len(y) != len(H):
-        raise ValueError("H, y and rates must have one entry per chain AP")
+    if len(rates) != len(H):
+        raise ValueError("H and rates must have one entry per chain AP")
 
-    for H_l, y_l, R_l in zip(H, y, rates):
+    for H_l, R_l in zip(H, rates):
         Gamma = gain(st.C, H_l, sigma2)
-        s_hat = refine(st.s_tilde, Gamma, H_l, y_l)
         GH = Gamma @ H_l
         GHC = GH @ st.C
         C_pre = st.C - GHC        # (I - Gamma H) C_{l-1}, before compression
@@ -113,12 +115,11 @@ def run_chain(p: float, sigma2: float, H: list, y: list, strategy: str,
         if strategy == "infinite":
             outcome = comp.CompressionOutcome(Q=np.zeros((K, K), dtype=complex),
                                               achieved_rate=np.inf)
-            q = np.zeros(K, dtype=complex)
             P = st.P
         elif R_l <= ZERO_RATE_TOL:
             # dead link: the next AP sees no estimate at all
             fresh = initial_state(K, p)
-            st.s_tilde, st.C, st.P, st.T = fresh.s_tilde, fresh.C, fresh.P, fresh.T
+            st.C, st.P, st.T = fresh.C, fresh.P, fresh.T
             st.outcomes.append(comp.CompressionOutcome(
                 Q=np.zeros((K, K), dtype=complex), achieved_rate=0.0))
             continue
@@ -127,9 +128,7 @@ def run_chain(p: float, sigma2: float, H: list, y: list, strategy: str,
             P = update_pre_compression_corr(st.P, Q_prev, GH, GHC)
             base = metrics.interference_context(T, C_pre, p) if strategy == "wsinm" else None
             outcome = _compress(strategy, P, R_l, base)
-            q = sample_cn(rng, outcome.Q)
 
-        st.s_tilde = s_hat + q
         st.C = update_error_cov(C_pre, outcome.Q)
         st.P = P
         st.T = T

@@ -17,7 +17,7 @@ class SeReport:
 
 
 def interference_context(T: np.ndarray, C: np.ndarray, p: float) -> np.ndarray:
-    """Per-user interference-plus-noise of s_tilde = T s + z with error cov C.
+    """Per-user interference-plus-noise of s̃ = T s + z with error cov C.
 
     C = p (I - T)(I - T)^H + cov(z), so p sum_{j != k} |T_kj|^2 + cov(z)_kk
     equals C_kk - p |1 - T_kk|^2. Given C_pre = (I - Gamma H) C_{l-1}, the

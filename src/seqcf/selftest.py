@@ -9,47 +9,37 @@ from .linalg import complex_normal
 
 
 def _check_centralized_equivalence(rng) -> tuple[bool, str]:
-    # without compression the chain is the batch LMMSE: same estimate, same
-    # effective channel V_cen H and same error covariance (hence same SINR)
+    # without compression the chain is the batch LMMSE: same effective
+    # channel V_cen H and same error covariance (hence same SINR)
     p, sigma2, K, L, N = 1.0, 0.5, 3, 3, 2
     H = [complex_normal(rng, (N, K)) for _ in range(L)]
-    s = np.sqrt(p) * complex_normal(rng, K)
-    y = [Hl @ s + np.sqrt(sigma2) * complex_normal(rng, N) for Hl in H]
-    st = run_chain(p, sigma2, H, y, "infinite", np.full(L, np.inf), rng)
+    st = run_chain(p, sigma2, H, "infinite", np.full(L, np.inf))
     Hs = np.vstack(H)
     S = p * (Hs @ Hs.conj().T) + sigma2 * np.eye(L * N)
     V_cen = p * np.linalg.solve(S, Hs).conj().T
     C_cen = p * (np.eye(K) - V_cen @ Hs)
-    s_cen = V_cen @ np.concatenate(y)
 
     def rel(a, b):
         return np.linalg.norm(a - b) / np.linalg.norm(b)
 
-    errs = rel(st.s_tilde, s_cen), rel(st.T, V_cen @ Hs), rel(st.C, C_cen)
-    return max(errs) < 1e-8, "estimate err {:.2e}, T err {:.2e}, C err {:.2e}".format(*errs)
+    errs = rel(st.T, V_cen @ Hs), rel(st.C, C_cen)
+    return max(errs) < 1e-8, "T err {:.2e}, C err {:.2e}".format(*errs)
 
 
-def _check_linearity(rng) -> tuple[bool, str]:
-    # the forwarded estimate is linear in y, and its signal part is T s:
-    # s_tilde(y = H s + n) - s_tilde(y = n) = T s when both chains replay the
-    # same compression-noise draws
+def _check_dead_link_restart(rng) -> tuple[bool, str]:
+    # a dead link forwards nothing: the chain after it is a fresh chain over
+    # the remaining APs, bit for bit
     p, sigma2, K, L, N = 1.0, 0.3, 3, 4, 2
     H = [complex_normal(rng, (N, K)) for _ in range(L)]
-    s = np.sqrt(p) * complex_normal(rng, K)
-    n = [np.sqrt(sigma2) * complex_normal(rng, N) for _ in range(L)]
-    y = [Hl @ s + nl for Hl, nl in zip(H, n)]
     worst = 0.0
-    # dead first (LOG) and dead mid-chain links restart the chain, T included
-    for strategy, rates in (("wsinm", np.full(L, 6.0)),
-                            ("eiu", allocation.logarithmic(24.0, L).rates),
-                            ("eiu", np.array([6.0, 0.0, 6.0, 6.0]))):
-        seed = int(rng.integers(2 ** 32))
-        st = run_chain(p, sigma2, H, y, strategy, rates, np.random.default_rng(seed))
-        st0 = run_chain(p, sigma2, H, n, strategy, rates, np.random.default_rng(seed))
-        Ts = st.T @ s
-        worst = max(worst, np.linalg.norm(st.s_tilde - st0.s_tilde - Ts)
-                    / np.linalg.norm(Ts))
-    return worst < 1e-9, f"worst linearity err {worst:.2e}"
+    # dead first link (LOG) and dead mid-chain link
+    for strategy, rates in (("eiu", allocation.logarithmic(24.0, L)),
+                            ("wsinm", np.array([6.0, 0.0, 6.0, 6.0]))):
+        after = int(np.flatnonzero(rates == 0.0)[-1]) + 1
+        st = run_chain(p, sigma2, H, strategy, rates)
+        fresh = run_chain(p, sigma2, H[after:], strategy, rates[after:])
+        worst = max(worst, np.abs(st.T - fresh.T).max(), np.abs(st.C - fresh.C).max())
+    return worst == 0.0, f"worst T/C difference to a fresh chain {worst:.2e}"
 
 
 def _check_rate_equality(rng) -> tuple[bool, str]:
@@ -68,15 +58,15 @@ def _check_rate_equality(rng) -> tuple[bool, str]:
 def _check_allocation(rng) -> tuple[bool, str]:
     worst = 0.0
     for L in (1, 4, 12):
-        for sched in (allocation.equal(777.0, L), allocation.linear(777.0, L)):
-            worst = max(worst, abs(sched.total - 777.0))
-    worst = max(worst, abs(allocation.logarithmic(777.0, 5).total - 777.0))
+        for rates in (allocation.equal(777.0, L), allocation.linear(777.0, L)):
+            worst = max(worst, abs(rates.sum() - 777.0))
+    worst = max(worst, abs(allocation.logarithmic(777.0, 5).sum() - 777.0))
     return worst < 1e-9, f"worst budget error {worst:.2e} bits"
 
 
 CHECKS = [
     ("centralized-equivalence", _check_centralized_equivalence),
-    ("effective-channel-linearity", _check_linearity),
+    ("dead-link-restart", _check_dead_link_restart),
     ("rate-constraint-equality", _check_rate_equality),
     ("budget-conservation", _check_allocation),
 ]

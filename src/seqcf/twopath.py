@@ -19,18 +19,15 @@ _REG_SCALE = 1e-12
 
 @dataclass(frozen=True)
 class PathSummary:
-    s_tilde: np.ndarray   # (K,) terminal compressed estimate of the path
     G: np.ndarray         # (K,K) effective channel
     Z: np.ndarray         # (K,K) effective noise covariance
 
 
 @dataclass(frozen=True)
 class FusedEstimate:
-    y: np.ndarray         # (2K,) stacked path estimates
     G: np.ndarray         # (2K,K)
     Z: np.ndarray         # (2K,2K) block-diagonal
     V: np.ndarray         # (K,2K) global LMMSE combiner
-    s_hat: np.ndarray     # (K,)
 
 
 def split_paths(L: int) -> tuple[list, list]:
@@ -49,10 +46,9 @@ def split_paths(L: int) -> tuple[list, list]:
 
 def summarize_path(chain: ChainState, p: float) -> PathSummary:
     """Effective channel G = T and noise Z = C - p (I-T)(I-T)^H of one path."""
-    K = chain.s_tilde.shape[0]
-    D = np.eye(K) - chain.T
+    D = np.eye(chain.T.shape[0]) - chain.T
     Z = chain.C - p * (D @ D.conj().T)
-    return PathSummary(s_tilde=chain.s_tilde, G=chain.T, Z=ensure_psd(Z, name="Z"))
+    return PathSummary(G=chain.T, Z=ensure_psd(Z, name="Z"))
 
 
 def _fusion_gram(G: np.ndarray, Z: np.ndarray, p: float) -> np.ndarray:
@@ -75,13 +71,12 @@ def _fusion_gram(G: np.ndarray, Z: np.ndarray, p: float) -> np.ndarray:
 def fuse(p1: PathSummary, p2: PathSummary, p: float) -> FusedEstimate:
     """Global LMMSE combination of the two path estimates at the CPU."""
     K = p1.G.shape[1]
-    y = np.concatenate([p1.s_tilde, p2.s_tilde])
     G = np.vstack([p1.G, p2.G])
     Z = np.zeros((2 * K, 2 * K), dtype=complex)
     Z[:K, :K] = p1.Z
     Z[K:, K:] = p2.Z
     V = p * herm_solve(_fusion_gram(G, Z, p), G).conj().T
-    return FusedEstimate(y=y, G=G, Z=Z, V=V, s_hat=V @ y)
+    return FusedEstimate(G=G, Z=Z, V=V)
 
 
 def sinr_fused(fused: FusedEstimate) -> np.ndarray:

@@ -1,8 +1,6 @@
 # Independent reference implementations used only to check the package:
 # batch (centralized) LMMSE, the expansion form of a sequential chain,
 # grid-search compression design, and random problem-instance generators.
-import copy
-
 import numpy as np
 
 
@@ -25,10 +23,6 @@ def centralized_combiner(H, p, sigma2):
     M = Hs.shape[0]
     S = p * (Hs @ Hs.conj().T) + sigma2 * np.eye(M)
     return p * np.linalg.solve(S, Hs).conj().T
-
-
-def centralized_estimate(H, y, p, sigma2):
-    return centralized_combiner(H, p, sigma2) @ np.concatenate(y)
 
 
 def centralized_error_cov(H, p, sigma2):
@@ -147,20 +141,19 @@ class ChainExpansion:
 
     With the combiner families V_i = F_l ... F_{i+1} Gamma_i and
     A_i = F_l ... F_{i+1}, F_j = I - Gamma_j H_j, the forwarded estimate is
-    s_tilde = sum_i V_i y_i + sum_i A_i q_i. Only the compression covariances
-    Q_i are taken from the chain under test; the q_i are redrawn from a
-    generator in the state the chain's generator had when the chain started,
-    so they replay the chain's draws. A link with rate <= ZERO_RATE_TOL is
-    dead: it zeroes every family, and the next AP restarts from the prior.
+    s_tilde = sum_i V_i y_i + sum_i A_i q_i, so its effective channel is
+    sum_i V_i H_i and its noise covariance follows from the V_i, A_i and the
+    compression covariances Q_i. Only the Q_i are taken from the chain under
+    test. A link with rate <= ZERO_RATE_TOL is dead: it zeroes every family,
+    and the next AP restarts from the prior.
     """
 
-    def __init__(self, p, sigma2, H, y, rates, Qs, replay_rng):
+    def __init__(self, p, sigma2, H, rates, Qs):
         from seqcf.chain import ZERO_RATE_TOL
-        from seqcf.linalg import sample_cn
 
         K = H[0].shape[1]
         self.p, self.sigma2, self.H = p, sigma2, H
-        self.V, self.A, self.Qs, self.qs = [], [], [], []
+        self.V, self.A, self.Qs = [], [], []
         self.bases = []   # WSINM interference base seen by each AP
         C = p * np.eye(K, dtype=complex)
         for Hl, Rl, Ql in zip(H, rates, Qs):
@@ -173,15 +166,10 @@ class ChainExpansion:
             if Rl <= ZERO_RATE_TOL:
                 self.V = [0 * Vi for Vi in self.V]
                 self.A = [0 * Ai for Ai in self.A]
-                q = np.zeros(K, dtype=complex)
                 C = p * np.eye(K, dtype=complex)
             else:
-                q = sample_cn(replay_rng, Ql)
                 C = F @ C + Ql
             self.Qs.append(Ql)
-            self.qs.append(q)
-        self.s_tilde = (sum(Vi @ yi for Vi, yi in zip(self.V, y))
-                        + sum(Ai @ qi for Ai, qi in zip(self.A, self.qs)))
         self.T = self.effective_channel()
         # effective noise covariance sigma2 sum_i V_i V_i^H + sum_i A_i Q_i A_i^H
         self.Z = sum(sigma2 * Vi @ Vi.conj().T for Vi in self.V) + sum(
@@ -213,11 +201,10 @@ class ChainExpansion:
         return out
 
 
-def run_and_expand(p, sigma2, H, y, strategy, rates, rng):
-    """Run the chain under test and rebuild it in expansion form on the same draws."""
+def run_and_expand(p, sigma2, H, strategy, rates):
+    """Run the chain under test and rebuild it in expansion form from its Q_i."""
     from seqcf import run_chain
 
-    replay = copy.deepcopy(rng)
-    st = run_chain(p, sigma2, H, y, strategy, rates, rng)
-    ex = ChainExpansion(p, sigma2, H, y, rates, [o.Q for o in st.outcomes], replay)
+    st = run_chain(p, sigma2, H, strategy, rates)
+    ex = ChainExpansion(p, sigma2, H, rates, [o.Q for o in st.outcomes])
     return st, ex

@@ -63,7 +63,7 @@ class TestRunExperiment:
         ses = []
         for t in range(spec.trials):
             rng = np.random.default_rng(np.random.SeedSequence((spec.seed, t)))
-            H, y = _draw_drop(cfg, rng)
+            H = _draw_drop(cfg, rng)
             sinr = oracles.centralized_sinr(H, cfg.p, cfg.sigma2)
             ses.append(metrics.se_from_sinr(sinr, cfg.tau_u, cfg.tau_c).sum_se)
         assert rows[0].mean_sum_se == pytest.approx(np.mean(ses), rel=1e-8)

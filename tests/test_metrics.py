@@ -8,13 +8,11 @@ from oracles import (centralized_sinr, complex_randn, rand_channels, rand_psd,
 
 
 def chain_families(rng, p=1.0, sigma2=0.4, K=2, L=3, N=3, strategy="eiu", rates=None):
-    """A chain on a random instance and its expansion oracle on the same draws."""
+    """A chain on random channels and its expansion oracle."""
     H = rand_channels(rng, L, N, K)
-    s = np.sqrt(p) * complex_randn(rng, K)
-    y = [Hl @ s + np.sqrt(sigma2) * complex_randn(rng, N) for Hl in H]
     if rates is None:
         rates = np.full(L, 6.0)
-    st, ex = run_and_expand(p, sigma2, H, y, strategy, rates, rng)
+    st, ex = run_and_expand(p, sigma2, H, strategy, rates)
     return H, st, ex
 
 
@@ -44,8 +42,7 @@ class TestSinrChain:
         p, s2, K, N = 1.0, 0.5, 2, 3
         H = [complex_randn(rng, (N, K))]
         H[0][:, 0] = 0.0
-        y = [H[0] @ (np.sqrt(p) * complex_randn(rng, K))]
-        st = run_chain(p, s2, H, y, "infinite", [np.inf], rng)
+        st = run_chain(p, s2, H, "infinite", [np.inf])
         sinr = sinr_chain(st.T, st.C, p)
         assert sinr[0] == 0.0
 

@@ -5,15 +5,15 @@ from seqcf import (NetworkConfig, draw_channels, fuse, gain, place_network,
                    run_chain, sinr_fused, split_paths, summarize_path)
 from seqcf.twopath import PathSummary, _fusion_gram
 
-from oracles import (centralized_estimate, centralized_sinr, complex_randn,
+from oracles import (centralized_combiner, centralized_sinr, complex_randn,
                      cond_fusion_gram, rand_channels, run_and_expand)
 
 
-def run_path(rng, H, y, p, s2, strategy="eiu", rates=None):
+def run_path(H, p, s2, strategy="eiu", rates=None):
     """Summary of one path's chain, and the chain's expansion oracle."""
     if rates is None:
         rates = np.full(len(H), 6.0)
-    st, ex = run_and_expand(p, s2, H, y, strategy, rates, rng)
+    st, ex = run_and_expand(p, s2, H, strategy, rates)
     return summarize_path(st, p), ex
 
 
@@ -46,33 +46,16 @@ class TestSummarizePath:
     def test_single_ap_no_compression(self, rng):
         p, s2, K, N = 1.0, 0.5, 2, 3
         H = rand_channels(rng, 1, N, K)
-        s = np.sqrt(p) * complex_randn(rng, K)
-        y = [H[0] @ s + np.sqrt(s2) * complex_randn(rng, N)]
-        summ, _ = run_path(rng, H, y, p, s2, strategy="infinite", rates=[np.inf])
+        summ, _ = run_path(H, p, s2, strategy="infinite", rates=[np.inf])
         G1 = gain(p * np.eye(K, dtype=complex), H[0], s2)
         assert np.allclose(summ.G, G1 @ H[0], atol=1e-12)
         assert np.allclose(summ.Z, s2 * G1 @ G1.conj().T, atol=1e-12)
-
-    def test_realized_noise_identity(self, rng):
-        # s_tilde - G s must equal sum_l V_l n_l + A_l q_l exactly
-        p, s2, K, L, N = 1.0, 0.4, 2, 3, 3
-        H = rand_channels(rng, L, N, K)
-        s = np.sqrt(p) * complex_randn(rng, K)
-        noises = [np.sqrt(s2) * complex_randn(rng, N) for _ in range(L)]
-        y = [Hl @ s + nl for Hl, nl in zip(H, noises)]
-        summ, ex = run_path(rng, H, y, p, s2, strategy="scnm")
-        z = sum(Vi @ ni for Vi, ni in zip(ex.V, noises))
-        z += sum(Ai @ qi for Ai, qi in zip(ex.A, ex.qs))
-        resid = summ.s_tilde - summ.G @ s
-        assert np.linalg.norm(resid - z) / np.linalg.norm(z) < 1e-9
 
     def test_effective_noise_covariance_monte_carlo(self, rng):
         # empirical covariance of s_tilde - G s over many noise draws vs Z
         p, s2, K, L, N, T = 1.0, 0.4, 2, 2, 2, 100_000
         H = rand_channels(rng, L, N, K)
-        s0 = np.sqrt(p) * complex_randn(rng, K)
-        y0 = [Hl @ s0 + np.sqrt(s2) * complex_randn(rng, N) for Hl in H]
-        summ, ex = run_path(rng, H, y0, p, s2, strategy="eiu")
+        summ, ex = run_path(H, p, s2, strategy="eiu")
         # redraw (n, q) in bulk with the chain's fixed V, A, Q
         z = np.zeros((K, T), dtype=complex)
         for Vi, Ai, Qi in zip(ex.V, ex.A, ex.Qs):
@@ -89,20 +72,15 @@ class TestFuse:
     def two_path_setup(self, rng, strategy="infinite", rates=None, L=4, K=2, N=2,
                        p=1.0, s2=0.5):
         H = rand_channels(rng, L, N, K)
-        s = np.sqrt(p) * complex_randn(rng, K)
-        y = [Hl @ s + np.sqrt(s2) * complex_randn(rng, N) for Hl in H]
-        i1, i2 = split_paths(L)
         summs = []
-        for idx in (i1, i2):
-            r = rates if rates is None else rates[:len(idx)]
-            summ, _ = run_path(rng, [H[i] for i in idx], [y[i] for i in idx],
-                               p, s2, strategy=strategy,
-                               rates=np.full(len(idx), np.inf) if rates is None else r)
+        for idx in split_paths(L):
+            r = np.full(len(idx), np.inf) if rates is None else rates[:len(idx)]
+            summ, _ = run_path([H[i] for i in idx], p, s2, strategy=strategy, rates=r)
             summs.append(summ)
-        return H, y, s, summs
+        return H, summs
 
     def test_blkdiag_structure_exact(self, rng):
-        _, _, _, (s1, s2_) = self.two_path_setup(rng)
+        _, (s1, s2_) = self.two_path_setup(rng)
         f = fuse(s1, s2_, 1.0)
         K = 2
         assert np.array_equal(f.Z[:K, K:], np.zeros((K, K)))
@@ -112,23 +90,16 @@ class TestFuse:
 
     def test_useless_path_reduces_to_single_path(self, rng):
         p = 1.0
-        _, _, _, (s1, s2_) = self.two_path_setup(rng)
-        huge = PathSummary(s_tilde=s2_.s_tilde, G=s2_.G,
-                           Z=1e12 * np.eye(2, dtype=complex))
-        f = fuse(s1, huge, p)
-        S1 = p * s1.G @ s1.G.conj().T + s1.Z
-        alone = p * s1.G.conj().T @ np.linalg.solve(S1, s1.s_tilde)
-        assert np.linalg.norm(f.s_hat - alone) < 1e-6 * np.linalg.norm(alone)
-        sinr = sinr_fused(f)
-        f1 = fuse(s1, PathSummary(s_tilde=s2_.s_tilde, G=np.zeros((2, 2)),
-                                  Z=np.eye(2, dtype=complex)), p)
+        _, (s1, s2_) = self.two_path_setup(rng)
+        huge = PathSummary(G=s2_.G, Z=1e12 * np.eye(2, dtype=complex))
+        sinr = sinr_fused(fuse(s1, huge, p))
+        f1 = fuse(s1, PathSummary(G=np.zeros((2, 2)), Z=np.eye(2, dtype=complex)), p)
         assert np.allclose(sinr, sinr_fused(f1), rtol=1e-6)
 
     def test_fusion_never_hurts_either_path(self, rng):
         # LMMSE on both paths dominates LMMSE on each alone, in PSD order
         p = 1.0
-        _, _, _, (s1, s2_) = self.two_path_setup(rng, strategy="eiu",
-                                                 rates=np.full(4, 6.0))
+        _, (s1, s2_) = self.two_path_setup(rng, strategy="eiu", rates=np.full(4, 6.0))
         f = fuse(s1, s2_, p)
         K = 2
         S = p * f.G @ f.G.conj().T + f.Z
@@ -142,10 +113,11 @@ class TestFuse:
 
     def test_no_compression_full_coverage_matches_centralized(self, rng):
         p, s2 = 1.0, 0.5
-        H, y, s, (p1, p2) = self.two_path_setup(rng)
+        # the fused combiner sees the same effective channel as V_cen
+        H, (p1, p2) = self.two_path_setup(rng)
         f = fuse(p1, p2, p)
-        cen = centralized_estimate(H, y, p, s2)
-        assert np.linalg.norm(f.s_hat - cen) / np.linalg.norm(cen) < 1e-8
+        T_cen = centralized_combiner(H, p, s2) @ np.vstack(H)
+        assert np.linalg.norm(f.V @ f.G - T_cen) / np.linalg.norm(T_cen) < 1e-8
 
 
 class TestFusionGram:
@@ -200,15 +172,14 @@ class TestSinrFused:
         p = 1.0
         g = complex_randn(rng, (2, 1))
         Z = np.diag([0.3, 0.8]).astype(complex)
-        f = fuse(PathSummary(np.zeros(1, complex), g[:1], Z[:1, :1]),
-                 PathSummary(np.zeros(1, complex), g[1:], Z[1:, 1:]), p)
+        f = fuse(PathSummary(g[:1], Z[:1, :1]), PathSummary(g[1:], Z[1:, 1:]), p)
         expected = p * np.real(g[:, 0].conj() @ np.linalg.solve(Z, g[:, 0]))
         assert sinr_fused(f)[0] == pytest.approx(expected, rel=1e-10)
 
     def test_matches_centralized_sinr(self, rng):
         p, s2 = 1.0, 0.5
         helper = TestFuse()
-        H, y, s, (p1, p2) = helper.two_path_setup(rng)
+        H, (p1, p2) = helper.two_path_setup(rng)
         f = fuse(p1, p2, p)
         assert np.allclose(sinr_fused(f), centralized_sinr(H, p, s2), rtol=1e-8)
 
@@ -218,12 +189,10 @@ class TestSinrFused:
         p, s2 = cfg.p, cfg.sigma2
         rng = np.random.default_rng(2026)
         H = draw_channels(cfg, place_network(cfg, rng), rng).H
-        s = np.sqrt(p) * complex_randn(rng, cfg.K)
-        y = [Hl @ s + np.sqrt(s2) * complex_randn(rng, cfg.N) for Hl in H]
         summs = []
         for idx in split_paths(cfg.L):
-            st = run_chain(p, s2, [H[i] for i in idx], [y[i] for i in idx],
-                           "infinite", np.full(len(idx), np.inf), rng)
+            st = run_chain(p, s2, [H[i] for i in idx], "infinite",
+                           np.full(len(idx), np.inf))
             summs.append(summarize_path(st, p))
         f = fuse(summs[0], summs[1], p)
         assert np.allclose(sinr_fused(f), centralized_sinr(H, p, s2), rtol=1e-8)
