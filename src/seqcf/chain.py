@@ -53,7 +53,7 @@ def refine(s_tilde_prev: np.ndarray, Gamma: np.ndarray,
 
 
 def update_error_cov(C_pre: np.ndarray, Q_l: np.ndarray) -> np.ndarray:
-    """C_l = C_pre + Q_l, symmetrized and PSD-repaired.
+    """C_l = C_pre + Q_l, symmetrized and checked PSD.
 
     C_pre = (I - Gamma H) C_{l-1} is the error covariance before the AP
     compresses.
@@ -106,6 +106,13 @@ def run_chain(p: float, sigma2: float, H: list, strategy: str, rates) -> ChainSt
         raise ValueError("H and rates must have one entry per chain AP")
 
     for H_l, R_l in zip(H, rates):
+        if strategy != "infinite" and R_l <= ZERO_RATE_TOL:
+            # dead link: the next AP sees no estimate at all
+            fresh = initial_state(K, p)
+            st.C, st.P, st.T = fresh.C, fresh.P, fresh.T
+            st.outcomes.append(comp.CompressionOutcome(
+                Q=np.zeros((K, K), dtype=complex), achieved_rate=0.0))
+            continue
         Gamma = gain(st.C, H_l, sigma2)
         GH = Gamma @ H_l
         GHC = GH @ st.C
@@ -116,13 +123,6 @@ def run_chain(p: float, sigma2: float, H: list, strategy: str, rates) -> ChainSt
             outcome = comp.CompressionOutcome(Q=np.zeros((K, K), dtype=complex),
                                               achieved_rate=np.inf)
             P = st.P
-        elif R_l <= ZERO_RATE_TOL:
-            # dead link: the next AP sees no estimate at all
-            fresh = initial_state(K, p)
-            st.C, st.P, st.T = fresh.C, fresh.P, fresh.T
-            st.outcomes.append(comp.CompressionOutcome(
-                Q=np.zeros((K, K), dtype=complex), achieved_rate=0.0))
-            continue
         else:
             Q_prev = st.outcomes[-1].Q if st.outcomes else np.zeros((K, K), dtype=complex)
             P = update_pre_compression_corr(st.P, Q_prev, GH, GHC)

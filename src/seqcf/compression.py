@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,20 @@ def _support_rate_bits(Pr: np.ndarray, d: np.ndarray) -> float:
     return float((ld - np.sum(np.log(d))) / LN2)
 
 
+class _EiuOutcome(CompressionOutcome):
+    """EIU's outcome; only diagnostics read its rate, so it is formed on first read."""
+
+    def __init__(self, P: np.ndarray, q: np.ndarray):
+        super().__init__(Q=np.diag(q).astype(complex), achieved_rate=math.nan)
+        del self.achieved_rate        # hand the name to the cached property
+        self._P, self._q = P, q
+
+    @cached_property
+    def achieved_rate(self) -> float:
+        keep = self._q > RANK_TOL * self._q.max(initial=0.0)
+        return _support_rate_bits(herm(self._P)[np.ix_(keep, keep)], self._q[keep])
+
+
 def achieved_rate_bits(P: np.ndarray, Q: np.ndarray) -> float:
     """log2 det(P Q^-1 + I_K), restricted to the support of Q."""
     w, U = np.linalg.eigh(herm(Q))
@@ -72,10 +87,7 @@ def eiu(P: np.ndarray, R_l: float) -> CompressionOutcome:
     pdiag = np.diag(P).real
     if np.any(pdiag < -RANK_TOL * max(pdiag.max(initial=0.0), 1.0)):
         raise SolverError("P has a negative diagonal entry")
-    q = np.clip(pdiag, 0.0, None) / (2.0 ** b - 1.0)
-    keep = q > RANK_TOL * q.max(initial=0.0)
-    rate = _support_rate_bits(herm(P)[np.ix_(keep, keep)], q[keep])
-    return CompressionOutcome(Q=np.diag(q).astype(complex), achieved_rate=rate)
+    return _EiuOutcome(P, np.clip(pdiag, 0.0, None) / (2.0 ** b - 1.0))
 
 
 def _mode_noise(lam: np.ndarray, mu) -> np.ndarray:
@@ -214,7 +226,7 @@ def scnm(P: np.ndarray, R_l: float) -> CompressionOutcome:
     P = herm(P)
     w, U = np.linalg.eigh(P)
     # modes with round-off-level negative eigenvalues fall below RANK_TOL
-    # and get no noise, as if P had been PSD-repaired first
+    # and get no noise
     check_psd_spectrum(w, name="P")
     pos = w > RANK_TOL * w.max(initial=0.0)
     if not np.any(pos):

@@ -1,15 +1,18 @@
 # Small Hermitian/PSD helpers shared by the chain and compression code.
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg as sla
 
-# eigenvalues below -PSD_REL_TOL * ||X||_2 indicate a bug, not round-off
+# PSD checks allow round-off down to -PSD_REL_TOL times the scale: the
+# largest diagonal entry in ensure_psd, ||X||_2 in check_psd_spectrum
 PSD_REL_TOL = 1e-10
 
 
 class PsdError(RuntimeError):
-    """A matrix that should be PSD has a genuinely negative eigenvalue."""
+    """A matrix that should be PSD is indefinite beyond round-off, or not finite."""
 
 
 def herm(X: np.ndarray) -> np.ndarray:
@@ -24,14 +27,22 @@ def check_psd_spectrum(w: np.ndarray, name: str = "matrix") -> None:
         raise PsdError(f"{name} has negative eigenvalue {w[0]:.3e} (scale {scale:.3e})")
 
 
+def _cholesky(X: np.ndarray) -> tuple:
+    """Upper Cholesky factor c of Hermitian X, and whether X is finite and PD."""
+    c, info = sla.get_lapack_funcs("potrf", (X,))(X, clean=False)
+    # OpenBLAS's potrf lets NaN through with info 0; it leaves the trace NaN
+    return c, info == 0 and math.isfinite(c.trace().real)
+
+
 def ensure_psd(X: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Symmetrize X and clip round-off-level negative eigenvalues to zero."""
+    """Symmetrize X and check it is PSD up to round-off (else PsdError); no repair."""
     X = herm(X)
-    w, U = np.linalg.eigh(X)
-    check_psd_spectrum(w, name)
-    if w[0] >= 0.0:
-        return X
-    return herm((U * np.clip(w, 0.0, None)) @ U.conj().T)
+    shifted = X.copy()                    # X + PSD_REL_TOL * max(diag X) * I
+    shift = PSD_REL_TOL * max(X.diagonal().real.max(), 1e-300)
+    shifted.flat[::len(X) + 1] += shift
+    if not _cholesky(shifted)[1]:
+        raise PsdError(f"{name} is not PSD (diagonal shift {shift:.3e})")
+    return X
 
 
 def complex_normal(rng: np.random.Generator, size) -> np.ndarray:
@@ -52,5 +63,8 @@ def sample_cn(rng: np.random.Generator, Q: np.ndarray, n: int | None = None) -> 
 
 
 def herm_solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve S X = B for Hermitian positive definite S (Cholesky path)."""
-    return sla.solve(S, B, assume_a="pos")
+    """Solve S X = B for Hermitian PD S by LAPACK potrf + potrs; LinAlgError if not PD."""
+    c, ok = _cholesky(S)
+    if not ok:
+        raise np.linalg.LinAlgError("matrix is not finite and positive definite")
+    return sla.get_lapack_funcs("potrs", (c, B))(c, B)[0]

@@ -7,7 +7,7 @@ from seqcf import (NetworkConfig, draw_channels, gain, initial_state,
                    propagate_combiners, refine, run_chain, sinr_chain,
                    update_error_cov, update_pre_compression_corr)
 from seqcf.compression import LN2
-from seqcf.linalg import herm
+from seqcf.linalg import PsdError, herm
 
 from oracles import (centralized_combiner, centralized_error_cov, complex_randn,
                      rand_channels, run_and_expand)
@@ -128,6 +128,26 @@ class TestCovarianceUpdates:
         expected = s2 * p / (p * abs(h) ** 2 + s2) + q
         assert out[0, 0].real == pytest.approx(expected, rel=1e-12)
 
+    def test_error_cov_rejects_indefinite(self):
+        C_pre = np.diag([1.0, -1e-3]).astype(complex)
+        with pytest.raises(PsdError):
+            update_error_cov(C_pre, np.zeros((2, 2), dtype=complex))
+
+    def test_indefinite_p_rejected_on_eiu_step(self, rng, monkeypatch):
+        # EIU reads only P's diagonal; an off-diagonal that makes P
+        # indefinite leaves that diagonal alone, and the P check still fires
+        real = seqcf.chain.update_pre_compression_corr
+        bad = np.zeros((2, 2), dtype=complex)
+        bad[0, 1] = bad[1, 0] = 100.0
+
+        def corrupt(P_prev, *args):
+            return real(P_prev + bad, *args)
+
+        monkeypatch.setattr(seqcf.chain, "update_pre_compression_corr", corrupt)
+        H = rand_channels(rng, 2, 3, 2)
+        with pytest.raises(PsdError, match="P"):
+            run_chain(1.0, 0.5, H, "eiu", [6.0, 6.0])
+
 
 class TestCombinerFamilies:
     # propagate_combiners is the effective-channel step: T_l = sum_i V_il H_i
@@ -216,6 +236,17 @@ class TestRunChain:
         fresh = run_chain(p, s2, H[1:], "eiu", [10.0])
         assert np.allclose(st.C, fresh.C, atol=1e-12)
         assert np.allclose(st.T, fresh.T, atol=1e-12)
+
+    def test_dead_link_forms_no_gain(self, rng, monkeypatch):
+        # a dead link resets the chain before any gain is formed
+        calls = []
+        real = seqcf.chain.gain
+        monkeypatch.setattr(seqcf.chain, "gain", lambda *a: calls.append(1) or real(*a))
+        H = rand_channels(rng, 4, 3, 2)
+        run_chain(1.0, 0.5, H[:1], "eiu", [0.0])
+        assert calls == []
+        run_chain(1.0, 0.5, H, "eiu", [0.0, 10.0, 0.0, 10.0])
+        assert len(calls) == 2
 
     def test_infinite_chain_never_forms_p(self, rng, monkeypatch):
         # nothing reads P without compression: it is never formed, stays at

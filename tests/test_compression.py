@@ -51,6 +51,24 @@ class TestEiu:
                                                       abs=1e-9)
         assert eiu(P, 12.0).achieved_rate <= 12.0 + 1e-9
 
+    def test_rate_formed_on_first_read(self, rng, monkeypatch):
+        # only diagnostics read EIU's rate: eiu does not form it, the first
+        # read does, once, and gets the float the eager formula gives
+        P = rand_psd(rng, 4)
+        P[2, :] = P[:, 2] = 0.0
+        q = np.diag(P).real / (2.0 ** 3.0 - 1.0)
+        keep = q > comp.RANK_TOL * q.max()
+        expected = comp._support_rate_bits(P[np.ix_(keep, keep)], q[keep])
+        calls = []
+        real = comp._support_rate_bits
+        monkeypatch.setattr(comp, "_support_rate_bits",
+                            lambda *a: calls.append(1) or real(*a))
+        out = eiu(P, 12.0)
+        assert calls == []
+        assert out.achieved_rate == expected
+        assert out.achieved_rate == expected
+        assert len(calls) == 1
+
 
 class TestScnm:
     def test_single_mode_closed_form(self):

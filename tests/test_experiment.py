@@ -78,6 +78,31 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError):
             exp.run_experiment(small_spec(["sp-ef-eiu"], trials=3, values=(2,)))
 
+    def test_indefinite_error_cov_fails_one_trial(self, monkeypatch):
+        # an indefinite C at one AP of trial 1 raises PsdError: that trial is
+        # counted as failed and the others still run, unchanged
+        import seqcf.chain
+        import seqcf.experiment as exp
+
+        spec = small_spec(["sp-ef-eiu"], trials=3, values=(2,))
+        clean = exp.run_experiment(spec)[0]
+        real = seqcf.chain.update_error_cov
+        calls = []
+
+        def corrupt(C_pre, Q_l):
+            calls.append(1)
+            if len(calls) == spec.base.L + 1:        # trial 1, first AP
+                C_pre = C_pre - 10.0 * np.eye(len(C_pre))
+            return real(C_pre, Q_l)
+
+        monkeypatch.setattr(seqcf.chain, "update_error_cov", corrupt)
+        monkeypatch.setattr(exp, "MAX_FAILURE_FRAC", 0.5)
+        row = exp.run_experiment(spec)[0]
+        assert row.trials == 2
+        assert np.isnan(row.per_trial[1])
+        assert row.per_trial[0] == clean.per_trial[0]
+        assert row.per_trial[2] == clean.per_trial[2]
+
     def test_programming_error_propagates(self, monkeypatch):
         # only typed numerical failures count as failed trials; a bug stops
         # the run even when it hits fewer trials than the failure allowance

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcf.linalg import PsdError, complex_normal, ensure_psd, herm, sample_cn
+from seqcf.linalg import (PSD_REL_TOL, PsdError, complex_normal, ensure_psd, herm,
+                          herm_solve, sample_cn)
 
-from oracles import rand_psd
+from oracles import complex_randn, rand_psd
+
+
+def rand_unitary(rng, K):
+    Q, _ = np.linalg.qr(complex_randn(rng, (K, K)))
+    return Q
 
 
 class TestEnsurePsd:
@@ -14,10 +21,10 @@ class TestEnsurePsd:
         out = ensure_psd(P)
         assert np.allclose(out, herm(P))
 
-    def test_clips_roundoff_negatives(self):
+    def test_roundoff_negative_passes_unrepaired(self):
         X = np.diag([1.0, -1e-12]).astype(complex)
         out = ensure_psd(X)
-        assert np.linalg.eigvalsh(out).min() >= 0.0
+        assert np.array_equal(out, herm(X))
 
     def test_rejects_genuinely_indefinite(self):
         with pytest.raises(PsdError):
@@ -29,6 +36,60 @@ class TestEnsurePsd:
         P = rand_psd(np.random.default_rng(seed), k)
         out = ensure_psd(P)
         assert np.allclose(out, ensure_psd(out))
+
+    def test_rejects_nan(self):
+        X = np.eye(3, dtype=complex)
+        X[1, 2] = X[2, 1] = np.nan
+        with pytest.raises(PsdError):
+            ensure_psd(X)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 40),
+           rank=st.floats(0.0, 1.0), log_scale=st.floats(-200.0, 200.0))
+    def test_random_psd_never_raises(self, seed, k, rank, log_scale):
+        # eigenvalues spread over 12 decades, some modes (all, at rank 0)
+        # exactly zero
+        rng = np.random.default_rng(seed)
+        w = 10.0 ** rng.uniform(-12.0, 0.0, k) * (rng.uniform(size=k) < rank)
+        U = rand_unitary(rng, k)
+        X = 10.0 ** log_scale * ((U * w) @ U.conj().T)
+        assert np.array_equal(ensure_psd(X), herm(X))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 40),
+           log_excess=st.floats(0.01, 9.0), log_scale=st.floats(-200.0, 200.0))
+    def test_indefinite_always_raises(self, seed, k, log_excess, log_scale):
+        # lambda_min < -K * PSD_REL_TOL * ||X||_2
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.0, 1.0, k)
+        w[0] = 1.0
+        w[-1] = -k * PSD_REL_TOL * 10.0 ** log_excess
+        U = rand_unitary(rng, k)
+        X = 10.0 ** log_scale * ((U * w) @ U.conj().T)
+        with pytest.raises(PsdError):
+            ensure_psd(X)
+
+
+class TestHermSolve:
+    def test_rejects_non_pd(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            herm_solve(np.diag([1.0, -1.0]).astype(complex), np.ones((2, 1)))
+
+    def test_rejects_nan(self):
+        S = 2.0 * np.eye(3, dtype=complex)
+        S[0, 2] = S[2, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            herm_solve(S, np.ones((3, 2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 40), m=st.integers(1, 40))
+    def test_matches_scipy_solve(self, seed, k, m):
+        rng = np.random.default_rng(seed)
+        S = herm(rand_psd(rng, k) + k * np.eye(k))
+        B = complex_randn(rng, (k, m))
+        ref = sla.solve(S, B, assume_a="pos")
+        X = herm_solve(S, B)
+        assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestSampling:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from seqcf import (NetworkConfig, draw_channels, fuse, gain, place_network,
-                   run_chain, sinr_fused, split_paths, summarize_path)
+from seqcf import (NetworkConfig, draw_channels, fuse, gain, initial_state,
+                   place_network, run_chain, sinr_fused, split_paths, summarize_path)
+from seqcf.linalg import PsdError
 from seqcf.twopath import PathSummary, _fusion_gram
 
 from oracles import (centralized_combiner, centralized_sinr, complex_randn,
@@ -66,6 +67,19 @@ class TestSummarizePath:
         emp = z @ z.conj().T / T
         err = np.linalg.norm(emp - summ.Z) / np.linalg.norm(summ.Z)
         assert err < 0.03
+
+    def test_useless_path_has_zero_noise(self):
+        # a path that forwards nothing (T = 0, C = p I) has Z = 0 exactly
+        p = 1.3
+        summ = summarize_path(initial_state(3, p), p)
+        assert np.array_equal(summ.Z, np.zeros((3, 3)))
+
+    def test_rejects_indefinite_noise(self):
+        # C below the error of forwarding nothing: Z = C - p I < 0
+        st = initial_state(2, 1.0)
+        st.C = 0.5 * st.C
+        with pytest.raises(PsdError, match="Z"):
+            summarize_path(st, 1.0)
 
 
 class TestFuse:
