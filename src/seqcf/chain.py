@@ -37,9 +37,10 @@ def gain(C_prev: np.ndarray, H_l: np.ndarray, sigma2: float) -> np.ndarray:
     if sigma2 <= 0:
         raise ValueError("sigma2 must be strictly positive")
     N = H_l.shape[0]
-    S = herm(H_l @ C_prev @ H_l.conj().T) + sigma2 * np.eye(N)
+    HC = H_l @ C_prev
+    S = herm(HC @ H_l.conj().T) + sigma2 * np.eye(N)
     # (S^-1 H C)^H = C H^H S^-1 for Hermitian C
-    return herm_solve(S, H_l @ C_prev).conj().T
+    return herm_solve(S, HC).conj().T
 
 
 def refine(s_tilde_prev: np.ndarray, Gamma: np.ndarray,

@@ -31,10 +31,11 @@ def _add_common(sub: argparse.ArgumentParser, axis: str) -> None:
 def _build_spec(args) -> ExperimentSpec:
     base = parse_config_file(args.config) if args.config else NetworkConfig()
     strategies = tuple(Strategy.parse(s) for s in args.strategies.split(","))
-    if args.sweep == "users":
-        values = tuple(int(v) for v in args.values.split(","))
-    else:
-        values = tuple(float(v) for v in args.values.split(","))
+    parse = int if args.sweep == "users" else float
+    try:
+        values = tuple(parse(v) for v in args.values.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--values: {exc}") from exc
     return ExperimentSpec(base=base, sweep=args.sweep, values=values,
                           strategies=strategies, trials=args.trials, seed=args.seed)
 

@@ -2,11 +2,16 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
     pass
+
+
+# NetworkConfig fields that must be finite and strictly positive
+_POSITIVE_REALS = ("p", "sigma2", "R_T", "ap_ring_radius", "user_disk_radius")
 
 
 def dbm_to_watt(x_dbm: float) -> float:
@@ -43,10 +48,10 @@ class NetworkConfig:
     def __post_init__(self):
         if self.L < 1 or self.N < 1 or self.K < 1:
             raise ConfigError("L, N and K must be positive integers")
-        if self.p <= 0 or self.sigma2 <= 0:
-            raise ConfigError("p and sigma2 must be strictly positive")
-        if self.ap_ring_radius <= 0 or self.user_disk_radius <= 0:
-            raise ConfigError("radii must be strictly positive")
+        for name in _POSITIVE_REALS:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and strictly positive, got {value!r}")
         if self.tau_u <= 0:
             raise ConfigError("tau_c must exceed tau_p = K")
 
@@ -76,12 +81,13 @@ def parse_config_file(path: str) -> NetworkConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key in _INT_KEYS:
-                kw[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                kw[key] = float(val)
-            elif key in _DBM_KEYS:
-                kw[_DBM_KEYS[key]] = dbm_to_watt(float(val))
-            else:
+            if key not in _INT_KEYS | _FLOAT_KEYS | _DBM_KEYS.keys():
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                num = int(val) if key in _INT_KEYS else float(val)
+                kw[_DBM_KEYS.get(key, key)] = dbm_to_watt(num) if key in _DBM_KEYS else num
+            except (ValueError, OverflowError) as exc:
+                kind = "integer" if key in _INT_KEYS else "number"
+                raise ConfigError(f"{path}:{lineno}: {key} = {val!r} is not a valid {kind}"
+                                  ) from exc
     return NetworkConfig(**kw)

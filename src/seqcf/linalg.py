@@ -22,9 +22,10 @@ def herm(X: np.ndarray) -> np.ndarray:
 
 def check_psd_spectrum(w: np.ndarray, name: str = "matrix") -> None:
     """Raise PsdError if the ascending eigenvalues w have a genuinely negative one."""
-    scale = max(np.max(np.abs(w)), 1e-300)
-    if w[0] < -PSD_REL_TOL * scale:
-        raise PsdError(f"{name} has negative eigenvalue {w[0]:.3e} (scale {scale:.3e})")
+    lo, hi = float(w[0]), float(w[-1])
+    scale = max(-lo, hi, 1e-300)          # max |w|, at one end of the spectrum
+    if lo < -PSD_REL_TOL * scale:
+        raise PsdError(f"{name} has negative eigenvalue {lo:.3e} (scale {scale:.3e})")
 
 
 def _cholesky(X: np.ndarray) -> tuple:

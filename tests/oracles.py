@@ -208,3 +208,38 @@ def run_and_expand(p, sigma2, H, strategy, rates):
     st = run_chain(p, sigma2, H, strategy, rates)
     ex = ChainExpansion(p, sigma2, H, rates, [o.Q for o in st.outcomes])
     return st, ex
+
+
+def stacked_wsinm(P, R_l, interference_base):
+    """WSINM block coordinate descent with a full weighted SCNM per iteration.
+
+    Every iteration forms the full weighted Q through seqcf's weighted_scnm
+    (and so scnm) and solves its rate from scratch; the package's wsinm must
+    give the same Q, weights, iterations and objective trace up to round-off.
+    """
+    from seqcf import compression as comp
+
+    base = np.asarray(interference_base, dtype=float)
+    if np.any(base <= 0):
+        raise comp.SolverError("interference-plus-noise base must be strictly positive")
+    K = P.shape[0]
+    w = np.ones(K)
+    trace_vals = []
+    prev_obj = None
+    iters = 0
+    for it in range(comp.BCD_MAX_ITER):
+        iters = it + 1
+        out = comp.weighted_scnm(P, R_l, w)
+        X = base + np.diag(out.Q).real
+        obj_q = float(w @ X - np.sum(np.log2(w)))
+        trace_vals.append(obj_q)
+        w_new = 1.0 / (comp.LN2 * X)
+        obj_w = float(w_new @ X - np.sum(np.log2(w_new)))
+        trace_vals.append(obj_w)
+        w = w_new
+        if prev_obj is not None and (abs(prev_obj - obj_w)
+                                     <= comp.BCD_REL_TOL * max(abs(prev_obj), 1e-300)):
+            break
+        prev_obj = obj_w
+    return comp.CompressionOutcome(Q=out.Q, achieved_rate=out.achieved_rate,
+                                   weights=w, bcd_iters=iters, objective_trace=trace_vals)

@@ -9,8 +9,8 @@ from seqcf import compression as comp
 from seqcf.compression import LN2, SolverError
 from seqcf.linalg import PsdError
 
-from oracles import (bisect_mode_noises, feasible_q_on_constraint,
-                     grid_min_trace, rand_psd)
+from oracles import (bisect_mode_noises, complex_randn, feasible_q_on_constraint,
+                     grid_min_trace, rand_psd, stacked_wsinm)
 
 
 class TestEiu:
@@ -147,10 +147,10 @@ def solve_outcome(solve, lam, R):
         return str(exc)
 
 
-def assert_same_solve(lam, R):
+def assert_same_solve(lam, R, mu0=np.nan):
     lam = np.asarray(lam, dtype=float)
     with np.errstate(all="ignore"):
-        got = solve_outcome(comp._solve_mode_noises, lam, R)
+        got = solve_outcome(lambda l, r: comp._solve_mode_noises(l, r, mu0), lam, R)
         ref = solve_outcome(bisect_mode_noises, lam, R)
     if isinstance(ref, str):
         assert got == ref
@@ -161,11 +161,25 @@ def assert_same_solve(lam, R):
 class TestRateSolve:
     # the vectorised rate solve must make the plain bisection's every step
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(log_lam=st.lists(st.floats(-10.0, 6.0), min_size=1, max_size=40),
-           log_R=st.floats(-3.0, np.log10(2000.0)))
-    def test_matches_scalar_bisection(self, log_lam, log_R):
-        assert_same_solve(10.0 ** np.array(log_lam), 10.0 ** log_R)
+           log_R=st.floats(-3.0, np.log10(2000.0)),
+           guess=st.one_of(st.sampled_from(["none", "lo", "hi", "zero", "inf"]),
+                           st.floats(-3.0, 4.0)))
+    def test_matches_scalar_bisection(self, log_lam, log_R, guess):
+        # the guess only starts the root estimate: none (scnm's solve), inside
+        # the bracket, at its ends or outside it, the solve is the bisection's
+        lam, R = 10.0 ** np.array(log_lam), 10.0 ** log_R
+        with np.errstate(all="ignore"):
+            try:
+                mu_lo, _, mu_hi, _ = comp._bracket(lam, R)
+            except SolverError:
+                mu_lo, mu_hi = 1.0, 2.0
+            ends = {"none": np.nan, "lo": mu_lo, "hi": mu_hi, "zero": 0.0, "inf": np.inf}
+            t_lo, t_hi = np.log(mu_lo), np.log(mu_hi)
+            mu0 = ends[guess] if isinstance(guess, str) else float(
+                np.exp(t_lo + guess * (t_hi - t_lo)))
+        assert_same_solve(lam, R, mu0)
 
     def test_bracket_outside_vectorised_window(self):
         # one mode at 19.2 bits needs mu below lam * 8^-6, the window's edge
@@ -195,7 +209,7 @@ class TestRateSolve:
         # the root estimate only chooses which midpoints are rated ahead; a
         # poor one makes predictions fail and forces new estimates, but the
         # walk still takes the bisection's own steps
-        def poor(lam, R_l, mu_lo, r_lo, mu_hi, r_hi):
+        def poor(lam, R_l, mu_lo, r_lo, mu_hi, r_hi, mu0):
             return {"low": mu_lo, "high": mu_hi,
                     "geometric": float(np.sqrt(mu_lo * mu_hi))}[estimate]
 
@@ -216,17 +230,23 @@ class TestRateSolve:
         # bracket, Newton steps and speculative midpoints are all rate
         # evaluations; rating the midpoints one at a time would take ~35
         counts = {"rates": 0, "solves": 0}
-        rates, solve = comp._mode_rates, comp._solve_mode_noises
+        rates, newton, solve = (comp._mode_rates, comp._rate_and_slope,
+                                comp._solve_mode_noises)
 
         def counted_rates(lam, mus):
             counts["rates"] += 1
             return rates(lam, mus)
 
-        def counted_solve(lam, R_l):
+        def counted_newton(lam, mu):
+            counts["rates"] += 1
+            return newton(lam, mu)
+
+        def counted_solve(lam, R_l, mu0=np.nan):
             counts["solves"] += 1
-            return solve(lam, R_l)
+            return solve(lam, R_l, mu0)
 
         monkeypatch.setattr(comp, "_mode_rates", counted_rates)
+        monkeypatch.setattr(comp, "_rate_and_slope", counted_newton)
         monkeypatch.setattr(comp, "_solve_mode_noises", counted_solve)
         cfg = NetworkConfig(L=12, N=10, K=20)
         rng = np.random.default_rng(7)
@@ -311,6 +331,46 @@ class TestWsinm:
     def test_reports_iterations(self, rng):
         out = wsinm(rand_psd(rng, 2, jitter=0.01), 5.0, np.array([0.5, 0.9]))
         assert 1 <= out.bcd_iters <= 100
+
+
+def assert_same_bcd(P, R, base):
+    # wsinm forms only diag Q per iteration and warm-starts each rate solve;
+    # the oracle forms the full weighted SCNM every iteration
+    got, ref = wsinm(P, R, base), stacked_wsinm(P, R, base)
+    assert got.bcd_iters == ref.bcd_iters
+    assert np.linalg.norm(got.Q - ref.Q) <= 1e-12 * np.linalg.norm(ref.Q)
+    assert np.allclose(got.weights, ref.weights, rtol=1e-12, atol=0.0)
+    assert np.allclose(got.objective_trace, ref.objective_trace, rtol=1e-12, atol=0.0)
+    assert abs(got.achieved_rate - R) <= comp.RATE_TOL_BITS
+    assert got.achieved_rate == pytest.approx(achieved_rate_bits(P, got.Q), abs=1e-6)
+
+
+class TestWsinmMatchesStackedBcd:
+    def test_fig2_chain(self, monkeypatch):
+        # every WSINM solve of an L=12, N=10, K=20 chain, on its own P and base
+        cfg = NetworkConfig(L=12, N=10, K=20)
+        rng = np.random.default_rng(5)
+        H = draw_channels(cfg, place_network(cfg, rng), rng).H
+        seen = []
+        real = comp.wsinm
+        monkeypatch.setattr(comp, "wsinm",
+                            lambda P, R, b: seen.append((P, R, b)) or real(P, R, b))
+        run_chain(cfg.p, cfg.sigma2, H, "wsinm", equal(cfg.R_T, cfg.L))
+        assert len(seen) == cfg.L
+        for P, R, base in seen:
+            assert_same_bcd(P, R, base)
+
+    def test_random_small_instances(self, rng):
+        for _ in range(40):
+            K = int(rng.integers(1, 7))
+            P = rand_psd(rng, K, jitter=float(rng.choice([0.0, 0.01])))
+            base = 10.0 ** rng.uniform(-3.0, 1.0, size=K)
+            assert_same_bcd(P, float(10.0 ** rng.uniform(-1.0, 1.5)), base)
+
+    def test_rank_deficient(self, rng):
+        # a null direction of P stays out of every iteration's support
+        X = complex_randn(rng, (4, 2))
+        assert_same_bcd(X @ X.conj().T, 6.0, np.full(4, 0.2))
 
 
 class TestAppendixScalarBound:

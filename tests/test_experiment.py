@@ -165,6 +165,22 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_config_file(str(f))
 
+    @pytest.mark.parametrize("line", ["L = 3.5", "K = abc", "R_T = lots",
+                                      "p_dbm = 1e9", "tau_c ="])
+    def test_bad_number_rejected_with_line(self, tmp_path, line):
+        f = tmp_path / "net.cfg"
+        f.write_text(f"# header\n{line}\n")
+        with pytest.raises(ConfigError, match=f"{f}:2: "):
+            parse_config_file(str(f))
+
+    @pytest.mark.parametrize("line", ["R_T = -1", "R_T = nan", "p_dbm = inf",
+                                      "sigma2_dbm = -inf", "ap_ring_radius = 0"])
+    def test_bad_value_rejected(self, tmp_path, line):
+        f = tmp_path / "net.cfg"
+        f.write_text(f"{line}\n")
+        with pytest.raises(ConfigError, match="finite and strictly positive"):
+            parse_config_file(str(f))
+
     @pytest.mark.parametrize("key", ["trials", "rng_seed"])
     def test_experiment_keys_rejected(self, tmp_path, key):
         # trials and seed belong to the experiment (--trials, --seed)
@@ -201,6 +217,26 @@ class TestCli:
                    "--trials", "1", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, values", [("sweep-users", "5,abc"),
+                                                 ("sweep-users", "5,2.5"),
+                                                 ("sweep-rate", "100,x"),
+                                                 ("sweep-rate", "100,-5"),
+                                                 ("sweep-rate", "nan")])
+    def test_bad_sweep_value_exits_nonzero(self, tmp_path, capsys, command, values):
+        rc = main([command, "--values", values, "--strategies", "sp-ef-eiu",
+                   "--trials", "1", "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_bad_config_line_exits_nonzero(self, tmp_path, capsys):
+        cfg = tmp_path / "net.cfg"
+        cfg.write_text("N = 2\nL = 3.5\n")
+        rc = main(["sweep-rate", "--config", str(cfg), "--values", "100",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert f"error: {cfg}:2: L = '3.5' is not a valid integer" in capsys.readouterr().err
 
     def test_default_trials_and_seed(self, tmp_path, monkeypatch):
         import seqcf.cli as cli

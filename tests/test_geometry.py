@@ -116,7 +116,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("kw", [dict(L=0), dict(K=0), dict(tau_c=3, K=5),
                                     dict(p=0.0), dict(sigma2=-1.0),
-                                    dict(ap_ring_radius=0.0)])
+                                    dict(ap_ring_radius=0.0),
+                                    dict(p=np.nan), dict(sigma2=np.inf),
+                                    dict(R_T=np.nan), dict(R_T=-1.0), dict(R_T=0.0),
+                                    dict(ap_ring_radius=np.nan),
+                                    dict(user_disk_radius=-np.inf)])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ConfigError):
             cfg(**kw)
