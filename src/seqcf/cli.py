@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import ConfigError, NetworkConfig, parse_config_file
@@ -40,6 +41,18 @@ def _build_spec(args) -> ExperimentSpec:
                           strategies=strategies, trials=args.trials, seed=args.seed)
 
 
+def _check_out(path: str) -> None:
+    """Reject an output path the CSV cannot be written to, before any trial
+    runs; the file itself is not opened, so an existing one is kept."""
+    target = os.path.abspath(path)
+    folder = os.path.dirname(target)
+    if not os.path.isdir(folder):
+        raise ConfigError(f"--out: directory {folder} does not exist")
+    if os.path.isdir(target) or not os.access(
+            target if os.path.exists(target) else folder, os.W_OK):
+        raise ConfigError(f"--out: {path!r} is not a writable file")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="seqcf",
@@ -63,6 +76,7 @@ def main(argv=None) -> int:
 
     try:
         spec = _build_spec(args)
+        _check_out(args.out)
         rows = run_experiment(spec)
         emit_csv(rows, args.out)
     except (ConfigError, ExperimentError) as exc:

@@ -11,21 +11,23 @@ import numpy as np
 
 from .linalg import check_psd_spectrum, herm
 
-LN2 = np.log(2.0)
+LN2 = math.log(2.0)
 
 # eigenvalues of P below this fraction of the largest are treated as a
 # null space: those modes carry no rate and no compression noise
 RANK_TOL = 1e-12
 
-# SCNM rate solve: the bisection on the multiplier stops at the first
-# midpoint whose rate is within RATE_TOL_BITS of R_l, after at most
-# RATE_MAX_ITER midpoints
+# SCNM rate solve: the plain bisection on the multiplier stops at the first
+# midpoint whose computed rate is within RATE_TOL_BITS of R_l, after at most
+# RATE_MAX_ITER midpoints; the fenced solve takes its decisions bit for bit
 RATE_TOL_BITS = 1e-9
 RATE_MAX_ITER = 200
-# powers j of the bracket candidates lam.max() * 8^j rated in one call, and
-# the Newton steps allowed for one root estimate
-_BRACKET_POWERS = np.arange(-6, 7)
+# the fenced solve: Newton steps allowed for one root estimate, the fences'
+# distance in bits from R_l, and the range in which every intermediate of a
+# computed rate is a normal float (see _solve_mode_noises)
 _NEWTON_MAX_ITER = 64
+_FENCE_BITS = 1e-7
+_MU_MIN, _MU_MAX = 2.0 ** -500, 2.0 ** 500
 
 # WSINM block coordinate descent: stops when the objective moves by at most
 # BCD_REL_TOL relative, or after BCD_MAX_ITER iterations
@@ -90,42 +92,24 @@ def eiu(P: np.ndarray, R_l: float) -> CompressionOutcome:
     return _EiuOutcome(P, np.clip(pdiag, 0.0, None) / (2.0 ** b - 1.0))
 
 
-def _mode_noise(lam: np.ndarray, mu) -> np.ndarray:
-    # positive root of d^2 + lam*d - mu*lam = 0, cancellation-free form; a
-    # column of multipliers gives one row of noises per multiplier
-    return 2.0 * mu * lam / (lam + np.sqrt(lam * lam + 4.0 * mu * lam))
-
-
-def _mode_rates(lam: np.ndarray, mus) -> np.ndarray:
-    """Rate sum_k log2(1 + lam_k / d_k(mu)) of each multiplier in mus."""
-    d = _mode_noise(lam, np.asarray(mus, dtype=float)[:, None])
-    return np.log2(1.0 + lam / d).sum(axis=1)
+def _mode_rates(lam: np.ndarray, mus) -> tuple:
+    """(d, rates): for each multiplier mu in mus, the row of mode noises, the
+    positive roots of d^2 + lam d - mu lam = 0 in cancellation-free form, and
+    its rate sum_k log2(1 + lam_k / d_k)."""
+    mu = np.asarray(mus, dtype=float)[:, None]
+    d = 2.0 * mu * lam / (lam + np.sqrt(lam * lam + 4.0 * mu * lam))
+    return d, np.log2(1.0 + lam / d).sum(axis=1)
 
 
 def _bracket(lam: np.ndarray, R_l: float) -> tuple:
     """(mu_lo, r_lo, mu_hi, r_hi) of the geometric x8 search from lam.max().
 
     mu_hi is the first lam.max() * 8^j, j >= 0, whose rate is at most R_l;
-    mu_lo the first mu_hi / 8^i, i >= 0, whose rate is at least R_l. All
-    candidates in the window _BRACKET_POWERS are rated in one call. Scaling
-    by a power of two is exact while the result stays a finite normal
-    float, so a window within that range holds the values the loops visit.
+    mu_lo the first mu_hi / 8^i, i >= 0, whose rate is at least R_l.
     """
-    mu_max = float(lam.max())
-    mus = np.ldexp(mu_max, 3 * _BRACKET_POWERS)
-    if mus[0] >= np.finfo(float).tiny and np.isfinite(mus[-1]):
-        rates = _mode_rates(lam, mus).tolist()
-        mus = mus.tolist()
-        start = -int(_BRACKET_POWERS[0])   # the index of j = 0
-        hi = next((i for i in range(start, len(mus)) if not rates[i] > R_l), None)
-        lo = None if hi is None else next(
-            (i for i in range(hi, -1, -1) if not rates[i] < R_l), None)
-        if lo is not None:
-            return mus[lo], rates[lo], mus[hi], rates[hi]
-    # the window does not hold the bracket: walk the loops themselves
-    mu_hi = mu_max
+    mu_hi = float(lam.max())
     grow = 0
-    while (r_hi := _mode_rates(lam, [mu_hi])[0]) > R_l:
+    while (r_hi := _mode_rates(lam, [mu_hi])[1][0]) > R_l:
         mu_hi *= 8.0
         grow += 1
         if grow > 600:
@@ -133,124 +117,132 @@ def _bracket(lam: np.ndarray, R_l: float) -> tuple:
     mu_lo, r_lo = mu_hi, r_hi
     while r_lo < R_l:
         mu_lo /= 8.0
-        r_lo = _mode_rates(lam, [mu_lo])[0]
+        r_lo = _mode_rates(lam, [mu_lo])[1][0]
         grow += 1
         if grow > 1200:
             raise SolverError("failed to bracket the rate constraint from below")
     return mu_lo, float(r_lo), mu_hi, float(r_hi)
 
 
-def _rate_and_slope(lam: np.ndarray, mu: float) -> tuple:
-    """The rate of one multiplier and its slope -d rate / d ln mu.
+def _bisect(lam: np.ndarray, R_l: float) -> np.ndarray:
+    """The plain bisection: _bracket, then one rated midpoint per step."""
+    mu_lo, _, mu_hi, _ = _bracket(lam, R_l)
+    for _ in range(RATE_MAX_ITER):
+        mu = 0.5 * (mu_lo + mu_hi)
+        d, rates = _mode_rates(lam, [mu])
+        r = float(rates[0])
+        if abs(r - R_l) <= RATE_TOL_BITS:
+            return d[0]
+        mu_lo, mu_hi = (mu, mu_hi) if r > R_l else (mu_lo, mu)
+    raise SolverError(
+        f"rate bisection did not converge: R={R_l}, last rate={r}, mu=[{mu_lo},{mu_hi}]")
 
-    s_k = 2 d_k + lam_k = sqrt(lam_k^2 + 4 mu lam_k) gives both: the rate
-    through 1 + lam_k / d_k = 1 + (lam_k + s_k) / (2 mu), the slope as
-    sum_k lam_k / s_k / ln2. Only root estimates read these; the walk rates
-    its midpoints with _mode_rates.
+
+def _root_estimate(lam: list, R_l: float, mu0: float):
+    """(mu, g): Newton's estimate of the root and the slope -d rate / d ln mu
+    there, or None when Newton, kept inside [_MU_MIN, _MU_MAX] like every lam,
+    does not converge (as when the root lies outside).
+
+    Newton runs on t = ln mu in plain floats: at K <= 40 a loop over the modes
+    costs less than numpy's per-call overhead. It starts from mu0 when that is
+    a positive finite guess, else from the water-filling point
+    sum_k log2(lam_k / mu) = R_l, whose rate exceeds R_l because d_k < mu. The
+    rate is convex and decreasing in t, so a step from the left of the root
+    stays left of it and a step from the right lands left of it: no bracket is
+    needed.
     """
-    s = np.sqrt(lam * (lam + 4.0 * mu))
-    r = float(np.log2(1.0 + (lam + s) / (2.0 * mu)).sum())
-    return r, float((lam / s).sum()) / LN2
-
-
-def _estimate_root(lam: np.ndarray, R_l: float, mu_lo: float, r_lo: float,
-                   mu_hi: float, r_hi: float, mu0: float) -> float:
-    """A multiplier in [mu_lo, mu_hi] whose rate is within RATE_TOL_BITS of R_l.
-
-    Newton on t = ln mu, started from mu0 when it lies strictly inside the
-    bracket and else from the log-linear interpolation of the bracket rates;
-    a step that leaves the bracket is replaced by the bracket's midpoint in t.
-    It stops at a rated point within RATE_TOL_BITS of R_l, or after a step
-    whose error bound is a quarter of that. The estimate only decides which
-    midpoints the walk rates ahead, so a poor one costs time, not accuracy.
-    """
-    if not 0.0 < mu_lo < mu_hi < math.inf:
-        return mu_hi
-    t_lo, t_hi = math.log(mu_lo), math.log(mu_hi)
-    if mu_lo < mu0 < mu_hi:
-        t = math.log(mu0)
-    elif r_lo != r_hi:
-        t = t_lo + (r_lo - R_l) / (r_lo - r_hi) * (t_hi - t_lo)
-    else:
-        t = t_lo
+    t_min, t_max = math.log(_MU_MIN), math.log(_MU_MAX)
+    t = math.log(mu0) if 0.0 < mu0 < math.inf else (
+        sum(map(math.log, lam)) - R_l * LN2) / len(lam)
+    t = min(max(t, t_min), t_max)
     for _ in range(_NEWTON_MAX_ITER):
-        if not t_lo < t < t_hi:
-            t = 0.5 * (t_lo + t_hi)
-        mu = math.exp(t)
-        r, g = _rate_and_slope(lam, mu)
-        # within RATE_TOL_BITS of R_l, every midpoint on the wrong side of the
-        # estimate meets the rate first, so the walk rates one batch
-        if abs(r - R_l) < RATE_TOL_BITS:
-            break
-        if r > R_l:
-            t_lo = t
-        else:
-            t_hi = t
-        # a slope lost to overflow makes the next step a bisection in t
-        t = t + (r - R_l) / g if g > 0.0 else math.nan
-        # |d^2 rate / dt^2| <= g / 2, so the step lands within (r - R_l)^2 / (4 g)
-        # of R_l: close enough, it is taken without rating it
-        if (r - R_l) ** 2 <= RATE_TOL_BITS * g and t_lo < t < t_hi:
-            return math.exp(t)
-    return mu
+        mu2 = 2.0 * math.exp(t)
+        r = g = 0.0
+        for x in lam:
+            s = math.sqrt(x * (x + 2.0 * mu2))   # 2 d_k + lam_k
+            r += math.log1p((x + s) / mu2)       # ln(1 + lam_k / d_k)
+            g += x / s
+        err, g = r / LN2 - R_l, g / LN2
+        # |d^2 rate / dt^2| <= g / 2, so the step lands within err^2 / (4 g) of R_l
+        if err * err <= 0.1 * RATE_TOL_BITS * g:
+            return math.exp(t + err / g), g
+        t = min(max(t + err / g, t_min), t_max)
+    return None
 
 
 def _solve_mode_noises(lam: np.ndarray, R_l: float, mu0: float = math.nan) -> np.ndarray:
     """Per-eigenmode noise variances meeting the rate constraint with equality.
 
-    The rate is strictly decreasing in the multiplier mu. The constraint is
-    solved by bisecting mu inside the bracket of _bracket until a midpoint's
-    rate is within RATE_TOL_BITS of R_l. A Newton estimate of the root,
-    started from the guess mu0 when it lies inside the bracket, predicts
-    every bisection decision, so the midpoints are listed and rated in one
-    call. The walk takes the unchanged decisions up to the first midpoint
-    that meets the rate or disagrees with the prediction; a disagreement
-    starts a new estimate from the current bracket. Every midpoint consumed,
-    and its rate, is the plain bisection's own, so the result is bit for bit
-    the plain bisection's whatever mu0 is.
+    The rate falls with the multiplier mu. _bisect brackets mu by x8 steps
+    from lam.max() and bisects it until a midpoint's computed rate is within
+    RATE_TOL_BITS of R_l; this fenced solve takes that bisection's decisions
+    from one rating call. Newton's estimate est (_root_estimate, started from
+    the guess mu0) sets two fences est (1 -+ delta), each about _FENCE_BITS
+    from R_l. Once their computed rates clear R_l +- (RATE_TOL_BITS + a
+    rounding bound), the exact rate puts every computed rate left of the
+    lower fence above R_l + RATE_TOL_BITS and right of the upper one below
+    R_l - RATE_TOL_BITS: the grid search of _bracket and every midpoint
+    outside the fences are decided unrated. The midpoints between the fences
+    are listed by predicting their decisions from est and rated with the
+    fences; the first that meets the rate is the bisection's result. _bisect
+    runs instead when Newton fails, a fence does not clear, a grid point lies
+    between the fences, a value leaves [_MU_MIN, _MU_MAX], a rated midpoint
+    defies its prediction or none meets the rate. Either way the noises, and
+    any SolverError, are the bisection's bit for bit, whatever mu0 is.
     """
     R_l = float(R_l)
-    mu_lo, r_lo, mu_hi, r_hi = _bracket(lam, R_l)
-    est = _estimate_root(lam, R_l, mu_lo, r_lo, mu_hi, r_hi, mu0)
-    # |d rate / d ln mu| < K / ln2, so any mu in a bracket [lo, hi] around the
-    # root is within (K / ln2) (hi - lo) / lo bits of R_l: once that is half
-    # of RATE_TOL_BITS, the bracket's midpoint meets the rate
-    hit_width = 0.5 * RATE_TOL_BITS * LN2 / len(lam)
-    left = RATE_MAX_ITER
-    while left > 0:
-        # the midpoints the bisection visits if every decision agrees with est,
-        # up to the first one that then meets the rate
-        mids = []
-        lo, hi = mu_lo, mu_hi
-        while len(mids) < left:
-            mu = 0.5 * (lo + hi)
+    lams = lam.tolist()
+    K, lam_max = len(lams), max(lams)
+    est = None
+    if _MU_MIN <= min(lams) and lam_max <= _MU_MAX:
+        est = _root_estimate(lams, R_l, mu0)
+    if est is None:
+        return _bisect(lam, R_l)
+    est, g = est
+    delta = min(_FENCE_BITS / g, 0.5)
+    f_lo, f_hi = est * (1.0 - delta), est * (1.0 + delta)
+    # mu_lo is the largest grid point lam_max 8^i below the lower fence; in
+    # the range, the loops of _bracket reach it exactly within ~340 steps
+    i = math.floor(math.log(f_lo / lam_max) / math.log(8.0))
+    while math.ldexp(lam_max, 3 * i + 3) < f_lo:
+        i += 1
+    while math.ldexp(lam_max, 3 * i) >= f_lo:
+        i -= 1
+    mu_lo, above = math.ldexp(lam_max, 3 * i), math.ldexp(lam_max, 3 * i + 3)
+    if above <= f_hi or mu_lo < _MU_MIN or above > _MU_MAX:
+        return _bisect(lam, R_l)
+    # the midpoint of a bracket [lo, hi] around the root is within g (hi - lo) / lo
+    # bits of R_l: once that is half of RATE_TOL_BITS, it meets the rate
+    hit_width = 0.5 * RATE_TOL_BITS / g
+    lo, hi, mids = mu_lo, max(above, lam_max), []
+    for _ in range(RATE_MAX_ITER):
+        mu = 0.5 * (lo + hi)
+        if mu < f_lo:
+            lo = mu
+        elif mu > f_hi:
+            hi = mu
+        else:
             mids.append(mu)
             if mu in (lo, hi) or hi - lo <= hit_width * lo:
-                break   # mu meets the rate, or the bisection repeats it
-            if mu < est:
-                lo = mu
-            else:
-                hi = mu
-        mus = np.array(mids)
-        rates = _mode_rates(lam, mus)
-        above = rates > R_l
-        hits = np.abs(rates - R_l) <= RATE_TOL_BITS
-        stops = np.flatnonzero(hits | (above != (mus < est)))
-        n = int(stops[0]) + 1 if stops.size else len(mids)
-        left -= n
-        r = float(rates[n - 1])
-        if hits[n - 1]:
-            return _mode_noise(lam, mids[n - 1])
-        # the last consumed midpoint above R_l is mu_lo, the last one below mu_hi
-        up, down = np.flatnonzero(above[:n]), np.flatnonzero(~above[:n])
-        if up.size:
-            mu_lo, r_lo = mids[up[-1]], float(rates[up[-1]])
-        if down.size:
-            mu_hi, r_hi = mids[down[-1]], float(rates[down[-1]])
-        if stops.size:
-            est = _estimate_root(lam, R_l, mu_lo, r_lo, mu_hi, r_hi, math.nan)
-    raise SolverError(
-        f"rate bisection did not converge: R={R_l}, last rate={r}, mu=[{mu_lo},{mu_hi}]")
+                break
+            lo, hi = (mu, hi) if mu < est else (lo, mu)
+    d, rates = _mode_rates(lam, [f_lo, f_hi] + mids)
+    rates = rates.tolist()
+    # in the range every intermediate of a computed rate r is a normal float:
+    # each mode's rate is within about 12 u + 4 u r_k of the exact one
+    # (u = eps / 2, most of it numpy's log2) and the sum adds (K - 1) u r, so
+    # 64 eps K (r + K) bounds the error of two computed rates near r
+    bound = 64.0 * np.finfo(float).eps * K * (rates[0] + K)
+    if not (rates[0] - bound > R_l + RATE_TOL_BITS and rates[1] + bound < R_l - RATE_TOL_BITS):
+        return _bisect(lam, R_l)
+    # the first midpoint that meets the rate is the bisection's result, if
+    # every one before it was decided as predicted
+    for row, mu in enumerate(mids, 2):
+        if abs(rates[row] - R_l) <= RATE_TOL_BITS:
+            return d[row]
+        if (rates[row] > R_l) != (mu < est):
+            break
+    return _bisect(lam, R_l)
 
 
 def _eigen_solve(P: np.ndarray, R_l: float, mu0: float) -> tuple:
@@ -291,10 +283,10 @@ def scnm(P: np.ndarray, R_l: float) -> CompressionOutcome:
     """Minimize trace(Q) s.t. log2 det(P Q^-1 + I) = R_l, Q >= 0.
 
     Q shares the eigenbasis of P; each mode's noise solves the KKT
-    quadratic d^2 + lam*d - mu*lam = 0. The multiplier mu is found by
-    bisection (_solve_mode_noises), whose midpoints a Newton estimate lets
-    it rate in one vectorised call. The eigendecomposition, PSD check,
-    support and mode solve are _eigen_solve, which wsinm also runs.
+    quadratic d^2 + lam*d - mu*lam = 0. The multiplier mu is the rate
+    bisection's (_solve_mode_noises), whose decisions a Newton estimate
+    started cold lets one rating call take. The eigendecomposition, PSD
+    check, support and mode solve are _eigen_solve, which wsinm also runs.
     """
     if R_l <= 0:
         raise SolverError("vector-wise compression needs R_l > 0")
@@ -330,9 +322,9 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> Compressi
     Step (i) is weighted_scnm's congruence transform with one eigh per
     iteration. The weight update reads only diag Q, so an iteration forms
     just that; the full Q and its rate are formed once, from the last
-    iteration's modes. Each rate solve starts its root estimate from the
+    iteration's modes. Each rate solve starts its Newton estimate from the
     previous iteration's multiplier, which moves only the estimate: every
-    solve is still the plain bisection's.
+    solve is still the plain bisection's bit for bit.
     """
     if R_l <= 0:
         raise SolverError("vector-wise compression needs R_l > 0")

@@ -70,6 +70,16 @@ class ExperimentSpec:
             raise ConfigError("strategy list must be non-empty")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        L = self.base.L
+        for s in self.strategies:
+            if s.path_mode == "tp" and L < 2:
+                raise ConfigError(f"{s.label()}: Two-Path needs at least 2 APs, got L={L}")
+            # the shorter Two-Path arc has L // 2 APs (twopath.split_paths)
+            if s.allocation == "log" and (L if s.path_mode == "sp" else L // 2) < 2:
+                raise ConfigError(f"{s.label()}: logarithmic allocation needs at least "
+                                  f"2 APs on every chain, got L={L}")
 
 
 @dataclass

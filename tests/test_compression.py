@@ -147,6 +147,13 @@ def solve_outcome(solve, lam, R):
         return str(exc)
 
 
+def count_calls(monkeypatch, name):
+    """Wrap comp.<name> so that every call appends to the returned list."""
+    calls, real = [], getattr(comp, name)
+    monkeypatch.setattr(comp, name, lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
 def assert_same_solve(lam, R, mu0=np.nan):
     lam = np.asarray(lam, dtype=float)
     with np.errstate(all="ignore"):
@@ -181,16 +188,42 @@ class TestRateSolve:
                 np.exp(t_lo + guess * (t_hi - t_lo)))
         assert_same_solve(lam, R, mu0)
 
-    def test_bracket_outside_vectorised_window(self):
-        # one mode at 19.2 bits needs mu below lam * 8^-6, the window's edge
+    def test_bracket_far_below_lam_max(self, monkeypatch):
+        # one mode at 19.2, 60 and 61.5 bits: the bracket lies 7, 20 and 21 x8
+        # steps below lam.max(). At 60 bits the root is the grid point 8^-20
+        # itself, so that solve bisects; the others take one rating call
+        calls = count_calls(monkeypatch, "_bisect")
         lam = np.array([1.0])
-        assert comp._mode_rates(lam, [np.ldexp(1.0, -18)])[0] < 19.2
-        assert_same_solve(lam, 19.2)
+        for R, steps in ((19.2, 7), (60.0, 20), (61.5, 21)):
+            assert comp._bracket(lam, R)[0] == np.ldexp(1.0, -3 * steps)
+            assert_same_solve(lam, R)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("j", [-1, 0, 1])
+    @pytest.mark.parametrize("guess", [1.0, 0.25, 4.0])
+    def test_root_on_a_grid_point(self, monkeypatch, j, guess):
+        # R is the rate of the grid point lam.max() 8^j itself, which then
+        # lies between the fences, so every solve bisects; mu0 at, below and
+        # above the root changes nothing
+        calls = count_calls(monkeypatch, "_bisect")
+        for n, lam in enumerate((np.array([2.5]), np.geomspace(3.0, 1e-3, 7),
+                                 np.full(4, 0.7)), 1):
+            root = float(np.ldexp(lam.max(), 3 * j))
+            R = float(comp._mode_rates(lam, [root])[1][0])
+            assert_same_solve(lam, R, guess * root)
+            assert len(calls) == n
 
     @pytest.mark.parametrize("K, R", [(1, 2000.0), (3, 1500.0), (1, 150.0), (20, 1900.0)])
     def test_huge_rate(self, K, R):
         lam = np.geomspace(1.0, 1e-3, K)
         assert_same_solve(lam, R)
+
+    def test_single_mode_at_180_bits_raises(self):
+        # the bisection runs out of midpoints in its arithmetic bisection of
+        # [8^-60, 1]; the fenced solve cannot certify a result and raises it too
+        with pytest.raises(SolverError, match="did not converge"):
+            comp._solve_mode_noises(np.array([1.0]), 180.0)
+        assert_same_solve(np.array([1.0]), 180.0)
 
     @pytest.mark.parametrize("R", [1e-3, 0.7, 6.0, 80.0])
     def test_equal_modes(self, R):
@@ -204,20 +237,47 @@ class TestRateSolve:
     def test_single_mode(self, R):
         assert_same_solve(np.array([2.5]), R)
 
-    @pytest.mark.parametrize("estimate", ["low", "high", "geometric"])
+    @pytest.mark.parametrize("estimate", ["low", "high", "geometric", "narrow"])
     def test_poor_estimate_changes_nothing(self, monkeypatch, estimate):
-        # the root estimate only chooses which midpoints are rated ahead; a
-        # poor one makes predictions fail and forces new estimates, but the
-        # walk still takes the bisection's own steps
-        def poor(lam, R_l, mu_lo, r_lo, mu_hi, r_hi, mu0):
-            return {"low": mu_lo, "high": mu_hi,
-                    "geometric": float(np.sqrt(mu_lo * mu_hi))}[estimate]
+        # a poor root estimate leaves a fence that cannot clear R_l: an
+        # estimate a factor 8 off the root, the bracket's geometric mean, or
+        # fences placed far inside the rate tolerance; every solve then
+        # bisects, with the same result
+        real = comp._root_estimate
 
-        monkeypatch.setattr(comp, "_estimate_root", poor)
+        def poor(lam, R_l, mu0):
+            mu, g = real(lam, R_l, mu0)
+            mu_lo, _, mu_hi, _ = comp._bracket(np.array(lam), R_l)
+            return {"low": (mu / 8.0, g), "high": (mu * 8.0, g),
+                    "geometric": (float(np.sqrt(mu_lo * mu_hi)), g),
+                    "narrow": (mu, g * 1e6)}[estimate]
+
+        monkeypatch.setattr(comp, "_root_estimate", poor)
+        calls = count_calls(monkeypatch, "_bisect")
         rng = np.random.default_rng(3)
+        for n in range(1, 31):
+            lam = 10.0 ** rng.uniform(-6.0, 3.0, int(rng.integers(1, 30)))
+            assert_same_solve(lam, float(10.0 ** rng.uniform(-2.0, 2.5)))
+            assert len(calls) == n
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_estimate_off_inside_the_fences(self, monkeypatch, sign):
+        # an estimate 2e-8 bits off the root still clears the fences, but the
+        # midpoints between it and the root are decided against its
+        # prediction; such a solve bisects, with the same result
+        real = comp._root_estimate
+
+        def off(lam, R_l, mu0):
+            mu, g = real(lam, R_l, mu0)
+            return mu * np.exp(sign * 2e-8 / g), g
+
+        monkeypatch.setattr(comp, "_root_estimate", off)
+        calls = count_calls(monkeypatch, "_bisect")
+        rng = np.random.default_rng(4)
         for _ in range(30):
             lam = 10.0 ** rng.uniform(-6.0, 3.0, int(rng.integers(1, 30)))
             assert_same_solve(lam, float(10.0 ** rng.uniform(-2.0, 2.5)))
+        assert 0 < len(calls) < 30
 
     def test_iteration_limit_raises(self, monkeypatch):
         monkeypatch.setattr(comp, "RATE_MAX_ITER", 3)
@@ -227,33 +287,19 @@ class TestRateSolve:
         assert_same_solve(lam, 5.0)
 
     def test_few_rate_evaluations_per_solve(self, monkeypatch):
-        # bracket, Newton steps and speculative midpoints are all rate
-        # evaluations; rating the midpoints one at a time would take ~35
-        counts = {"rates": 0, "solves": 0}
-        rates, newton, solve = (comp._mode_rates, comp._rate_and_slope,
-                                comp._solve_mode_noises)
-
-        def counted_rates(lam, mus):
-            counts["rates"] += 1
-            return rates(lam, mus)
-
-        def counted_newton(lam, mu):
-            counts["rates"] += 1
-            return newton(lam, mu)
-
-        def counted_solve(lam, R_l, mu0=np.nan):
-            counts["solves"] += 1
-            return solve(lam, R_l, mu0)
-
-        monkeypatch.setattr(comp, "_mode_rates", counted_rates)
-        monkeypatch.setattr(comp, "_rate_and_slope", counted_newton)
-        monkeypatch.setattr(comp, "_solve_mode_noises", counted_solve)
+        # every solve of an L=12, N=10, K=20 WSINM chain rates the fences and
+        # the midpoints between them in one call and never bisects; the plain
+        # bisection would take ~40 calls
+        rates = count_calls(monkeypatch, "_mode_rates")
+        solves = count_calls(monkeypatch, "_solve_mode_noises")
+        fallbacks = count_calls(monkeypatch, "_bisect")
         cfg = NetworkConfig(L=12, N=10, K=20)
         rng = np.random.default_rng(7)
         H = draw_channels(cfg, place_network(cfg, rng), rng).H
         run_chain(cfg.p, cfg.sigma2, H, "wsinm", equal(cfg.R_T, cfg.L))
-        assert counts["solves"] > cfg.L
-        assert counts["rates"] / counts["solves"] <= 10.0
+        assert len(solves) > cfg.L
+        assert len(rates) == len(solves)
+        assert fallbacks == []
 
 
 class TestWeightedScnm:

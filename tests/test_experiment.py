@@ -33,6 +33,27 @@ class TestStrategyParsing:
             Strategy.parse(bad)
 
 
+class TestSpecValidation:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            small_spec(["sp-ef-eiu"], seed=-1)
+
+    @pytest.mark.parametrize("L, strategy", [(1, "tp-ef-eiu"), (1, "sp-log-eiu"),
+                                             (3, "tp-log-eiu"), (1, "tp-log-wsinm")])
+    def test_chain_too_short_rejected(self, L, strategy):
+        with pytest.raises(ConfigError, match=strategy):
+            ExperimentSpec(base=small_cfg(L=L), sweep="users", values=(2,),
+                           strategies=(Strategy.parse("sp-ef-eiu"), Strategy.parse(strategy)),
+                           trials=1, seed=0)
+
+    @pytest.mark.parametrize("L, strategy", [(2, "tp-ef-eiu"), (2, "sp-log-eiu"),
+                                             (4, "tp-log-eiu")])
+    def test_shortest_chains_run(self, L, strategy):
+        spec = ExperimentSpec(base=small_cfg(L=L), sweep="users", values=(2,),
+                              strategies=(Strategy.parse(strategy),), trials=1, seed=0)
+        assert np.isfinite(run_experiment(spec)[0].mean_sum_se)
+
+
 class TestRunExperiment:
     def test_row_count(self, tmp_path):
         rows = run_experiment(small_spec(["sp-ef-eiu", "sp-lf-scnm"], values=(2, 3, 4)))
@@ -237,6 +258,49 @@ class TestCli:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert f"error: {cfg}:2: L = '3.5' is not a valid integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, config, message", [
+        (["--seed", "-1"], "", "error: seed must be non-negative, got -1"),
+        (["--strategies", "sp-ef-eiu,tp-log-eiu"], "L = 3\n",
+         "error: tp-log-eiu: logarithmic allocation needs at least 2 APs on every "
+         "chain, got L=3"),
+        (["--strategies", "tp-ef-eiu"], "L = 1\n",
+         "error: tp-ef-eiu: Two-Path needs at least 2 APs, got L=1"),
+    ])
+    def test_bad_spec_exits_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                             extra, config, message):
+        import seqcf.cli as cli
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: pytest.fail("ran"))
+        cfg = tmp_path / "net.cfg"
+        cfg.write_text("N = 2\ntau_c = 50\n" + config)
+        out = tmp_path / "x.csv"
+        rc = main(["sweep-users", "--config", str(cfg), "--values", "2",
+                   "--out", str(out)] + extra)
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == message
+        assert not out.exists()
+
+    def test_unwritable_out_exits_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        import seqcf.cli as cli
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: pytest.fail("ran"))
+        missing = tmp_path / "missing" / "x.csv"
+        rc = main(["sweep-users", "--values", "2", "--out", str(missing)])
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == (
+            f"error: --out: directory {missing.parent} does not exist")
+        for folder in (str(tmp_path), ""):
+            rc = main(["sweep-users", "--values", "2", "--out", folder])
+            assert rc == 1
+            assert capsys.readouterr().err.strip() == (
+                f"error: --out: {folder!r} is not a writable file")
+
+    def test_existing_out_kept_until_written(self, tmp_path, capsys):
+        # a failed run leaves an existing output untouched
+        out = tmp_path / "x.csv"
+        out.write_text("keep\n")
+        rc = main(["sweep-users", "--values", "2", "--seed", "-1", "--out", str(out)])
+        assert rc == 1
+        assert out.read_text() == "keep\n"
 
     def test_default_trials_and_seed(self, tmp_path, monkeypatch):
         import seqcf.cli as cli
