@@ -5,8 +5,14 @@ Compares all three compression designs under EF/LF allocation, for both
 Single-Path and Two-Path propagation.
 """
 import argparse
+import os
 
-from seqcf import ExperimentSpec, NetworkConfig, Strategy, emit_csv, run_experiment
+# one BLAS thread unless the caller chose otherwise, set before numpy loads:
+# the matrices are small, and more threads than idle cores slow the run
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from seqcf import ExperimentSpec, NetworkConfig, Strategy, emit_csv, run_experiment  # noqa: E402
 
 STRATEGIES = [f"{pm}-{al}-{co}"
               for pm in ("sp", "tp")

@@ -38,7 +38,8 @@ def gain(C_prev: np.ndarray, H_l: np.ndarray, sigma2: float) -> np.ndarray:
         raise ValueError("sigma2 must be strictly positive")
     N = H_l.shape[0]
     HC = H_l @ C_prev
-    S = herm(HC @ H_l.conj().T) + sigma2 * np.eye(N)
+    S = herm(HC @ H_l.conj().T)
+    S.flat[::N + 1] += sigma2
     # (S^-1 H C)^H = C H^H S^-1 for Hermitian C
     return herm_solve(S, HC).conj().T
 

@@ -70,11 +70,12 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "selftest":
-        from .selftest import run_selftest
-        return 0 if run_selftest(args.seed) else 1
-
     try:
+        if args.command == "selftest":
+            if args.seed < 0:
+                raise ConfigError(f"seed must be non-negative, got {args.seed}")
+            from .selftest import run_selftest
+            return 0 if run_selftest(args.seed) else 1
         spec = _build_spec(args)
         _check_out(args.out)
         rows = run_experiment(spec)

@@ -9,9 +9,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import check_psd_spectrum, herm
+from .linalg import PsdError, check_psd_spectrum, herm
+
+# after .linalg, which loads scipy.linalg: this module loading it first made
+# the import run one more full garbage collection, about 20 ms of set-up
+from scipy.linalg import lapack
 
 LN2 = math.log(2.0)
+_EPS = float(np.finfo(float).eps)
+
+# LAPACK's divide-and-conquer Hermitian eigensolver, bound once
+_ZHEEVD = lapack.zheevd
 
 # eigenvalues of P below this fraction of the largest are treated as a
 # null space: those modes carry no rate and no compression noise
@@ -86,18 +94,24 @@ def eiu(P: np.ndarray, R_l: float) -> CompressionOutcome:
     b = R_l / K
     if b <= 0:
         raise SolverError("EIU needs a strictly positive per-user bit budget")
+    if not np.isfinite(P).all():
+        raise PsdError("P is not finite")
     pdiag = np.diag(P).real
     if np.any(pdiag < -RANK_TOL * max(pdiag.max(initial=0.0), 1.0)):
         raise SolverError("P has a negative diagonal entry")
     return _EiuOutcome(P, np.clip(pdiag, 0.0, None) / (2.0 ** b - 1.0))
 
 
+def _mode_noise(lam: np.ndarray, mu) -> np.ndarray:
+    """The mode noises at multiplier mu (a float, or a column of them): the
+    positive roots of d^2 + lam d - mu lam = 0 in cancellation-free form."""
+    return 2.0 * mu * lam / (lam + np.sqrt(lam * lam + 4.0 * mu * lam))
+
+
 def _mode_rates(lam: np.ndarray, mus) -> tuple:
-    """(d, rates): for each multiplier mu in mus, the row of mode noises, the
-    positive roots of d^2 + lam d - mu lam = 0 in cancellation-free form, and
+    """(d, rates): for each multiplier mu in mus, the row of mode noises and
     its rate sum_k log2(1 + lam_k / d_k)."""
-    mu = np.asarray(mus, dtype=float)[:, None]
-    d = 2.0 * mu * lam / (lam + np.sqrt(lam * lam + 4.0 * mu * lam))
+    d = _mode_noise(lam, np.asarray(mus, dtype=float)[:, None])
     return d, np.log2(1.0 + lam / d).sum(axis=1)
 
 
@@ -138,6 +152,18 @@ def _bisect(lam: np.ndarray, R_l: float) -> np.ndarray:
         f"rate bisection did not converge: R={R_l}, last rate={r}, mu=[{mu_lo},{mu_hi}]")
 
 
+def _rate_slope(lam: list, mu: float) -> tuple:
+    """(rate, g) at mu in plain floats: the rate in bits and its slope
+    g = -d rate / d ln mu, in bits per unit of ln mu."""
+    mu2 = 2.0 * mu
+    r = g = 0.0
+    for x in lam:
+        s = math.sqrt(x * (x + 2.0 * mu2))   # 2 d_k + lam_k
+        r += math.log1p((x + s) / mu2)       # ln(1 + lam_k / d_k)
+        g += x / s
+    return r / LN2, g / LN2
+
+
 def _root_estimate(lam: list, R_l: float, mu0: float):
     """(mu, g): Newton's estimate of the root and the slope -d rate / d ln mu
     there, or None when Newton, kept inside [_MU_MIN, _MU_MAX] like every lam,
@@ -156,13 +182,8 @@ def _root_estimate(lam: list, R_l: float, mu0: float):
         sum(map(math.log, lam)) - R_l * LN2) / len(lam)
     t = min(max(t, t_min), t_max)
     for _ in range(_NEWTON_MAX_ITER):
-        mu2 = 2.0 * math.exp(t)
-        r = g = 0.0
-        for x in lam:
-            s = math.sqrt(x * (x + 2.0 * mu2))   # 2 d_k + lam_k
-            r += math.log1p((x + s) / mu2)       # ln(1 + lam_k / d_k)
-            g += x / s
-        err, g = r / LN2 - R_l, g / LN2
+        r, g = _rate_slope(lam, math.exp(t))
+        err = r - R_l
         # |d^2 rate / dt^2| <= g / 2, so the step lands within err^2 / (4 g) of R_l
         if err * err <= 0.1 * RATE_TOL_BITS * g:
             return math.exp(t + err / g), g
@@ -176,19 +197,27 @@ def _solve_mode_noises(lam: np.ndarray, R_l: float, mu0: float = math.nan) -> np
     The rate falls with the multiplier mu. _bisect brackets mu by x8 steps
     from lam.max() and bisects it until a midpoint's computed rate is within
     RATE_TOL_BITS of R_l; this fenced solve takes that bisection's decisions
-    from one rating call. Newton's estimate est (_root_estimate, started from
+    without rating them. Newton's estimate est (_root_estimate, started from
     the guess mu0) sets two fences est (1 -+ delta), each about _FENCE_BITS
-    from R_l. Once their computed rates clear R_l +- (RATE_TOL_BITS + a
-    rounding bound), the exact rate puts every computed rate left of the
-    lower fence above R_l + RATE_TOL_BITS and right of the upper one below
-    R_l - RATE_TOL_BITS: the grid search of _bracket and every midpoint
-    outside the fences are decided unrated. The midpoints between the fences
-    are listed by predicting their decisions from est and rated with the
-    fences; the first that meets the rate is the bisection's result. _bisect
-    runs instead when Newton fails, a fence does not clear, a grid point lies
-    between the fences, a value leaves [_MU_MIN, _MU_MAX], a rated midpoint
-    defies its prediction or none meets the rate. Either way the noises, and
-    any SolverError, are the bisection's bit for bit, whatever mu0 is.
+    from R_l. Every computed rate left of the lower fence lies above
+    R_l + RATE_TOL_BITS and right of the upper one below R_l - RATE_TOL_BITS
+    once the fences clear R_l by RATE_TOL_BITS plus a rounding bound: the grid
+    search of _bracket and every midpoint outside the fences are decided.
+
+    The fences and the midpoints between them are first decided by the rate
+    model at est: the rate and slope g computed there in plain floats, and a
+    margin that bounds how far any computed rate near est strays from that
+    model. A midpoint g |ln(mu / est)| from R_l is decided when that clears
+    RATE_TOL_BITS + margin and meets the rate when it is below
+    RATE_TOL_BITS - margin; the first that meets it is the result, and only
+    its noises are formed. Otherwise (a fence or a midpoint within the margin
+    of RATE_TOL_BITS) the fences and the midpoints between them, listed by
+    predicting their decisions from est, are rated in one call and decided by
+    their computed rates. _bisect runs instead when Newton fails, a fence
+    does not clear, a grid point lies between the fences, a value leaves
+    [_MU_MIN, _MU_MAX], a rated midpoint defies its prediction or none meets
+    the rate. Either way the noises, and any SolverError, are the
+    bisection's bit for bit, whatever mu0 is.
     """
     R_l = float(R_l)
     lams = lam.tolist()
@@ -211,6 +240,21 @@ def _solve_mode_noises(lam: np.ndarray, R_l: float, mu0: float = math.nan) -> np
     mu_lo, above = math.ldexp(lam_max, 3 * i), math.ldexp(lam_max, 3 * i + 3)
     if above <= f_hi or mu_lo < _MU_MIN or above > _MU_MAX:
         return _bisect(lam, R_l)
+    # in the range every intermediate of a computed rate r is a normal float:
+    # each mode's rate is within about 12 u + 4 u r_k of the exact one
+    # (u = eps / 2, most of it numpy's log2) and the sum adds (K - 1) u r, so
+    # 64 eps K (r + K) bounds the error of two computed rates near r
+    r_est, g_est = _rate_slope(lams, est)
+    bound = 64.0 * _EPS * K * (r_est + 1.0 + K)
+    # the exact rate at mu = est e^x is r(est) - g x within g x^2 / 2 for
+    # |x| <= ln 2, since |d^2 rate / dt^2| <= g / 2 and g grows at most by
+    # e^(|x| / 2) leftwards; every mu between the fences has |x| <= x_m. One
+    # bound covers r_est's rounding (and that of g_est |x|), one a rate
+    # computed by _mode_rates
+    x_m = -math.log1p(-delta)
+    margin = abs(r_est - R_l) + 2.0 * bound + 0.5 * g_est * x_m * x_m
+    sure = (g_est * min(math.log(est / f_lo), math.log(f_hi / est))
+            > RATE_TOL_BITS + margin)
     # the midpoint of a bracket [lo, hi] around the root is within g (hi - lo) / lo
     # bits of R_l: once that is half of RATE_TOL_BITS, it meets the rate
     hit_width = 0.5 * RATE_TOL_BITS / g
@@ -223,16 +267,17 @@ def _solve_mode_noises(lam: np.ndarray, R_l: float, mu0: float = math.nan) -> np
             hi = mu
         else:
             mids.append(mu)
+            if sure:
+                dist = g_est * abs(math.log(mu / est))
+                if dist < RATE_TOL_BITS - margin:
+                    return _mode_noise(lam, mu)
+                sure = dist > RATE_TOL_BITS + margin
             if mu in (lo, hi) or hi - lo <= hit_width * lo:
                 break
             lo, hi = (mu, hi) if mu < est else (lo, mu)
     d, rates = _mode_rates(lam, [f_lo, f_hi] + mids)
     rates = rates.tolist()
-    # in the range every intermediate of a computed rate r is a normal float:
-    # each mode's rate is within about 12 u + 4 u r_k of the exact one
-    # (u = eps / 2, most of it numpy's log2) and the sum adds (K - 1) u r, so
-    # 64 eps K (r + K) bounds the error of two computed rates near r
-    bound = 64.0 * np.finfo(float).eps * K * (rates[0] + K)
+    bound = 64.0 * _EPS * K * (rates[0] + K)
     if not (rates[0] - bound > R_l + RATE_TOL_BITS and rates[1] + bound < R_l - RATE_TOL_BITS):
         return _bisect(lam, R_l)
     # the first midpoint that meets the rate is the bisection's result, if
@@ -248,23 +293,31 @@ def _solve_mode_noises(lam: np.ndarray, R_l: float, mu0: float = math.nan) -> np
 def _eigen_solve(P: np.ndarray, R_l: float, mu0: float) -> tuple:
     """(U, pos, lam, d) of the SCNM solve on Hermitian P.
 
-    U is P's eigenbasis; pos marks the modes whose eigenvalue lam exceeds
-    RANK_TOL of the largest, and d holds their noises (_solve_mode_noises,
-    guessing mu0). Modes outside pos, including round-off-level negative
-    eigenvalues, get no noise. Raises PsdError on a genuinely negative one.
+    LAPACK zheevd reads P's lower triangle only. U is P's eigenbasis; pos
+    selects the modes whose eigenvalue lam exceeds RANK_TOL of the largest
+    (all of them, as a slice, when the smallest does), and d holds their
+    noises (_solve_mode_noises, guessing mu0). Modes outside pos, including
+    round-off-level negative eigenvalues, get no noise. Raises PsdError on a
+    genuinely negative or a non-finite eigenvalue, LinAlgError when zheevd fails.
     """
-    w, U = np.linalg.eigh(P)
+    w, U, info = _ZHEEVD(P, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"zheevd failed to converge (info {info})")
     check_psd_spectrum(w, name="P")
-    pos = w > RANK_TOL * max(float(w[-1]), 0.0)
-    lam = w[pos]
+    tol = RANK_TOL * max(float(w[-1]), 0.0)
+    if w[0] > tol:
+        pos, lam = slice(None), w
+    else:
+        pos = w > tol
+        lam = w[pos]
     # nothing to forward: zero estimate costs zero rate and zero noise
     d = _solve_mode_noises(lam, R_l, mu0) if lam.size else lam
     return U, pos, lam, d
 
 
-def _mode_covariance(U: np.ndarray, pos: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _mode_covariance(U: np.ndarray, pos, d: np.ndarray) -> np.ndarray:
     """U diag(d on pos, 0 elsewhere) U^H."""
-    dfull = np.zeros(len(pos))
+    dfull = np.zeros(U.shape[1])
     dfull[pos] = d
     return herm((U * dfull) @ U.conj().T)
 
@@ -274,19 +327,15 @@ def _support_mode_rate(lam: np.ndarray, d: np.ndarray) -> float:
     return float(np.sum(np.log2(1.0 + lam / d)))
 
 
-def _check_weights(w: np.ndarray) -> None:
-    if np.any(w <= 0):
-        raise SolverError("weights must be strictly positive")
-
-
 def scnm(P: np.ndarray, R_l: float) -> CompressionOutcome:
     """Minimize trace(Q) s.t. log2 det(P Q^-1 + I) = R_l, Q >= 0.
 
     Q shares the eigenbasis of P; each mode's noise solves the KKT
     quadratic d^2 + lam*d - mu*lam = 0. The multiplier mu is the rate
     bisection's (_solve_mode_noises), whose decisions a Newton estimate
-    started cold lets one rating call take. The eigendecomposition, PSD
-    check, support and mode solve are _eigen_solve, which wsinm also runs.
+    started cold lets it take unrated or in one rating call. The
+    eigendecomposition, PSD check, support and mode solve are _eigen_solve,
+    which wsinm also runs.
     """
     if R_l <= 0:
         raise SolverError("vector-wise compression needs R_l > 0")
@@ -303,9 +352,11 @@ def weighted_scnm(P: np.ndarray, R_l: float, weights: np.ndarray) -> Compression
     runs the same transform inside its loop without calling this.
     """
     w = np.asarray(weights, dtype=float)
-    _check_weights(w)
+    if np.any(w <= 0):
+        raise SolverError("weights must be strictly positive")
     ws = np.sqrt(w)
-    Pbar = herm((ws[:, None] * P) * ws[None, :])
+    # exactly Hermitian, as herm(P) is: entry (j, i) is the conjugate of (i, j)
+    Pbar = herm(P) * np.outer(ws, ws)
     inner = scnm(Pbar, R_l)
     Q = herm(inner.Q / ws[:, None] / ws[None, :])
     return CompressionOutcome(Q=Q, achieved_rate=inner.achieved_rate)
@@ -319,18 +370,21 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> Compressi
     X_k = interference_base[k] + Q[k,k] is user k's interference-plus-noise.
     interference_base must exclude the current AP's own Q[k,k] term.
 
-    Step (i) is weighted_scnm's congruence transform with one eigh per
+    Step (i) is weighted_scnm's congruence transform with one zheevd per
     iteration. The weight update reads only diag Q, so an iteration forms
     just that; the full Q and its rate are formed once, from the last
     iteration's modes. Each rate solve starts its Newton estimate from the
     previous iteration's multiplier, which moves only the estimate: every
-    solve is still the plain bisection's bit for bit.
+    solve is still the plain bisection's bit for bit. The weights need no
+    check: w = 1 / (ln2 X) with X >= base > 0.
     """
     if R_l <= 0:
         raise SolverError("vector-wise compression needs R_l > 0")
     base = np.asarray(interference_base, dtype=float)
-    if np.any(base <= 0):
-        raise SolverError("interference-plus-noise base must be strictly positive")
+    if not np.all((base > 0) & (base < math.inf)):
+        raise SolverError("interference-plus-noise base must be finite and strictly positive")
+    # exactly Hermitian, so every P * outer(ws, ws) below is too
+    P = herm(P)
     K = P.shape[0]
     w = np.ones(K)
     mu = math.nan
@@ -340,12 +394,12 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> Compressi
     iters = 0
     for it in range(BCD_MAX_ITER):
         iters = it + 1
-        _check_weights(w)
         ws = np.sqrt(w)
-        U, pos, lam, d = _eigen_solve(herm((ws[:, None] * P) * ws[None, :]), R_l, mu)
+        U, pos, lam, d = _eigen_solve(P * np.outer(ws, ws), R_l, mu)
         if d.size:
             # every mode gives back its multiplier: d^2 + lam d = mu lam
-            mu = d[-1] * (d[-1] + lam[-1]) / lam[-1]
+            d_top, lam_top = float(d[-1]), float(lam[-1])
+            mu = d_top * (d_top + lam_top) / lam_top
         Up = U[:, pos]
         X = base + (Up.real ** 2 + Up.imag ** 2) @ d / w
         obj_q = float(w @ X - log_w)

@@ -72,6 +72,8 @@ class ExperimentSpec:
             raise ConfigError("trials must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for val in self.values:      # every point is valid before any trial runs
+            self.point_config(val)
         L = self.base.L
         for s in self.strategies:
             if s.path_mode == "tp" and L < 2:
@@ -80,6 +82,17 @@ class ExperimentSpec:
             if s.allocation == "log" and (L if s.path_mode == "sp" else L // 2) < 2:
                 raise ConfigError(f"{s.label()}: logarithmic allocation needs at least "
                                   f"2 APs on every chain, got L={L}")
+
+    def point_config(self, val) -> NetworkConfig:
+        """The network of sweep point val: base with K or R_T set to val."""
+        try:
+            if self.sweep == "rate":
+                return self.base.replace(R_T=float(val))
+            if int(val) != val:
+                raise ConfigError("the user count must be a whole number")
+            return self.base.replace(K=int(val))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"sweep value {val!r}: {exc}") from exc
 
 
 @dataclass
@@ -138,10 +151,7 @@ def run_experiment(spec: ExperimentSpec) -> list:
     """
     rows = []
     for val in spec.values:
-        if spec.sweep == "users":
-            cfg = spec.base.replace(K=int(val))
-        else:
-            cfg = spec.base.replace(R_T=float(val))
+        cfg = spec.point_config(val)
         sums = {s: np.full(spec.trials, np.nan) for s in spec.strategies}
         failures = {s: 0 for s in spec.strategies}
         for t in range(spec.trials):

@@ -21,16 +21,27 @@ def herm(X: np.ndarray) -> np.ndarray:
 
 
 def check_psd_spectrum(w: np.ndarray, name: str = "matrix") -> None:
-    """Raise PsdError if the ascending eigenvalues w have a genuinely negative one."""
+    """Raise PsdError if the ascending eigenvalues w have a genuinely negative
+    or a non-finite one."""
+    if not np.isfinite(w).all():
+        raise PsdError(f"{name} has a non-finite eigenvalue")
     lo, hi = float(w[0]), float(w[-1])
     scale = max(-lo, hi, 1e-300)          # max |w|, at one end of the spectrum
     if lo < -PSD_REL_TOL * scale:
         raise PsdError(f"{name} has negative eigenvalue {lo:.3e} (scale {scale:.3e})")
 
 
-def _cholesky(X: np.ndarray) -> tuple:
-    """Upper Cholesky factor c of Hermitian X, and whether X is finite and PD."""
-    c, info = sla.get_lapack_funcs("potrf", (X,))(X, clean=False)
+# LAPACK potrf / potrs, bound once: the (real, complex) handles
+_POTRF = tuple(sla.get_lapack_funcs("potrf", dtype=t) for t in (float, complex))
+_POTRS = tuple(sla.get_lapack_funcs("potrs", dtype=t) for t in (float, complex))
+
+
+def _cholesky(X: np.ndarray, overwrite: bool = False) -> tuple:
+    """Upper Cholesky factor c of Hermitian X, and whether X is finite and PD.
+
+    With overwrite, a Fortran-ordered X of the handle's dtype is factored in place.
+    """
+    c, info = _POTRF[np.iscomplexobj(X)](X, overwrite_a=overwrite, clean=False)
     # OpenBLAS's potrf lets NaN through with info 0; it leaves the trace NaN
     return c, info == 0 and math.isfinite(c.trace().real)
 
@@ -38,10 +49,10 @@ def _cholesky(X: np.ndarray) -> tuple:
 def ensure_psd(X: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Symmetrize X and check it is PSD up to round-off (else PsdError); no repair."""
     X = herm(X)
-    shifted = X.copy()                    # X + PSD_REL_TOL * max(diag X) * I
+    shifted = X.copy(order="F")           # X + PSD_REL_TOL * max(diag X) * I
     shift = PSD_REL_TOL * max(X.diagonal().real.max(), 1e-300)
     shifted.flat[::len(X) + 1] += shift
-    if not _cholesky(shifted)[1]:
+    if not _cholesky(shifted, overwrite=True)[1]:
         raise PsdError(f"{name} is not PSD (diagonal shift {shift:.3e})")
     return X
 
@@ -64,8 +75,9 @@ def sample_cn(rng: np.random.Generator, Q: np.ndarray, n: int | None = None) -> 
 
 
 def herm_solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve S X = B for Hermitian PD S by LAPACK potrf + potrs; LinAlgError if not PD."""
+    """Solve S X = B for Hermitian PD S by LAPACK potrf + potrs; LinAlgError if
+    not PD. Neither S nor B is overwritten."""
     c, ok = _cholesky(S)
     if not ok:
         raise np.linalg.LinAlgError("matrix is not finite and positive definite")
-    return sla.get_lapack_funcs("potrs", (c, B))(c, B)[0]
+    return _POTRS[np.iscomplexobj(c) or np.iscomplexobj(B)](c, B)[0]

@@ -97,6 +97,18 @@ def bisect_mode_noises(lam, R):
         f"rate bisection did not converge: R={R}, last rate={r}, mu=[{mu_lo},{mu_hi}]")
 
 
+def eigh_mode_covariance(P, noise):
+    """(lam, Q) of Hermitian P by numpy's eigh of herm(P): lam holds the
+    eigenvalues above RANK_TOL of the largest, Q = U diag(noise(lam)) U^H
+    over their eigenvectors U."""
+    from seqcf import compression as comp
+
+    w, U = np.linalg.eigh(0.5 * (P + P.conj().T))
+    pos = w > comp.RANK_TOL * max(w[-1], 0.0)
+    Up = U[:, pos]
+    return w[pos], (Up * noise(w[pos])) @ Up.conj().T
+
+
 def cond_fusion_gram(G, Z, p, cond_limit=1e14, reg_scale=1e-12):
     """Fusion Gram matrix p G G^H + Z, bumped and checked with np.linalg.cond."""
     n = G.shape[0]

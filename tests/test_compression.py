@@ -7,10 +7,10 @@ from seqcf import (NetworkConfig, achieved_rate_bits, draw_channels, eiu, equal,
                    place_network, run_chain, scnm, weighted_scnm, wsinm)
 from seqcf import compression as comp
 from seqcf.compression import LN2, SolverError
-from seqcf.linalg import PsdError
+from seqcf.linalg import PsdError, check_psd_spectrum, herm
 
-from oracles import (bisect_mode_noises, complex_randn, feasible_q_on_constraint,
-                     grid_min_trace, rand_psd, stacked_wsinm)
+from oracles import (bisect_mode_noises, complex_randn, eigh_mode_covariance,
+                     feasible_q_on_constraint, grid_min_trace, rand_psd, stacked_wsinm)
 
 
 class TestEiu:
@@ -279,6 +279,23 @@ class TestRateSolve:
             assert_same_solve(lam, float(10.0 ** rng.uniform(-2.0, 2.5)))
         assert 0 < len(calls) < 30
 
+    def test_uncertain_midpoints_take_the_rating_call(self, monkeypatch):
+        # with the rounding bound inflated to half of RATE_TOL_BITS the fences
+        # still clear, but no midpoint near the root can be decided unrated:
+        # every solve rates the fences and midpoints in one call (or bisects)
+        # and returns the bisection's result
+        rates = count_calls(monkeypatch, "_mode_rates")
+        fallbacks = count_calls(monkeypatch, "_bisect")
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            K = int(rng.integers(1, 30))
+            lam, R = 10.0 ** rng.uniform(-6.0, 3.0, K), float(10.0 ** rng.uniform(-2.0, 2.5))
+            monkeypatch.setattr(comp, "_EPS", 0.5 * comp.RATE_TOL_BITS / (64.0 * K * (R + K)))
+            before = len(rates)
+            assert_same_solve(lam, R)
+            assert len(rates) > before
+        assert len(fallbacks) < 10
+
     def test_iteration_limit_raises(self, monkeypatch):
         monkeypatch.setattr(comp, "RATE_MAX_ITER", 3)
         lam = np.array([1.0, 0.3, 0.01])
@@ -287,19 +304,97 @@ class TestRateSolve:
         assert_same_solve(lam, 5.0)
 
     def test_few_rate_evaluations_per_solve(self, monkeypatch):
-        # every solve of an L=12, N=10, K=20 WSINM chain rates the fences and
-        # the midpoints between them in one call and never bisects; the plain
-        # bisection would take ~40 calls
+        # every solve of an L=12, N=10, K=20 WSINM chain makes at most one
+        # rating call, most make none, and none bisects; the plain bisection
+        # would take ~40 calls
         rates = count_calls(monkeypatch, "_mode_rates")
-        solves = count_calls(monkeypatch, "_solve_mode_noises")
+        per_solve = []
+        real = comp._solve_mode_noises
+
+        def solve(*a):
+            before = len(rates)
+            out = real(*a)
+            per_solve.append(len(rates) - before)
+            return out
+
+        monkeypatch.setattr(comp, "_solve_mode_noises", solve)
         fallbacks = count_calls(monkeypatch, "_bisect")
         cfg = NetworkConfig(L=12, N=10, K=20)
         rng = np.random.default_rng(7)
         H = draw_channels(cfg, place_network(cfg, rng), rng).H
         run_chain(cfg.p, cfg.sigma2, H, "wsinm", equal(cfg.R_T, cfg.L))
-        assert len(solves) > cfg.L
-        assert len(rates) == len(solves)
+        assert len(per_solve) > cfg.L
+        assert max(per_solve) <= 1
+        assert sum(per_solve) < 0.5 * len(per_solve)
         assert fallbacks == []
+
+
+def smooth_noise(lam, R_l=None, mu0=None):
+    # a nonlinear, 1-Lipschitz function of the eigenvalues in place of the
+    # rate solve, so that Q compares the eigensolvers alone
+    top = lam.max(initial=0.0)
+    return lam * top / (lam + top)
+
+
+class TestEigenSolve:
+    # _eigen_solve runs LAPACK zheevd on P's lower triangle; the oracle is
+    # numpy's eigh of herm(P)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 40),
+           rank=st.floats(0.0, 1.0),
+           log_scale=st.one_of(st.sampled_from([-100.0, 100.0]), st.floats(-100.0, 100.0)))
+    def test_matches_eigh(self, seed, k, rank, log_scale):
+        # eigenvalues over 8 decades, some modes (all, at rank 0) exactly zero
+        rng = np.random.default_rng(seed)
+        w = 10.0 ** rng.uniform(-8.0, 0.0, k) * (rng.uniform(size=k) < rank)
+        U, _ = np.linalg.qr(complex_randn(rng, (k, k)))
+        P = herm(10.0 ** log_scale * ((U * w) @ U.conj().T))
+        lam_ref, Q_ref = eigh_mode_covariance(P, smooth_noise)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(comp, "_solve_mode_noises", smooth_noise)
+            U_got, pos, lam, d = comp._eigen_solve(P, 1.0, np.nan)
+        assert lam.shape == lam_ref.shape
+        if lam.size:
+            assert np.abs(lam - lam_ref).max() <= 1e-12 * lam_ref[-1]
+        Q = comp._mode_covariance(U_got, pos, d)
+        assert np.linalg.norm(Q - Q_ref) <= 1e-10 * np.linalg.norm(Q_ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 40),
+           log_spread=st.floats(0.0, 30.0))
+    def test_weighted_p_exactly_hermitian(self, seed, k, log_spread):
+        # wsinm hands zheevd P * outer(ws, ws) without symmetrizing it
+        rng = np.random.default_rng(seed)
+        P = herm(complex_randn(rng, (k, k)))
+        ws = np.sqrt(10.0 ** rng.uniform(-log_spread, log_spread, k))
+        W = P * np.outer(ws, ws)
+        assert np.array_equal(W, W.conj().T)
+
+    def test_zheevd_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(comp, "_ZHEEVD", lambda P, lower: (np.ones(2), np.eye(2), 1))
+        with pytest.raises(np.linalg.LinAlgError, match="zheevd"):
+            scnm(np.eye(2, dtype=complex), 4.0)
+
+
+class TestNonFiniteP:
+    @pytest.mark.parametrize("design", ["eiu", "scnm", "wsinm"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(1, 1), (2, 0)])
+    def test_rejected(self, rng, design, bad, where):
+        P = rand_psd(rng, 4, jitter=0.1)
+        i, j = where
+        P[i, j] = P[j, i] = bad
+        solve = {"eiu": lambda: eiu(P, 8.0), "scnm": lambda: scnm(P, 4.0),
+                 "wsinm": lambda: wsinm(P, 4.0, np.ones(4))}[design]
+        with np.errstate(all="ignore"), pytest.raises((PsdError, np.linalg.LinAlgError)):
+            solve()
+
+    @pytest.mark.parametrize("w", [[np.nan, 1.0], [0.0, np.nan, 1.0], [1.0, np.inf],
+                                   [-np.inf, 1.0]])
+    def test_spectrum_check_rejects_non_finite(self, w):
+        with pytest.raises(PsdError, match="non-finite"):
+            check_psd_spectrum(np.array(w))
 
 
 class TestWeightedScnm:
@@ -371,8 +466,11 @@ class TestWsinm:
         assert np.allclose(w_re, out.weights, rtol=1e-6)
 
     def test_zero_interference_rejected(self, rng):
-        with pytest.raises(SolverError):
-            wsinm(rand_psd(rng, 2), 5.0, np.array([0.0, 1.0]))
+        # also a negative or non-finite base: the weights are 1 / (ln2 X) with
+        # X >= base, so the base is what keeps them positive and finite
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(SolverError):
+                wsinm(rand_psd(rng, 2), 5.0, np.array([bad, 1.0]))
 
     def test_reports_iterations(self, rng):
         out = wsinm(rand_psd(rng, 2, jitter=0.01), 5.0, np.array([0.5, 0.9]))

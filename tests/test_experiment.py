@@ -46,6 +46,19 @@ class TestSpecValidation:
                            strategies=(Strategy.parse("sp-ef-eiu"), Strategy.parse(strategy)),
                            trials=1, seed=0)
 
+    @pytest.mark.parametrize("sweep, values, message", [
+        ("users", (2, 0), "sweep value 0: L, N and K must be positive integers"),
+        ("users", (2, 50), "sweep value 50: tau_c must exceed tau_p = K"),
+        ("users", (2, 2.5), "sweep value 2.5: the user count must be a whole number"),
+        ("rate", (30.0, float("nan")), "sweep value nan: R_T must be finite"),
+        ("rate", (30.0, -5.0), "sweep value -5.0: R_T must be finite"),
+        ("rate", (30.0, float("inf")), "sweep value inf: R_T must be finite"),
+    ])
+    def test_every_sweep_point_checked(self, sweep, values, message):
+        # a bad point is rejected when the spec is built, before any trial
+        with pytest.raises(ConfigError, match=message):
+            small_spec(["sp-ef-eiu"], values=values, sweep=sweep)
+
     @pytest.mark.parametrize("L, strategy", [(2, "tp-ef-eiu"), (2, "sp-log-eiu"),
                                              (4, "tp-log-eiu")])
     def test_shortest_chains_run(self, L, strategy):
@@ -280,6 +293,25 @@ class TestCli:
         assert capsys.readouterr().err.strip() == message
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, values, message", [
+        ("sweep-users", "2,0", "error: sweep value 0: L, N and K must be positive integers"),
+        ("sweep-users", "2,50", "error: sweep value 50: tau_c must exceed tau_p = K"),
+        ("sweep-rate", "100,nan", "error: sweep value nan: R_T must be finite and "
+                                  "strictly positive, got nan"),
+    ])
+    def test_bad_sweep_point_exits_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                    command, values, message):
+        import seqcf.experiment as experiment
+        monkeypatch.setattr(experiment, "simulate_trial", lambda *a: pytest.fail("ran"))
+        cfg = tmp_path / "net.cfg"
+        cfg.write_text("N = 2\ntau_c = 50\n")
+        out = tmp_path / "x.csv"
+        rc = main([command, "--config", str(cfg), "--values", values,
+                   "--strategies", "sp-ef-eiu", "--trials", "1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == message
+        assert not out.exists()
+
     def test_unwritable_out_exits_before_the_sweep(self, tmp_path, capsys, monkeypatch):
         import seqcf.cli as cli
         monkeypatch.setattr(cli, "run_experiment", lambda spec: pytest.fail("ran"))
@@ -320,3 +352,9 @@ class TestCli:
     def test_selftest_smoke(self, capsys):
         assert main(["selftest"]) == 0
         assert "[PASS]" in capsys.readouterr().out
+
+    def test_selftest_negative_seed_exits_nonzero(self, capsys, monkeypatch):
+        import seqcf.selftest as selftest
+        monkeypatch.setattr(selftest, "run_selftest", lambda seed: pytest.fail("ran"))
+        assert main(["selftest", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.strip() == "error: seed must be non-negative, got -1"
