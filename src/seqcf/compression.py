@@ -25,14 +25,15 @@ _ZHEEVD = lapack.zheevd
 # null space: those modes carry no rate and no compression noise
 RANK_TOL = 1e-12
 
-# SCNM rate solve: the plain bisection on the multiplier stops at the first
-# midpoint whose computed rate is within RATE_TOL_BITS of R_l, after at most
-# RATE_MAX_ITER midpoints; the fenced solve takes its decisions bit for bit
+# SCNM rate solve: the bisection on the multiplier stops at the first midpoint
+# whose computed rate is within RATE_TOL_BITS of R_l, after at most
+# RATE_MAX_ITER midpoints; halving from the bracket's top down to a root k
+# binades below it takes about k + 40, and doubles span about 2100 binades
 RATE_TOL_BITS = 1e-9
-RATE_MAX_ITER = 200
-# the fenced solve: Newton steps allowed for one root estimate, the fences'
+RATE_MAX_ITER = 2200
+# the rate model: Newton steps allowed for one root estimate, the fences'
 # distance in bits from R_l, and the range in which every intermediate of a
-# computed rate is a normal float (see _solve_mode_noises)
+# computed rate is a normal float (see _rate_model)
 _NEWTON_MAX_ITER = 64
 _FENCE_BITS = 1e-7
 _MU_MIN, _MU_MAX = 2.0 ** -500, 2.0 ** 500
@@ -102,54 +103,15 @@ def eiu(P: np.ndarray, R_l: float) -> CompressionOutcome:
     return _EiuOutcome(P, np.clip(pdiag, 0.0, None) / (2.0 ** b - 1.0))
 
 
-def _mode_noise(lam: np.ndarray, mu) -> np.ndarray:
-    """The mode noises at multiplier mu (a float, or a column of them): the
-    positive roots of d^2 + lam d - mu lam = 0 in cancellation-free form."""
+def _mode_noise(lam: np.ndarray, mu: float) -> np.ndarray:
+    """The mode noises at multiplier mu: the positive roots of
+    d^2 + lam d - mu lam = 0 in cancellation-free form."""
     return 2.0 * mu * lam / (lam + np.sqrt(lam * lam + 4.0 * mu * lam))
 
 
-def _mode_rates(lam: np.ndarray, mus) -> tuple:
-    """(d, rates): for each multiplier mu in mus, the row of mode noises and
-    its rate sum_k log2(1 + lam_k / d_k)."""
-    d = _mode_noise(lam, np.asarray(mus, dtype=float)[:, None])
-    return d, np.log2(1.0 + lam / d).sum(axis=1)
-
-
-def _bracket(lam: np.ndarray, R_l: float) -> tuple:
-    """(mu_lo, r_lo, mu_hi, r_hi) of the geometric x8 search from lam.max().
-
-    mu_hi is the first lam.max() * 8^j, j >= 0, whose rate is at most R_l;
-    mu_lo the first mu_hi / 8^i, i >= 0, whose rate is at least R_l.
-    """
-    mu_hi = float(lam.max())
-    grow = 0
-    while (r_hi := _mode_rates(lam, [mu_hi])[1][0]) > R_l:
-        mu_hi *= 8.0
-        grow += 1
-        if grow > 600:
-            raise SolverError("failed to bracket the rate constraint from above")
-    mu_lo, r_lo = mu_hi, r_hi
-    while r_lo < R_l:
-        mu_lo /= 8.0
-        r_lo = _mode_rates(lam, [mu_lo])[1][0]
-        grow += 1
-        if grow > 1200:
-            raise SolverError("failed to bracket the rate constraint from below")
-    return mu_lo, float(r_lo), mu_hi, float(r_hi)
-
-
-def _bisect(lam: np.ndarray, R_l: float) -> np.ndarray:
-    """The plain bisection: _bracket, then one rated midpoint per step."""
-    mu_lo, _, mu_hi, _ = _bracket(lam, R_l)
-    for _ in range(RATE_MAX_ITER):
-        mu = 0.5 * (mu_lo + mu_hi)
-        d, rates = _mode_rates(lam, [mu])
-        r = float(rates[0])
-        if abs(r - R_l) <= RATE_TOL_BITS:
-            return d[0]
-        mu_lo, mu_hi = (mu, mu_hi) if r > R_l else (mu_lo, mu)
-    raise SolverError(
-        f"rate bisection did not converge: R={R_l}, last rate={r}, mu=[{mu_lo},{mu_hi}]")
+def _mode_rate(lam: np.ndarray, d: np.ndarray) -> float:
+    """log2 det(P Q^-1 + I) on the support, from its modes lam and noises d."""
+    return float(np.sum(np.log2(1.0 + lam / d)))
 
 
 def _rate_slope(lam: list, mu: float) -> tuple:
@@ -191,103 +153,115 @@ def _root_estimate(lam: list, R_l: float, mu0: float):
     return None
 
 
-def _solve_mode_noises(lam: np.ndarray, R_l: float, mu0: float = math.nan) -> np.ndarray:
-    """Per-eigenmode noise variances meeting the rate constraint with equality.
+def _rate_model(lam: list, R_l: float, mu0: float):
+    """(f_lo, f_hi, est, g, margin), a model of the computed rate that decides
+    the bisection's comparisons, or None when it cannot be certified.
 
-    The rate falls with the multiplier mu. _bisect brackets mu by x8 steps
-    from lam.max() and bisects it until a midpoint's computed rate is within
-    RATE_TOL_BITS of R_l; this fenced solve takes that bisection's decisions
-    without rating them. Newton's estimate est (_root_estimate, started from
-    the guess mu0) sets two fences est (1 -+ delta), each about _FENCE_BITS
-    from R_l. Every computed rate left of the lower fence lies above
-    R_l + RATE_TOL_BITS and right of the upper one below R_l - RATE_TOL_BITS
-    once the fences clear R_l by RATE_TOL_BITS plus a rounding bound: the grid
-    search of _bracket and every midpoint outside the fences are decided.
-
-    The fences and the midpoints between them are first decided by the rate
-    model at est: the rate and slope g computed there in plain floats, and a
-    margin that bounds how far any computed rate near est strays from that
-    model. A midpoint g |ln(mu / est)| from R_l is decided when that clears
-    RATE_TOL_BITS + margin and meets the rate when it is below
-    RATE_TOL_BITS - margin; the first that meets it is the result, and only
-    its noises are formed. Otherwise (a fence or a midpoint within the margin
-    of RATE_TOL_BITS) the fences and the midpoints between them, listed by
-    predicting their decisions from est, are rated in one call and decided by
-    their computed rates. _bisect runs instead when Newton fails, a fence
-    does not clear, a grid point lies between the fences, a value leaves
-    [_MU_MIN, _MU_MAX], a rated midpoint defies its prediction or none meets
-    the rate. Either way the noises, and any SolverError, are the
-    bisection's bit for bit, whatever mu0 is.
+    est is Newton's estimate of the root (_root_estimate, started from mu0)
+    and g the slope there; the fences est (1 -+ delta) lie about _FENCE_BITS
+    either side of R_l. Every computed rate at a mu between the fences is
+    within margin of R_l - g ln(mu / est), and every one left of the lower
+    fence lies above R_l + RATE_TOL_BITS and right of the upper one below
+    R_l - RATE_TOL_BITS: the model is returned only when g times the fences'
+    distance in ln mu from est clears RATE_TOL_BITS + margin.
     """
-    R_l = float(R_l)
-    lams = lam.tolist()
-    K, lam_max = len(lams), max(lams)
-    est = None
-    if _MU_MIN <= min(lams) and lam_max <= _MU_MAX:
-        est = _root_estimate(lams, R_l, mu0)
+    if not (_MU_MIN <= min(lam) and max(lam) <= _MU_MAX):
+        return None
+    est = _root_estimate(lam, R_l, mu0)
     if est is None:
-        return _bisect(lam, R_l)
+        return None
     est, g = est
     delta = min(_FENCE_BITS / g, 0.5)
     f_lo, f_hi = est * (1.0 - delta), est * (1.0 + delta)
-    # mu_lo is the largest grid point lam_max 8^i below the lower fence; in
-    # the range, the loops of _bracket reach it exactly within ~340 steps
-    i = math.floor(math.log(f_lo / lam_max) / math.log(8.0))
-    while math.ldexp(lam_max, 3 * i + 3) < f_lo:
-        i += 1
-    while math.ldexp(lam_max, 3 * i) >= f_lo:
-        i -= 1
-    mu_lo, above = math.ldexp(lam_max, 3 * i), math.ldexp(lam_max, 3 * i + 3)
-    if above <= f_hi or mu_lo < _MU_MIN or above > _MU_MAX:
-        return _bisect(lam, R_l)
-    # in the range every intermediate of a computed rate r is a normal float:
-    # each mode's rate is within about 12 u + 4 u r_k of the exact one
-    # (u = eps / 2, most of it numpy's log2) and the sum adds (K - 1) u r, so
-    # 64 eps K (r + K) bounds the error of two computed rates near r
-    r_est, g_est = _rate_slope(lams, est)
+    # with lam and est in range every intermediate of a computed rate r at
+    # any mu the bisection visits (within a x8 step of the fences, or
+    # between them and lam.max()) is a normal float: each mode's rate is
+    # within about 12 u + 4 u r_k of the exact one (u = eps / 2, most of it
+    # numpy's log2) and the sum adds (K - 1) u r, so 64 eps K (r + K) bounds
+    # the error of two computed rates near r
+    r_est, g = _rate_slope(lam, est)
+    K = len(lam)
     bound = 64.0 * _EPS * K * (r_est + 1.0 + K)
     # the exact rate at mu = est e^x is r(est) - g x within g x^2 / 2 for
     # |x| <= ln 2, since |d^2 rate / dt^2| <= g / 2 and g grows at most by
     # e^(|x| / 2) leftwards; every mu between the fences has |x| <= x_m. One
-    # bound covers r_est's rounding (and that of g_est |x|), one a rate
-    # computed by _mode_rates
+    # bound covers r_est's rounding (and that of g |x|), one a computed rate
     x_m = -math.log1p(-delta)
-    margin = abs(r_est - R_l) + 2.0 * bound + 0.5 * g_est * x_m * x_m
-    sure = (g_est * min(math.log(est / f_lo), math.log(f_hi / est))
-            > RATE_TOL_BITS + margin)
-    # the midpoint of a bracket [lo, hi] around the root is within g (hi - lo) / lo
-    # bits of R_l: once that is half of RATE_TOL_BITS, it meets the rate
-    hit_width = 0.5 * RATE_TOL_BITS / g
-    lo, hi, mids = mu_lo, max(above, lam_max), []
+    margin = abs(r_est - R_l) + 2.0 * bound + 0.5 * g * x_m * x_m
+    if g * min(math.log(est / f_lo), math.log(f_hi / est)) <= RATE_TOL_BITS + margin:
+        return None
+    return f_lo, f_hi, est, g, margin
+
+
+def _solve_mode_noises(lam: np.ndarray, R_l: float, mu0: float = math.nan) -> np.ndarray:
+    """Per-eigenmode noise variances meeting the rate constraint with equality.
+
+    The rate falls with the multiplier mu. The bisection brackets mu by x8
+    steps from lam.max() and halves the bracket until a midpoint's computed
+    rate is within RATE_TOL_BITS of R_l, raising SolverError when the bracket
+    search or RATE_MAX_ITER midpoints fail. Each comparison it makes (rate
+    above or below R_l in the bracket search; a hit, above or below at a
+    midpoint) is taken from _rate_model, started from the guess mu0, when
+    the model decides it, and otherwise from the rate computed at that mu.
+    Either way the noises, and any SolverError, are the plain bisection's
+    bit for bit, whatever mu0 is.
+
+    The solve is scale-invariant, so a spectrum whose largest eigenvalue
+    lies outside [_MU_MIN, _MU_MAX], where lam * lam would overflow or
+    underflow, is solved scaled by a power of two, which is exact.
+    """
+    R_l = float(R_l)
+    lams = lam.tolist()
+    lam_max = max(lams)
+    if not _MU_MIN <= lam_max <= _MU_MAX:
+        e = math.frexp(lam_max)[1]     # 0 for a zero or non-finite lam_max
+        if e:
+            d = _solve_mode_noises(np.ldexp(lam, -e), R_l, math.ldexp(mu0, -e))
+            return np.ldexp(d, e)
+    model = _rate_model(lams, R_l, mu0)
+    # no model: no mu lies outside the fences, and every comparison is rated
+    f_lo, f_hi, est, g, margin = model or (0.0, math.inf, 0.0, 0.0, 0.0)
+
+    def gap(mu: float, hit: bool) -> float:
+        # r - R_l at mu between the fences as the bisection compares it:
+        # +-inf where the model puts r beyond R_l +- RATE_TOL_BITS, 0.0 where
+        # it puts r within RATE_TOL_BITS of R_l (if a hit decides), else computed
+        if model:
+            off = g * math.log(est / mu)       # the model's r - R_l
+            if abs(off) > RATE_TOL_BITS + margin:
+                return math.copysign(math.inf, off)
+            if hit and abs(off) < RATE_TOL_BITS - margin:
+                return 0.0
+        return _mode_rate(lam, _mode_noise(lam, mu)) - R_l
+
+    mu_hi = lam_max
+    grow = 0
+    while mu_hi < f_lo or mu_hi <= f_hi and gap(mu_hi, False) > 0.0:
+        mu_hi *= 8.0
+        grow += 1
+        if grow > 600:
+            raise SolverError("failed to bracket the rate constraint from above")
+    mu_lo = mu_hi
+    while mu_lo > f_hi or mu_lo >= f_lo and gap(mu_lo, False) < 0.0:
+        mu_lo /= 8.0
+        grow += 1
+        if grow > 1200:
+            raise SolverError("failed to bracket the rate constraint from below")
     for _ in range(RATE_MAX_ITER):
-        mu = 0.5 * (lo + hi)
+        mu = 0.5 * (mu_lo + mu_hi)
         if mu < f_lo:
-            lo = mu
+            mu_lo = mu
         elif mu > f_hi:
-            hi = mu
+            mu_hi = mu
         else:
-            mids.append(mu)
-            if sure:
-                dist = g_est * abs(math.log(mu / est))
-                if dist < RATE_TOL_BITS - margin:
-                    return _mode_noise(lam, mu)
-                sure = dist > RATE_TOL_BITS + margin
-            if mu in (lo, hi) or hi - lo <= hit_width * lo:
-                break
-            lo, hi = (mu, hi) if mu < est else (lo, mu)
-    d, rates = _mode_rates(lam, [f_lo, f_hi] + mids)
-    rates = rates.tolist()
-    bound = 64.0 * _EPS * K * (rates[0] + K)
-    if not (rates[0] - bound > R_l + RATE_TOL_BITS and rates[1] + bound < R_l - RATE_TOL_BITS):
-        return _bisect(lam, R_l)
-    # the first midpoint that meets the rate is the bisection's result, if
-    # every one before it was decided as predicted
-    for row, mu in enumerate(mids, 2):
-        if abs(rates[row] - R_l) <= RATE_TOL_BITS:
-            return d[row]
-        if (rates[row] > R_l) != (mu < est):
-            break
-    return _bisect(lam, R_l)
+            r = gap(mu, True)
+            if abs(r) <= RATE_TOL_BITS:
+                return _mode_noise(lam, mu)
+            if r > 0.0:
+                mu_lo = mu
+            else:
+                mu_hi = mu
+    raise SolverError(f"rate bisection did not converge: R={R_l}, mu=[{mu_lo},{mu_hi}]")
 
 
 def _eigen_solve(P: np.ndarray, R_l: float, mu0: float) -> tuple:
@@ -322,18 +296,12 @@ def _mode_covariance(U: np.ndarray, pos, d: np.ndarray) -> np.ndarray:
     return herm((U * dfull) @ U.conj().T)
 
 
-def _support_mode_rate(lam: np.ndarray, d: np.ndarray) -> float:
-    """log2 det(P Q^-1 + I) on the support, from its modes lam and noises d."""
-    return float(np.sum(np.log2(1.0 + lam / d)))
-
-
 def scnm(P: np.ndarray, R_l: float) -> CompressionOutcome:
     """Minimize trace(Q) s.t. log2 det(P Q^-1 + I) = R_l, Q >= 0.
 
     Q shares the eigenbasis of P; each mode's noise solves the KKT
     quadratic d^2 + lam*d - mu*lam = 0. The multiplier mu is the rate
-    bisection's (_solve_mode_noises), whose decisions a Newton estimate
-    started cold lets it take unrated or in one rating call. The
+    bisection's (_solve_mode_noises), whose rate model starts cold. The
     eigendecomposition, PSD check, support and mode solve are _eigen_solve,
     which wsinm also runs.
     """
@@ -341,7 +309,7 @@ def scnm(P: np.ndarray, R_l: float) -> CompressionOutcome:
         raise SolverError("vector-wise compression needs R_l > 0")
     U, pos, lam, d = _eigen_solve(herm(P), R_l, math.nan)
     return CompressionOutcome(Q=_mode_covariance(U, pos, d),
-                              achieved_rate=_support_mode_rate(lam, d))
+                              achieved_rate=_mode_rate(lam, d))
 
 
 def weighted_scnm(P: np.ndarray, R_l: float, weights: np.ndarray) -> CompressionOutcome:
@@ -373,10 +341,10 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> Compressi
     Step (i) is weighted_scnm's congruence transform with one zheevd per
     iteration. The weight update reads only diag Q, so an iteration forms
     just that; the full Q and its rate are formed once, from the last
-    iteration's modes. Each rate solve starts its Newton estimate from the
-    previous iteration's multiplier, which moves only the estimate: every
-    solve is still the plain bisection's bit for bit. The weights need no
-    check: w = 1 / (ln2 X) with X >= base > 0.
+    iteration's modes. Each rate solve starts its model's Newton estimate
+    from the previous iteration's multiplier, which changes only which
+    comparisons are rated: every solve is still the plain bisection's bit
+    for bit. The weights need no check: w = 1 / (ln2 X) with X >= base > 0.
     """
     if R_l <= 0:
         raise SolverError("vector-wise compression needs R_l > 0")
@@ -414,5 +382,5 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> Compressi
         prev_obj = obj_w
     # ws is still the last iteration's, the one its modes were solved at
     Q = herm(_mode_covariance(U, pos, d) / ws[:, None] / ws[None, :])
-    return CompressionOutcome(Q=Q, achieved_rate=_support_mode_rate(lam, d),
+    return CompressionOutcome(Q=Q, achieved_rate=_mode_rate(lam, d),
                               weights=w, bcd_iters=iters, objective_trace=trace_vals)

@@ -56,45 +56,57 @@ def grid_min_trace(lam, R, npts=40001):
     return float(tot[i]), (float(d1[i]), float(d2[i]))
 
 
-def bisect_mode_noises(lam, R):
-    """SCNM per-mode noises by the plain scalar rate bisection.
+def _bisect_noise(lam, mu):
+    return 2.0 * mu * lam / (lam + np.sqrt(lam * lam + 4.0 * mu * lam))
 
-    The multiplier mu is bracketed by x8 steps from lam.max() and bisected
-    until a midpoint's rate is within RATE_TOL_BITS of R. The package's solver
-    must return exactly these noises (and raise exactly these errors).
-    """
+
+def _bisect_rate(lam, mu):
+    return float(np.sum(np.log2(1.0 + lam / _bisect_noise(lam, mu))))
+
+
+def rate_bracket(lam, R):
+    """(mu_lo, mu_hi) of the x8 search from lam.max(): mu_hi is the first
+    lam.max() 8^j, j >= 0, whose rate is at most R, and mu_lo the first
+    mu_hi / 8^i, i >= 0, whose rate is at least R."""
     from seqcf import compression as comp
-
-    def noise(mu):
-        return 2.0 * mu * lam / (lam + np.sqrt(lam * lam + 4.0 * mu * lam))
-
-    def rate(mu):
-        return float(np.sum(np.log2(1.0 + lam / noise(mu))))
 
     mu_hi = float(lam.max())
     grow = 0
-    while rate(mu_hi) > R:
+    while _bisect_rate(lam, mu_hi) > R:
         mu_hi *= 8.0
         grow += 1
         if grow > 600:
             raise comp.SolverError("failed to bracket the rate constraint from above")
     mu_lo = mu_hi
-    while rate(mu_lo) < R:
+    while _bisect_rate(lam, mu_lo) < R:
         mu_lo /= 8.0
         grow += 1
         if grow > 1200:
             raise comp.SolverError("failed to bracket the rate constraint from below")
+    return mu_lo, mu_hi
+
+
+def bisect_mode_noises(lam, R):
+    """SCNM per-mode noises by the plain scalar rate bisection.
+
+    The multiplier mu is bracketed by rate_bracket and bisected until a
+    midpoint's rate is within RATE_TOL_BITS of R, after at most RATE_MAX_ITER
+    midpoints. The package's solver must return exactly these noises (and
+    raise exactly these errors).
+    """
+    from seqcf import compression as comp
+
+    mu_lo, mu_hi = rate_bracket(lam, R)
     for _ in range(comp.RATE_MAX_ITER):
         mu = 0.5 * (mu_lo + mu_hi)
-        r = rate(mu)
+        r = _bisect_rate(lam, mu)
         if abs(r - R) <= comp.RATE_TOL_BITS:
-            return noise(mu)
+            return _bisect_noise(lam, mu)
         if r > R:
             mu_lo = mu
         else:
             mu_hi = mu
-    raise comp.SolverError(
-        f"rate bisection did not converge: R={R}, last rate={r}, mu=[{mu_lo},{mu_hi}]")
+    raise comp.SolverError(f"rate bisection did not converge: R={R}, mu=[{mu_lo},{mu_hi}]")
 
 
 def eigh_mode_covariance(P, noise):

@@ -9,8 +9,10 @@ from seqcf import compression as comp
 from seqcf.compression import LN2, SolverError
 from seqcf.linalg import PsdError, check_psd_spectrum, herm
 
+import oracles
 from oracles import (bisect_mode_noises, complex_randn, eigh_mode_covariance,
-                     feasible_q_on_constraint, grid_min_trace, rand_psd, stacked_wsinm)
+                     feasible_q_on_constraint, grid_min_trace, rand_psd, rate_bracket,
+                     stacked_wsinm)
 
 
 class TestEiu:
@@ -83,6 +85,15 @@ class TestScnm:
         expected = lam / (2.0 ** (R / K) - 1.0)
         assert np.allclose(out.Q, expected * np.eye(K), rtol=1e-8)
 
+    @pytest.mark.parametrize("c", [1e-160, 1e-300, 1e200])
+    def test_scaled_identity_beyond_the_float_range_of_lam_squared(self, c):
+        # lam * lam underflows or overflows here; the solve runs on the
+        # spectrum scaled by a power of two instead
+        ref = scnm(np.eye(2, dtype=complex), 4.0).Q
+        out = scnm(c * np.eye(2, dtype=complex), 4.0)
+        assert np.abs(out.Q / c - ref).max() <= 1e-15
+        assert abs(out.achieved_rate - 4.0) <= comp.RATE_TOL_BITS
+
     def test_matches_eiu_on_scaled_identity(self):
         K, lam, R = 4, 1.9, 8.0
         q_scnm = scnm(lam * np.eye(K, dtype=complex), R)
@@ -147,26 +158,46 @@ def solve_outcome(solve, lam, R):
         return str(exc)
 
 
-def count_calls(monkeypatch, name):
-    """Wrap comp.<name> so that every call appends to the returned list."""
-    calls, real = [], getattr(comp, name)
-    monkeypatch.setattr(comp, name, lambda *a: calls.append(1) or real(*a))
+def count_calls(monkeypatch, module, name):
+    """Wrap module.<name> so that every call appends to the returned list."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(1) or real(*a))
     return calls
 
 
-def assert_same_solve(lam, R, mu0=np.nan):
+def assert_same_solve(lam, R, mu0=np.nan, rated=(), oracle_rated=()):
+    """Check the solve of (lam, R, mu0) against the bisection oracle; return
+    the number of calls the lists rated and oracle_rated gained during each."""
     lam = np.asarray(lam, dtype=float)
     with np.errstate(all="ignore"):
+        n = len(rated)
         got = solve_outcome(lambda l, r: comp._solve_mode_noises(l, r, mu0), lam, R)
+        n, m = len(rated) - n, len(oracle_rated)
         ref = solve_outcome(bisect_mode_noises, lam, R)
     if isinstance(ref, str):
         assert got == ref
     else:
         assert isinstance(got, np.ndarray) and np.array_equal(got, ref)
+    return n, len(oracle_rated) - m
+
+
+def rated_per_solve(monkeypatch, solves):
+    """Check each (lam, R, mu0) solve against the bisection oracle and return
+    the pairs (mu the solve rated, mu the oracle rated)."""
+    rated = count_calls(monkeypatch, comp, "_mode_rate")
+    oracle_rated = count_calls(monkeypatch, oracles, "_bisect_rate")
+    return [assert_same_solve(lam, R, mu0, rated, oracle_rated) for lam, R, mu0 in solves]
+
+
+def random_solves(seed, n=30):
+    rng = np.random.default_rng(seed)
+    return [(10.0 ** rng.uniform(-6.0, 3.0, int(rng.integers(1, 30))),
+             float(10.0 ** rng.uniform(-2.0, 2.5)), np.nan) for _ in range(n)]
 
 
 class TestRateSolve:
-    # the vectorised rate solve must make the plain bisection's every step
+    # the rate solve must make the plain bisection's every decision, rated or
+    # decided by the certified rate model
 
     @settings(max_examples=400, deadline=None)
     @given(log_lam=st.lists(st.floats(-10.0, 6.0), min_size=1, max_size=40),
@@ -179,7 +210,7 @@ class TestRateSolve:
         lam, R = 10.0 ** np.array(log_lam), 10.0 ** log_R
         with np.errstate(all="ignore"):
             try:
-                mu_lo, _, mu_hi, _ = comp._bracket(lam, R)
+                mu_lo, mu_hi = rate_bracket(lam, R)
             except SolverError:
                 mu_lo, mu_hi = 1.0, 2.0
             ends = {"none": np.nan, "lo": mu_lo, "hi": mu_hi, "zero": 0.0, "inf": np.inf}
@@ -191,39 +222,52 @@ class TestRateSolve:
     def test_bracket_far_below_lam_max(self, monkeypatch):
         # one mode at 19.2, 60 and 61.5 bits: the bracket lies 7, 20 and 21 x8
         # steps below lam.max(). At 60 bits the root is the grid point 8^-20
-        # itself, so that solve bisects; the others take one rating call
-        calls = count_calls(monkeypatch, "_bisect")
+        # itself, so that solve rates it; the others rate nothing
         lam = np.array([1.0])
         for R, steps in ((19.2, 7), (60.0, 20), (61.5, 21)):
-            assert comp._bracket(lam, R)[0] == np.ldexp(1.0, -3 * steps)
-            assert_same_solve(lam, R)
-        assert len(calls) == 1
+            assert rate_bracket(lam, R)[0] == np.ldexp(1.0, -3 * steps)
+        counts = rated_per_solve(monkeypatch, [(lam, R, np.nan) for R in (19.2, 60.0, 61.5)])
+        assert [got for got, _ in counts] == [0, 1, 0]
 
     @pytest.mark.parametrize("j", [-1, 0, 1])
     @pytest.mark.parametrize("guess", [1.0, 0.25, 4.0])
     def test_root_on_a_grid_point(self, monkeypatch, j, guess):
-        # R is the rate of the grid point lam.max() 8^j itself, which then
-        # lies between the fences, so every solve bisects; mu0 at, below and
-        # above the root changes nothing
-        calls = count_calls(monkeypatch, "_bisect")
-        for n, lam in enumerate((np.array([2.5]), np.geomspace(3.0, 1e-3, 7),
-                                 np.full(4, 0.7)), 1):
+        # R is within RATE_TOL_BITS / 2 of the rate of the grid point
+        # lam.max() 8^j, which then lies between the fences: a hit there
+        # does not decide the bracket search, which must rate it; mu0 at,
+        # below and above the root changes nothing
+        solves = []
+        for lam in (np.array([2.5]), np.geomspace(3.0, 1e-3, 7), np.full(4, 0.7)):
             root = float(np.ldexp(lam.max(), 3 * j))
-            R = float(comp._mode_rates(lam, [root])[1][0])
-            assert_same_solve(lam, R, guess * root)
-            assert len(calls) == n
+            r = comp._mode_rate(lam, comp._mode_noise(lam, root))
+            solves += [(lam, r + off * comp.RATE_TOL_BITS, guess * root)
+                       for off in (-0.5, 0.0, 0.5)]
+        for got, _ in rated_per_solve(monkeypatch, solves):
+            assert 1 <= got <= 2
 
     @pytest.mark.parametrize("K, R", [(1, 2000.0), (3, 1500.0), (1, 150.0), (20, 1900.0)])
     def test_huge_rate(self, K, R):
         lam = np.geomspace(1.0, 1e-3, K)
         assert_same_solve(lam, R)
 
-    def test_single_mode_at_180_bits_raises(self):
-        # the bisection runs out of midpoints in its arithmetic bisection of
-        # [8^-60, 1]; the fenced solve cannot certify a result and raises it too
-        with pytest.raises(SolverError, match="did not converge"):
-            comp._solve_mode_noises(np.array([1.0]), 180.0)
-        assert_same_solve(np.array([1.0]), 180.0)
+    @pytest.mark.parametrize("K, R", [(1, 180.0), (3, 1500.0)])
+    def test_beyond_200_midpoints_solves(self, K, R):
+        # halving [8^-60, 1] down to a single mode's root at 180 bits, or
+        # three modes' at 1500 bits, takes more than 200 midpoints
+        lam = np.geomspace(1.0, 1e-3, K)
+        with np.errstate(all="ignore"):
+            d = comp._solve_mode_noises(lam, R)
+        assert abs(comp._mode_rate(lam, d) - R) <= comp.RATE_TOL_BITS
+        assert_same_solve(lam, R)
+
+    @pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
+    def test_power_of_two_scaling_is_exact(self, e):
+        # the solve is scale-invariant: a spectrum beyond the range in which
+        # lam * lam is a normal float is solved scaled back, exactly
+        lam = np.geomspace(1.0, 1e-3, 5)
+        for R in (0.3, 20.0):
+            got = comp._solve_mode_noises(np.ldexp(lam, e), R, np.ldexp(0.01, e))
+            assert np.array_equal(got, np.ldexp(comp._solve_mode_noises(lam, R), e))
 
     @pytest.mark.parametrize("R", [1e-3, 0.7, 6.0, 80.0])
     def test_equal_modes(self, R):
@@ -241,30 +285,26 @@ class TestRateSolve:
     def test_poor_estimate_changes_nothing(self, monkeypatch, estimate):
         # a poor root estimate leaves a fence that cannot clear R_l: an
         # estimate a factor 8 off the root, the bracket's geometric mean, or
-        # fences placed far inside the rate tolerance; every solve then
-        # bisects, with the same result
+        # fences placed far inside the rate tolerance. There is then no
+        # model, and every solve rates each mu the bisection rates
         real = comp._root_estimate
 
         def poor(lam, R_l, mu0):
             mu, g = real(lam, R_l, mu0)
-            mu_lo, _, mu_hi, _ = comp._bracket(np.array(lam), R_l)
+            mu_lo, mu_hi = rate_bracket(np.array(lam), R_l)
             return {"low": (mu / 8.0, g), "high": (mu * 8.0, g),
                     "geometric": (float(np.sqrt(mu_lo * mu_hi)), g),
                     "narrow": (mu, g * 1e6)}[estimate]
 
         monkeypatch.setattr(comp, "_root_estimate", poor)
-        calls = count_calls(monkeypatch, "_bisect")
-        rng = np.random.default_rng(3)
-        for n in range(1, 31):
-            lam = 10.0 ** rng.uniform(-6.0, 3.0, int(rng.integers(1, 30)))
-            assert_same_solve(lam, float(10.0 ** rng.uniform(-2.0, 2.5)))
-            assert len(calls) == n
+        for got, ref in rated_per_solve(monkeypatch, random_solves(3)):
+            assert got == ref
 
     @pytest.mark.parametrize("sign", [-1.0, 1.0])
     def test_estimate_off_inside_the_fences(self, monkeypatch, sign):
-        # an estimate 2e-8 bits off the root still clears the fences, but the
-        # midpoints between it and the root are decided against its
-        # prediction; such a solve bisects, with the same result
+        # an estimate 2e-8 bits off the root still clears the fences, but its
+        # margin no longer certifies a hit: each solve rates the midpoints
+        # near the root, and returns the bisection's result
         real = comp._root_estimate
 
         def off(lam, R_l, mu0):
@@ -272,29 +312,20 @@ class TestRateSolve:
             return mu * np.exp(sign * 2e-8 / g), g
 
         monkeypatch.setattr(comp, "_root_estimate", off)
-        calls = count_calls(monkeypatch, "_bisect")
-        rng = np.random.default_rng(4)
-        for _ in range(30):
-            lam = 10.0 ** rng.uniform(-6.0, 3.0, int(rng.integers(1, 30)))
-            assert_same_solve(lam, float(10.0 ** rng.uniform(-2.0, 2.5)))
-        assert 0 < len(calls) < 30
+        for got, ref in rated_per_solve(monkeypatch, random_solves(4)):
+            assert 1 <= got < min(ref, 10)
 
-    def test_uncertain_midpoints_take_the_rating_call(self, monkeypatch):
+    def test_uncertain_midpoints_are_rated(self, monkeypatch):
         # with the rounding bound inflated to half of RATE_TOL_BITS the fences
-        # still clear, but no midpoint near the root can be decided unrated:
-        # every solve rates the fences and midpoints in one call (or bisects)
-        # and returns the bisection's result
-        rates = count_calls(monkeypatch, "_mode_rates")
-        fallbacks = count_calls(monkeypatch, "_bisect")
-        rng = np.random.default_rng(6)
-        for _ in range(40):
-            K = int(rng.integers(1, 30))
-            lam, R = 10.0 ** rng.uniform(-6.0, 3.0, K), float(10.0 ** rng.uniform(-2.0, 2.5))
+        # still clear, but no midpoint near the root is certified a hit: each
+        # solve rates a few mu near the root, and returns the bisection's result
+        rated = count_calls(monkeypatch, comp, "_mode_rate")
+        for lam, R, _ in random_solves(6, 40):
+            K = lam.size
             monkeypatch.setattr(comp, "_EPS", 0.5 * comp.RATE_TOL_BITS / (64.0 * K * (R + K)))
-            before = len(rates)
+            before = len(rated)
             assert_same_solve(lam, R)
-            assert len(rates) > before
-        assert len(fallbacks) < 10
+            assert 1 <= len(rated) - before < 10
 
     def test_iteration_limit_raises(self, monkeypatch):
         monkeypatch.setattr(comp, "RATE_MAX_ITER", 3)
@@ -304,29 +335,26 @@ class TestRateSolve:
         assert_same_solve(lam, 5.0)
 
     def test_few_rate_evaluations_per_solve(self, monkeypatch):
-        # every solve of an L=12, N=10, K=20 WSINM chain makes at most one
-        # rating call, most make none, and none bisects; the plain bisection
-        # would take ~40 calls
-        rates = count_calls(monkeypatch, "_mode_rates")
+        # on an L=12, N=10, K=20 WSINM chain a solve rates at most 2 mu and
+        # fewer than one in ten rate any; the plain bisection rates ~40
+        rated = count_calls(monkeypatch, comp, "_mode_rate")
         per_solve = []
         real = comp._solve_mode_noises
 
         def solve(*a):
-            before = len(rates)
+            before = len(rated)
             out = real(*a)
-            per_solve.append(len(rates) - before)
+            per_solve.append(len(rated) - before)
             return out
 
         monkeypatch.setattr(comp, "_solve_mode_noises", solve)
-        fallbacks = count_calls(monkeypatch, "_bisect")
         cfg = NetworkConfig(L=12, N=10, K=20)
         rng = np.random.default_rng(7)
         H = draw_channels(cfg, place_network(cfg, rng), rng).H
         run_chain(cfg.p, cfg.sigma2, H, "wsinm", equal(cfg.R_T, cfg.L))
         assert len(per_solve) > cfg.L
-        assert max(per_solve) <= 1
-        assert sum(per_solve) < 0.5 * len(per_solve)
-        assert fallbacks == []
+        assert max(per_solve) <= 2
+        assert sum(n > 0 for n in per_solve) < 0.1 * len(per_solve)
 
 
 def smooth_noise(lam, R_l=None, mu0=None):
