@@ -32,11 +32,14 @@ RANK_TOL = 1e-12
 RATE_TOL_BITS = 1e-9
 RATE_MAX_ITER = 2200
 # the rate model: Newton steps allowed for one root estimate, the fences'
-# distance in bits from R_l, and the range in which every intermediate of a
-# computed rate is a normal float (see _rate_model)
+# distance in bits from R_l, the range of lam in which lam * lam is a normal
+# float (a spectrum whose largest mode lies outside it is scaled into it),
+# and the half-width in ln mu of the model's range of mu, which the spectrum
+# narrows (_root_estimate)
 _NEWTON_MAX_ITER = 64
 _FENCE_BITS = 1e-7
-_MU_MIN, _MU_MAX = 2.0 ** -500, 2.0 ** 500
+_LAM_MIN, _LAM_MAX = 2.0 ** -500, 2.0 ** 500
+_LN_MU_SPAN = 1000.0 * LN2
 
 # WSINM block coordinate descent: stops when the objective moves by at most
 # BCD_REL_TOL relative, or after BCD_MAX_ITER iterations
@@ -128,8 +131,11 @@ def _rate_slope(lam: list, mu: float) -> tuple:
 
 def _root_estimate(lam: list, R_l: float, mu0: float):
     """(mu, g): Newton's estimate of the root and the slope -d rate / d ln mu
-    there, or None when Newton, kept inside [_MU_MIN, _MU_MAX] like every lam,
-    does not converge (as when the root lies outside).
+    there, or None when Newton does not converge inside the model's range
+    of mu (as when the root lies outside). For lam in [_LAM_MIN, _LAM_MAX]
+    that range, 2^-1000 max(1, 1 / lam.min(), lam.max()) to
+    2^1000 min(1, 1 / lam.max()), keeps mu lam, lam / mu and the noises
+    normal floats within a x8 step of it.
 
     Newton runs on t = ln mu in plain floats: at K <= 40 a loop over the modes
     costs less than numpy's per-call overhead. It starts from mu0 when that is
@@ -139,7 +145,9 @@ def _root_estimate(lam: list, R_l: float, mu0: float):
     stays left of it and a step from the right lands left of it: no bracket is
     needed.
     """
-    t_min, t_max = math.log(_MU_MIN), math.log(_MU_MAX)
+    ln_lo, ln_hi = math.log(min(lam)), math.log(max(lam))
+    t_min = max(0.0, -ln_lo, ln_hi) - _LN_MU_SPAN
+    t_max = min(0.0, -ln_hi) + _LN_MU_SPAN
     t = math.log(mu0) if 0.0 < mu0 < math.inf else (
         sum(map(math.log, lam)) - R_l * LN2) / len(lam)
     t = min(max(t, t_min), t_max)
@@ -165,7 +173,7 @@ def _rate_model(lam: list, R_l: float, mu0: float):
     R_l - RATE_TOL_BITS: the model is returned only when g times the fences'
     distance in ln mu from est clears RATE_TOL_BITS + margin.
     """
-    if not (_MU_MIN <= min(lam) and max(lam) <= _MU_MAX):
+    if not (_LAM_MIN <= min(lam) and max(lam) <= _LAM_MAX):
         return None
     est = _root_estimate(lam, R_l, mu0)
     if est is None:
@@ -173,12 +181,12 @@ def _rate_model(lam: list, R_l: float, mu0: float):
     est, g = est
     delta = min(_FENCE_BITS / g, 0.5)
     f_lo, f_hi = est * (1.0 - delta), est * (1.0 + delta)
-    # with lam and est in range every intermediate of a computed rate r at
-    # any mu the bisection visits (within a x8 step of the fences, or
-    # between them and lam.max()) is a normal float: each mode's rate is
-    # within about 12 u + 4 u r_k of the exact one (u = eps / 2, most of it
-    # numpy's log2) and the sum adds (K - 1) u r, so 64 eps K (r + K) bounds
-    # the error of two computed rates near r
+    # with lam and est in range (_root_estimate) every intermediate of a
+    # computed rate r at any mu the bisection visits (within a x8 step of the
+    # fences, or between them and lam.max()) is a normal float: each mode's
+    # rate is within about 12 u + 4 u r_k of the exact one (u = eps / 2, most
+    # of it numpy's log2) and the sum adds (K - 1) u r, so 64 eps K (r + K)
+    # bounds the error of two computed rates near r
     r_est, g = _rate_slope(lam, est)
     K = len(lam)
     bound = 64.0 * _EPS * K * (r_est + 1.0 + K)
@@ -207,13 +215,13 @@ def _solve_mode_noises(lam: np.ndarray, R_l: float, mu0: float = math.nan) -> np
     bit for bit, whatever mu0 is.
 
     The solve is scale-invariant, so a spectrum whose largest eigenvalue
-    lies outside [_MU_MIN, _MU_MAX], where lam * lam would overflow or
+    lies outside [_LAM_MIN, _LAM_MAX], where lam * lam would overflow or
     underflow, is solved scaled by a power of two, which is exact.
     """
     R_l = float(R_l)
     lams = lam.tolist()
     lam_max = max(lams)
-    if not _MU_MIN <= lam_max <= _MU_MAX:
+    if not _LAM_MIN <= lam_max <= _LAM_MAX:
         e = math.frexp(lam_max)[1]     # 0 for a zero or non-finite lam_max
         if e:
             d = _solve_mode_noises(np.ldexp(lam, -e), R_l, math.ldexp(mu0, -e))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -10,8 +11,19 @@ class ConfigError(ValueError):
     pass
 
 
-# NetworkConfig fields that must be finite and strictly positive
+# NetworkConfig fields that must be integers, and those that must be finite
+# and strictly positive
+_INTEGERS = ("L", "N", "K", "tau_c")
 _POSITIVE_REALS = ("p", "sigma2", "R_T", "ap_ring_radius", "user_disk_radius")
+
+
+def as_integer(name: str, value) -> int:
+    """value as a Python int; ConfigError unless it is an integer (NumPy
+    integers are, bool is not). A Python int does not wrap as a NumPy
+    unsigned one would in tau_c - K."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def dbm_to_watt(x_dbm: float) -> float:
@@ -46,6 +58,8 @@ class NetworkConfig:
         return self.tau_c - self.tau_p
 
     def __post_init__(self):
+        for name in _INTEGERS:
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.L < 1 or self.N < 1 or self.K < 1:
             raise ConfigError("L, N and K must be positive integers")
         for name in _POSITIVE_REALS:
@@ -61,7 +75,7 @@ class NetworkConfig:
 
 # keys accepted in the flat key=value config file; *_dbm entries are
 # converted to linear watts at parse time
-_INT_KEYS = {"L", "N", "K", "tau_c"}
+_INT_KEYS = set(_INTEGERS)
 _FLOAT_KEYS = {"R_T", "ap_ring_radius", "user_disk_radius"}
 _DBM_KEYS = {"p_dbm": "p", "sigma2_dbm": "sigma2"}
 

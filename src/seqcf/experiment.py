@@ -9,7 +9,7 @@ import numpy as np
 from . import allocation, metrics, twopath
 from .chain import run_chain
 from .compression import SolverError
-from .config import ConfigError, NetworkConfig
+from .config import ConfigError, NetworkConfig, as_integer
 from .geometry import draw_channels, place_network
 from .linalg import PsdError
 
@@ -68,20 +68,18 @@ class ExperimentSpec:
             raise ConfigError("sweep values must be non-empty")
         if not self.strategies:
             raise ConfigError("strategy list must be non-empty")
+        for name in ("trials", "seed"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.trials < 1:
             raise ConfigError("trials must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        for val in self.values:      # every point is valid before any trial runs
-            self.point_config(val)
-        L = self.base.L
-        for s in self.strategies:
-            if s.path_mode == "tp" and L < 2:
-                raise ConfigError(f"{s.label()}: Two-Path needs at least 2 APs, got L={L}")
-            # the shorter Two-Path arc has L // 2 APs (twopath.split_paths)
-            if s.allocation == "log" and (L if s.path_mode == "sp" else L // 2) < 2:
-                raise ConfigError(f"{s.label()}: logarithmic allocation needs at least "
-                                  f"2 APs on every chain, got L={L}")
+        for cfg in [self.point_config(val) for val in self.values]:
+            for s in self.strategies:     # every chain is valid before any trial runs
+                try:
+                    _chains(cfg, s)
+                except ValueError as exc:
+                    raise ConfigError(f"{s.label()}: {exc}, got L={cfg.L}") from exc
 
     def point_config(self, val) -> NetworkConfig:
         """The network of sweep point val: base with K or R_T set to val."""
@@ -106,10 +104,20 @@ class ResultRow:
     per_trial: np.ndarray = field(default=None, repr=False)  # not emitted to CSV
 
 
-def _rates_for(strategy: Strategy, R_T: float, L_chain: int) -> np.ndarray:
-    if strategy.compression == "infinite":
-        return np.full(L_chain, np.inf)
-    return allocation.schedule(strategy.allocation, R_T, L_chain)
+def _chains(cfg: NetworkConfig, strategy: Strategy) -> list:
+    """(AP indices, per-AP rates) of each chain: the whole ring on R_T (sp), or
+    the twopath.split_paths arcs on their allocation.path_budget shares (tp),
+    with infinite rates under "infinite". A ring too short for the strategy
+    raises those owners' ValueError, whatever the compression."""
+    arcs = ([(list(range(cfg.L)), cfg.R_T)] if strategy.path_mode == "sp" else
+            [(idx, allocation.path_budget(cfg.R_T, cfg.L, len(idx)))
+             for idx in twopath.split_paths(cfg.L)])
+    chains = []
+    for idx, budget in arcs:
+        rates = allocation.schedule(strategy.allocation, budget, len(idx))
+        chains.append((idx, np.full(len(idx), np.inf)
+                       if strategy.compression == "infinite" else rates))
+    return chains
 
 
 def simulate_trial(cfg: NetworkConfig, strategy: Strategy, H: list) -> float:
@@ -118,21 +126,13 @@ def simulate_trial(cfg: NetworkConfig, strategy: Strategy, H: list) -> float:
     The SINRs are closed forms in the chains' statistics, so the result is a
     deterministic function of H: no signal or noise is drawn.
     """
+    states = [run_chain(cfg.p, cfg.sigma2, [H[i] for i in idx], strategy.compression, rates)
+              for idx, rates in _chains(cfg, strategy)]
     if strategy.path_mode == "sp":
-        rates = _rates_for(strategy, cfg.R_T, cfg.L)
-        st = run_chain(cfg.p, cfg.sigma2, H, strategy.compression, rates)
-        sinr = metrics.sinr_chain(st.T, st.C, cfg.p)
+        sinr = metrics.sinr_chain(states[0].T, states[0].C, cfg.p)
     else:
-        idx1, idx2 = twopath.split_paths(cfg.L)
-        summaries = []
-        for idx in (idx1, idx2):
-            budget = allocation.path_budget(cfg.R_T, cfg.L, len(idx))
-            rates = _rates_for(strategy, budget, len(idx))
-            st = run_chain(cfg.p, cfg.sigma2, [H[i] for i in idx],
-                           strategy.compression, rates)
-            summaries.append(twopath.summarize_path(st, cfg.p))
-        fused = twopath.fuse(summaries[0], summaries[1], cfg.p)
-        sinr = twopath.sinr_fused(fused)
+        paths = [twopath.summarize_path(st, cfg.p) for st in states]
+        sinr = twopath.sinr_fused(twopath.fuse(*paths, cfg.p))
     return metrics.se_from_sinr(sinr, cfg.tau_u, cfg.tau_c).sum_se
 
 

@@ -9,20 +9,18 @@ from .linalg import complex_normal
 
 
 def _check_centralized_equivalence(rng) -> tuple[bool, str]:
-    # without compression the chain is the batch LMMSE: same effective
-    # channel V_cen H and same error covariance (hence same SINR)
+    # without compression the chain is the batch LMMSE, in information form
+    # C = (I/p + sum_l H_l^H H_l / sigma2)^-1 and T = I - C/p
     p, sigma2, K, L, N = 1.0, 0.5, 3, 3, 2
     H = [complex_normal(rng, (N, K)) for _ in range(L)]
     st = run_chain(p, sigma2, H, "infinite", np.full(L, np.inf))
-    Hs = np.vstack(H)
-    S = p * (Hs @ Hs.conj().T) + sigma2 * np.eye(L * N)
-    V_cen = p * np.linalg.solve(S, Hs).conj().T
-    C_cen = p * (np.eye(K) - V_cen @ Hs)
+    C_cen = np.linalg.inv(np.eye(K) / p + sum(H_l.conj().T @ H_l for H_l in H) / sigma2)
+    T_cen = np.eye(K) - C_cen / p
 
     def rel(a, b):
         return np.linalg.norm(a - b) / np.linalg.norm(b)
 
-    errs = rel(st.T, V_cen @ Hs), rel(st.C, C_cen)
+    errs = rel(st.T, T_cen), rel(st.C, C_cen)
     return max(errs) < 1e-8, "T err {:.2e}, C err {:.2e}".format(*errs)
 
 

@@ -260,6 +260,17 @@ class TestRateSolve:
         assert abs(comp._mode_rate(lam, d) - R) <= comp.RATE_TOL_BITS
         assert_same_solve(lam, R)
 
+    def test_roots_far_below_the_spectrum_are_modelled(self, monkeypatch):
+        # roots near 2^-505, 2^-700 and 2^-595, below 2^-500 but inside the
+        # model's range of mu for these spectra: each solve rates at most
+        # 2 mu, where the plain bisection rates hundreds
+        solves = [(np.geomspace(1.0, 1e-3, 3), 1500.0, np.nan),
+                  (np.array([1.0]), 700.0, np.nan),
+                  (np.geomspace(1e3, 1.0, 10), 6000.0, np.nan)]
+        for got, ref in rated_per_solve(monkeypatch, solves):
+            assert got <= 2
+            assert ref > 500
+
     @pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
     def test_power_of_two_scaling_is_exact(self, e):
         # the solve is scale-invariant: a spectrum beyond the range in which

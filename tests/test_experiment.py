@@ -38,6 +38,22 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="seed must be non-negative"):
             small_spec(["sp-ef-eiu"], seed=-1)
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(trials=2.5), "trials must be an integer, got 2.5"),
+        (dict(trials=True), "trials must be an integer, got True"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(seed=np.float64(1.0)), "seed must be an integer"),
+    ])
+    def test_non_integer_trials_or_seed_rejected(self, kw, message):
+        with pytest.raises(ConfigError, match=message):
+            small_spec(["sp-ef-eiu"], **kw)
+
+    def test_numpy_integer_trials_and_seed_run(self):
+        rows = run_experiment(small_spec(["sp-ef-eiu"], trials=np.int64(2), values=(2,),
+                                         seed=np.uint32(11)))
+        ref = run_experiment(small_spec(["sp-ef-eiu"], trials=2, values=(2,), seed=11))
+        assert np.array_equal(rows[0].per_trial, ref[0].per_trial)
+
     @pytest.mark.parametrize("L, strategy", [(1, "tp-ef-eiu"), (1, "sp-log-eiu"),
                                              (3, "tp-log-eiu"), (1, "tp-log-wsinm")])
     def test_chain_too_short_rejected(self, L, strategy):
@@ -275,10 +291,10 @@ class TestCli:
     @pytest.mark.parametrize("extra, config, message", [
         (["--seed", "-1"], "", "error: seed must be non-negative, got -1"),
         (["--strategies", "sp-ef-eiu,tp-log-eiu"], "L = 3\n",
-         "error: tp-log-eiu: logarithmic allocation needs at least 2 APs on every "
-         "chain, got L=3"),
+         "error: tp-log-eiu: logarithmic allocation needs at least 2 chain positions, "
+         "got L=3"),
         (["--strategies", "tp-ef-eiu"], "L = 1\n",
-         "error: tp-ef-eiu: Two-Path needs at least 2 APs, got L=1"),
+         "error: tp-ef-eiu: Two-Path mode needs at least 2 APs, got L=1"),
     ])
     def test_bad_spec_exits_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                              extra, config, message):

@@ -120,7 +120,16 @@ class TestConfig:
                                     dict(p=np.nan), dict(sigma2=np.inf),
                                     dict(R_T=np.nan), dict(R_T=-1.0), dict(R_T=0.0),
                                     dict(ap_ring_radius=np.nan),
-                                    dict(user_disk_radius=-np.inf)])
+                                    dict(user_disk_radius=-np.inf),
+                                    dict(L=12.5), dict(N=2.5), dict(K=3.0),
+                                    dict(L=True), dict(tau_c=100.5),
+                                    dict(K=np.float64(5.0)), dict(N=np.bool_(True)),
+                                    dict(K=np.uint8(20), tau_c=np.uint8(10))])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ConfigError):
             cfg(**kw)
+
+    def test_numpy_integers_accepted(self):
+        c = cfg(L=np.int64(3), N=np.int32(2), K=np.uint8(4), tau_c=np.int16(50))
+        assert (c.M, c.tau_u) == (6, 46)
+        assert all(type(v) is int for v in (c.L, c.N, c.K, c.tau_c))
