@@ -3,7 +3,7 @@ capacity-limited fronthaul chain: per-AP LMMSE refinement, fronthaul
 compression-noise design, capacity allocation and Two-Path fusion."""
 
 from .allocation import equal, linear, logarithmic, path_budget, schedule
-from .chain import ChainState, gain, initial_state, propagate_combiners, refine, run_chain, update_error_cov, update_pre_compression_corr
+from .chain import ChainState, centralized, gain, initial_state, propagate_combiners, refine, run_chain, update_error_cov, update_pre_compression_corr
 from .compression import CompressionOutcome, SolverError, achieved_rate_bits, eiu, scnm, weighted_scnm, wsinm
 from .config import ConfigError, NetworkConfig, dbm_to_watt, parse_config_file
 from .experiment import ExperimentSpec, ResultRow, Strategy, emit_csv, parse_csv, run_experiment, simulate_trial

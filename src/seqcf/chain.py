@@ -68,8 +68,19 @@ def update_pre_compression_corr(P_prev: np.ndarray, Q_prev: np.ndarray,
     """Correlation of the refined estimate before compression.
 
     GH = Gamma H and GHC = Gamma H C_{l-1} are the chain step's products.
+    Q_prev, the previous AP's compression noise, may be a diagonal one given
+    as its diagonal (K,): the products with it then scale the rows and columns
+    of GH, to the same bits as the matrix products.
     """
-    P = P_prev + Q_prev + GHC - Q_prev @ GH.conj().T - GH @ Q_prev
+    if Q_prev.ndim == 2:
+        P = P_prev + Q_prev + GHC - Q_prev @ GH.conj().T - GH @ Q_prev
+    else:
+        P = P_prev.copy()
+        P.flat[::len(Q_prev) + 1] += Q_prev
+        P += GHC
+        GHQ = GH * Q_prev             # GH Q_prev, and (GH Q_prev)^H = Q_prev GH^H
+        P -= GHQ.conj().T
+        P -= GHQ
     return ensure_psd(P, name="P")
 
 
@@ -80,6 +91,25 @@ def propagate_combiners(T_prev: np.ndarray, GH: np.ndarray) -> np.ndarray:
     the user signals, so the chain never has to carry the V_il themselves.
     """
     return T_prev - GH @ T_prev + GH
+
+
+def centralized(p: float, sigma2: float, H: list) -> ChainState:
+    """The compression-free chain over the APs H in closed form.
+
+    Without compression the chain is the batch LMMSE over all its APs, in
+    information form C = (I/p + sum_l H_l^H H_l / sigma2)^-1 and T = I - C/p:
+    one Gram product and one PD solve instead of one gain step per AP.
+    run_chain(..., "infinite") is the per-AP recursion it equals; P stays 0
+    and no per-AP outcome is formed.
+    """
+    Hs = np.concatenate(H)
+    K = Hs.shape[1]
+    J = (Hs.conj().T @ Hs) / sigma2
+    J.flat[::K + 1] += 1.0 / p
+    C = herm(herm_solve(J, np.eye(K, dtype=complex)))
+    T = -C / p
+    T.flat[::K + 1] += 1.0
+    return ChainState(C=C, P=np.zeros((K, K), dtype=complex), T=T)
 
 
 def _compress(strategy: str, P: np.ndarray, R_l: float,
@@ -127,6 +157,8 @@ def run_chain(p: float, sigma2: float, H: list, strategy: str, rates) -> ChainSt
             P = st.P
         else:
             Q_prev = st.outcomes[-1].Q if st.outcomes else np.zeros((K, K), dtype=complex)
+            if strategy == "eiu":         # EIU's Q is diagonal by construction
+                Q_prev = Q_prev.diagonal().real
             P = update_pre_compression_corr(st.P, Q_prev, GH, GHC)
             base = metrics.interference_context(T, C_pre, p) if strategy == "wsinm" else None
             outcome = _compress(strategy, P, R_l, base)

@@ -70,7 +70,9 @@ class _EiuOutcome(CompressionOutcome):
     """EIU's outcome; only diagnostics read its rate, so it is formed on first read."""
 
     def __init__(self, P: np.ndarray, q: np.ndarray):
-        super().__init__(Q=np.diag(q).astype(complex), achieved_rate=math.nan)
+        Q = np.zeros((len(q), len(q)), dtype=complex)
+        Q.flat[::len(q) + 1] = q
+        super().__init__(Q=Q, achieved_rate=math.nan)
         del self.achieved_rate        # hand the name to the cached property
         self._P, self._q = P, q
 
@@ -100,10 +102,10 @@ def eiu(P: np.ndarray, R_l: float) -> CompressionOutcome:
         raise SolverError("EIU needs a strictly positive per-user bit budget")
     if not np.isfinite(P).all():
         raise PsdError("P is not finite")
-    pdiag = np.diag(P).real
-    if np.any(pdiag < -RANK_TOL * max(pdiag.max(initial=0.0), 1.0)):
+    pdiag = P.diagonal().real
+    if pdiag.min() < -RANK_TOL * max(pdiag.max(), 1.0):
         raise SolverError("P has a negative diagonal entry")
-    return _EiuOutcome(P, np.clip(pdiag, 0.0, None) / (2.0 ** b - 1.0))
+    return _EiuOutcome(P, np.maximum(pdiag, 0.0) / (2.0 ** b - 1.0))
 
 
 def _mode_noise(lam: np.ndarray, mu: float) -> np.ndarray:

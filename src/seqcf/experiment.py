@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import allocation, metrics, twopath
-from .chain import run_chain
+from .chain import centralized, run_chain
 from .compression import SolverError
 from .config import ConfigError, NetworkConfig, as_integer
 from .geometry import draw_channels, place_network
@@ -106,27 +106,26 @@ class ResultRow:
 
 def _chains(cfg: NetworkConfig, strategy: Strategy) -> list:
     """(AP indices, per-AP rates) of each chain: the whole ring on R_T (sp), or
-    the twopath.split_paths arcs on their allocation.path_budget shares (tp),
-    with infinite rates under "infinite". A ring too short for the strategy
+    the twopath.split_paths arcs on their allocation.path_budget shares (tp);
+    "infinite" reads only the indices. A ring too short for the strategy
     raises those owners' ValueError, whatever the compression."""
     arcs = ([(list(range(cfg.L)), cfg.R_T)] if strategy.path_mode == "sp" else
             [(idx, allocation.path_budget(cfg.R_T, cfg.L, len(idx)))
              for idx in twopath.split_paths(cfg.L)])
-    chains = []
-    for idx, budget in arcs:
-        rates = allocation.schedule(strategy.allocation, budget, len(idx))
-        chains.append((idx, np.full(len(idx), np.inf)
-                       if strategy.compression == "infinite" else rates))
-    return chains
+    return [(idx, allocation.schedule(strategy.allocation, budget, len(idx)))
+            for idx, budget in arcs]
 
 
 def simulate_trial(cfg: NetworkConfig, strategy: Strategy, H: list) -> float:
     """Sum SE of one strategy on one channel drop H (per-AP channels).
 
     The SINRs are closed forms in the chains' statistics, so the result is a
-    deterministic function of H: no signal or noise is drawn.
+    deterministic function of H: no signal or noise is drawn. A chain without
+    compression is the batch LMMSE over its APs, computed in closed form.
     """
-    states = [run_chain(cfg.p, cfg.sigma2, [H[i] for i in idx], strategy.compression, rates)
+    states = [centralized(cfg.p, cfg.sigma2, [H[i] for i in idx])
+              if strategy.compression == "infinite" else
+              run_chain(cfg.p, cfg.sigma2, [H[i] for i in idx], strategy.compression, rates)
               for idx, rates in _chains(cfg, strategy)]
     if strategy.path_mode == "sp":
         sinr = metrics.sinr_chain(states[0].T, states[0].C, cfg.p)
@@ -145,15 +144,14 @@ def run_experiment(spec: ExperimentSpec) -> list:
 
     Within a trial every strategy sees the same layout and channels, drawn
     from SeedSequence((seed, trial)); only the compression / allocation
-    pipeline differs. Numerical failures (SolverError, PsdError, LinAlgError)
-    are tolerated up to MAX_FAILURE_FRAC of trials per cell; any other
-    exception propagates.
+    pipeline differs. Numerical failures (SolverError, PsdError, LinAlgError,
+    or a sum SE that is not finite) are tolerated up to MAX_FAILURE_FRAC of
+    trials per cell; any other exception propagates.
     """
     rows = []
     for val in spec.values:
         cfg = spec.point_config(val)
         sums = {s: np.full(spec.trials, np.nan) for s in spec.strategies}
-        failures = {s: 0 for s in spec.strategies}
         for t in range(spec.trials):
             rng = np.random.default_rng(np.random.SeedSequence((spec.seed, t)))
             H = _draw_drop(cfg, rng)
@@ -161,14 +159,14 @@ def run_experiment(spec: ExperimentSpec) -> list:
                 try:
                     sums[strat][t] = simulate_trial(cfg, strat, H)
                 except (SolverError, PsdError, np.linalg.LinAlgError):
-                    failures[strat] += 1
+                    pass                  # a failed trial keeps its NaN
         for strat in spec.strategies:
-            nfail = failures[strat]
-            if nfail > MAX_FAILURE_FRAC * spec.trials:
+            vals = sums[strat][np.isfinite(sums[strat])]
+            nfail = spec.trials - len(vals)
+            if nfail > MAX_FAILURE_FRAC * spec.trials or not len(vals):
                 raise ExperimentError(
                     f"{nfail}/{spec.trials} trials failed for {strat.label()} "
                     f"at sweep value {val}")
-            vals = sums[strat][~np.isnan(sums[strat])]
             stderr = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
             rows.append(ResultRow(sweep_value=float(val), strategy=strat,
                                   mean_sum_se=float(vals.mean()), stderr=stderr,

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError, NetworkConfig
-from .linalg import complex_normal
 
 # 3GPP Urban Microcell at 2 GHz: gain_dB(d) = -30.5 - 36.7 log10(d)
 _PL_OFFSET_DB = -30.5
@@ -64,8 +63,8 @@ def draw_channels(cfg: NetworkConfig, layout: Layout,
     d = np.linalg.norm(layout.ap_positions[:, None, :]
                        - layout.user_positions[None, :, :], axis=2)  # (L, K)
     beta = 10.0 ** (pathloss_db(d) / 10.0)
-    H = []
-    for l in range(cfg.L):
-        Hl = complex_normal(rng, (cfg.N, cfg.K)) * np.sqrt(beta[l])[None, :]
-        H.append(Hl)
-    return ChannelRealization(H=H, beta=beta)
+    # one draw in complex_normal's stream order: per AP, the real parts, then
+    # the imaginary parts
+    X = rng.standard_normal((cfg.L, 2, cfg.N, cfg.K))
+    H = (X[:, 0] + 1j * X[:, 1]) / np.sqrt(2.0) * np.sqrt(beta)[:, None, :]
+    return ChannelRealization(H=list(H), beta=beta)

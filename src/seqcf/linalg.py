@@ -17,7 +17,9 @@ class PsdError(RuntimeError):
 
 def herm(X: np.ndarray) -> np.ndarray:
     """Symmetrize against floating-point drift."""
-    return 0.5 * (X + X.conj().T)
+    Y = X + X.conj().T
+    Y *= 0.5
+    return Y
 
 
 def check_psd_spectrum(w: np.ndarray, name: str = "matrix") -> None:
@@ -51,7 +53,7 @@ def ensure_psd(X: np.ndarray, name: str = "matrix") -> np.ndarray:
     X = herm(X)
     shifted = X.copy(order="F")           # X + PSD_REL_TOL * max(diag X) * I
     shift = PSD_REL_TOL * max(X.diagonal().real.max(), 1e-300)
-    shifted.flat[::len(X) + 1] += shift
+    shifted.ravel(order="F")[::len(X) + 1] += shift    # a view of the diagonal
     if not _cholesky(shifted, overwrite=True)[1]:
         raise PsdError(f"{name} is not PSD (diagonal shift {shift:.3e})")
     return X

@@ -4,23 +4,22 @@ from __future__ import annotations
 import numpy as np
 
 from . import allocation, compression
-from .chain import run_chain
+from .chain import centralized, run_chain
 from .linalg import complex_normal
 
 
 def _check_centralized_equivalence(rng) -> tuple[bool, str]:
-    # without compression the chain is the batch LMMSE, in information form
-    # C = (I/p + sum_l H_l^H H_l / sigma2)^-1 and T = I - C/p
+    # without compression the per-AP recursion is the batch LMMSE that
+    # chain.centralized computes in closed form
     p, sigma2, K, L, N = 1.0, 0.5, 3, 3, 2
     H = [complex_normal(rng, (N, K)) for _ in range(L)]
     st = run_chain(p, sigma2, H, "infinite", np.full(L, np.inf))
-    C_cen = np.linalg.inv(np.eye(K) / p + sum(H_l.conj().T @ H_l for H_l in H) / sigma2)
-    T_cen = np.eye(K) - C_cen / p
+    cen = centralized(p, sigma2, H)
 
     def rel(a, b):
         return np.linalg.norm(a - b) / np.linalg.norm(b)
 
-    errs = rel(st.T, T_cen), rel(st.C, C_cen)
+    errs = rel(st.T, cen.T), rel(st.C, cen.C)
     return max(errs) < 1e-8, "T err {:.2e}, C err {:.2e}".format(*errs)
 
 

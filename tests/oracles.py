@@ -1,6 +1,7 @@
 # Independent reference implementations used only to check the package:
-# batch (centralized) LMMSE, the expansion form of a sequential chain,
-# grid-search compression design, and random problem-instance generators.
+# the per-AP channel draw, batch (centralized) LMMSE, the expansion form of a
+# sequential chain, grid-search compression design, and random
+# problem-instance generators.
 import numpy as np
 
 
@@ -15,6 +16,20 @@ def rand_psd(rng, K, jitter=0.0):
 
 def rand_channels(rng, L, N, K):
     return [complex_randn(rng, (N, K)) for _ in range(L)]
+
+
+def loop_channels(cfg, layout, rng):
+    """draw_channels' H as a per-AP loop: each AP draws complex_normal (its
+    real parts, then its imaginary parts), scaled per user column by
+    sqrt(beta)."""
+    from seqcf.geometry import pathloss_db
+    from seqcf.linalg import complex_normal
+
+    d = np.linalg.norm(layout.ap_positions[:, None, :]
+                       - layout.user_positions[None, :, :], axis=2)
+    beta = 10.0 ** (pathloss_db(d) / 10.0)
+    return [complex_normal(rng, (cfg.N, cfg.K)) * np.sqrt(beta[l])[None, :]
+            for l in range(cfg.L)]
 
 
 def centralized_combiner(H, p, sigma2):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import seqcf.chain
-from seqcf import (NetworkConfig, draw_channels, gain, initial_state,
+from seqcf import (NetworkConfig, centralized, draw_channels, gain, initial_state,
                    interference_context, logarithmic, place_network,
                    propagate_combiners, refine, run_chain, sinr_chain,
                    update_error_cov, update_pre_compression_corr)
@@ -113,6 +113,32 @@ class TestCovarianceUpdates:
         P = update_pre_compression_corr(P_prev, Z, G @ H, G @ H @ C)
         assert np.allclose(P, herm(P_prev + G @ H @ C), atol=1e-12)
 
+    @pytest.mark.parametrize("case", [0, 4, 5], ids=["eiu", "log-eiu", "dead-mid-eiu"])
+    def test_diagonal_q_matches_matrix_form(self, case, monkeypatch):
+        # an EIU chain hands P's update the diagonal of Q_prev; at every AP
+        # of the Fig-2 network that gives the matrix form's P bit for bit,
+        # with Q_prev = 0 at the first AP and after a dead link
+        cfg = NetworkConfig(L=12, N=10, K=20)
+        rng = np.random.default_rng(2026)
+        H = draw_channels(cfg, place_network(cfg, rng), rng).H
+        strategy, rates = chain_cases(cfg.R_T, cfg.L)[case]
+        real = seqcf.chain.update_pre_compression_corr
+        zero_q = []
+
+        def both(P_prev, q_prev, GH, GHC):
+            assert q_prev.shape == (cfg.K,)
+            P = real(P_prev, q_prev, GH, GHC)
+            assert np.array_equal(P, real(P_prev, np.diag(q_prev).astype(complex), GH, GHC))
+            zero_q.append(not q_prev.any())
+            return P
+
+        monkeypatch.setattr(seqcf.chain, "update_pre_compression_corr", both)
+        run_chain(cfg.p, cfg.sigma2, H, strategy, rates)
+        live = rates > 0
+        fresh = live & ~np.concatenate([[False], live[:-1]])   # first AP or after a dead one
+        assert len(zero_q) == live.sum()
+        assert zero_q == [bool(f) for f in fresh[live]]
+
     def test_error_cov_trivial(self, rng):
         C = np.eye(2, dtype=complex) * 0.8
         GH = np.zeros((2, 3)) @ complex_randn(rng, (3, 2))
@@ -188,6 +214,19 @@ class TestRunChain:
         assert np.linalg.norm(st.T - T_cen) / np.linalg.norm(T_cen) < 1e-8
         C_cen = centralized_error_cov(H, p, s2)
         assert np.linalg.norm(st.C - C_cen) / np.linalg.norm(C_cen) < 1e-8
+
+    @pytest.mark.parametrize("K,L,N", [(1, 1, 1), (3, 4, 2), (5, 2, 4), (20, 12, 10)])
+    def test_closed_form_matches_recursion(self, rng, K, L, N):
+        # chain.centralized is the compression-free recursion in closed form
+        p, s2 = 1.0, 0.5
+        H = rand_channels(rng, L, N, K)
+        st = run_chain(p, s2, H, "infinite", np.full(L, np.inf))
+        cen = centralized(p, s2, H)
+        assert rel_err(cen.C, st.C) < 1e-12
+        assert rel_err(cen.T, st.T) < 1e-12
+        assert np.array_equal(cen.P, np.zeros((K, K))) and cen.outcomes == []
+        C_cen = centralized_error_cov(H, p, s2)
+        assert rel_err(cen.C, C_cen) < 1e-10
 
     def test_single_ap_reduces_to_lmmse_plus_compression(self, rng):
         p, s2, K, N = 1.0, 0.5, 2, 3

@@ -153,6 +153,63 @@ class TestRunExperiment:
         assert row.per_trial[0] == clean.per_trial[0]
         assert row.per_trial[2] == clean.per_trial[2]
 
+    @pytest.mark.parametrize("allowance", [None, 1.0])
+    def test_non_finite_cell_raises(self, monkeypatch, allowance):
+        # a sum SE that is not finite is a failed trial, and a cell without a
+        # finite one has no mean, whatever the allowance
+        import seqcf.experiment as exp
+
+        monkeypatch.setattr(exp, "simulate_trial", lambda *a, **k: np.nan)
+        if allowance is not None:
+            monkeypatch.setattr(exp, "MAX_FAILURE_FRAC", allowance)
+        with pytest.raises(ExperimentError, match="3/3 trials failed"):
+            exp.run_experiment(small_spec(["sp-ef-eiu"], trials=3, values=(2,)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sum_se_fails_one_trial(self, monkeypatch, bad):
+        import seqcf.experiment as exp
+
+        spec = small_spec(["sp-ef-eiu"], trials=3, values=(2,))
+        clean = exp.run_experiment(spec)[0]
+        real = exp.simulate_trial
+        calls = []
+
+        def second_bad(*a, **k):
+            calls.append(1)
+            return bad if len(calls) == 2 else real(*a, **k)
+
+        monkeypatch.setattr(exp, "simulate_trial", second_bad)
+        monkeypatch.setattr(exp, "MAX_FAILURE_FRAC", 0.5)
+        row = exp.run_experiment(spec)[0]
+        assert row.trials == 2
+        assert row.per_trial[0] == clean.per_trial[0]
+        assert row.per_trial[2] == clean.per_trial[2]
+        assert row.mean_sum_se == np.mean(clean.per_trial[[0, 2]])
+
+    @pytest.mark.parametrize("L,K", [(12, 20), (48, 20), (12, 40), (13, 20)])
+    @pytest.mark.parametrize("label", ["sp-ef-infinite", "sp-log-infinite", "tp-lf-infinite"])
+    def test_closed_form_infinite_matches_recursion(self, monkeypatch, L, K, label):
+        # simulate_trial's closed-form chains give the sum SE of the per-AP
+        # compression-free recursion
+        import seqcf.experiment as exp
+        from seqcf import draw_channels, place_network, run_chain
+
+        cfg = NetworkConfig(L=L, N=10, K=K)
+        rng = np.random.default_rng(100 * L + K)
+        H = draw_channels(cfg, place_network(cfg, rng), rng).H
+        strategy = Strategy.parse(label)
+        got = exp.simulate_trial(cfg, strategy, H)
+        chains = []
+
+        def recursion(p, s2, H_chain):
+            chains.append(len(H_chain))
+            return run_chain(p, s2, H_chain, "infinite", np.full(len(H_chain), np.inf))
+
+        monkeypatch.setattr(exp, "centralized", recursion)
+        ref = exp.simulate_trial(cfg, strategy, H)
+        assert sum(chains) == L and len(chains) == (1 if label[:2] == "sp" else 2)
+        assert got == pytest.approx(ref, rel=1e-12)
+
     def test_programming_error_propagates(self, monkeypatch):
         # only typed numerical failures count as failed trials; a bug stops
         # the run even when it hits fewer trials than the failure allowance

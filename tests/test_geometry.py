@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 from seqcf import NetworkConfig, draw_channels, pathloss_db, place_network
 from seqcf.config import ConfigError
+
+from oracles import loop_channels
 
 
 def cfg(**kw):
@@ -105,6 +109,19 @@ class TestDrawChannels:
         chans = draw_channels(c, layout, rng)
         col_power = np.sum(np.abs(chans.H[0]) ** 2, axis=0)
         assert np.all(col_power <= 10 * c.N * chans.beta[0])
+
+    @pytest.mark.parametrize("L", [1, 12, 48])
+    def test_single_draw_matches_per_ap_loop(self, L):
+        # one draw for all APs is the per-AP complex_normal stream, bit for bit
+        c = NetworkConfig(L=L, N=10, K=20)
+        rng = np.random.default_rng(L)
+        layout = place_network(c, rng)
+        rng_loop = copy.deepcopy(rng)
+        H = draw_channels(c, layout, rng).H
+        ref = loop_channels(c, layout, rng_loop)
+        assert len(H) == L
+        assert all(np.array_equal(a, b) for a, b in zip(H, ref))
+        assert rng.random() == rng_loop.random()       # the same draws consumed
 
 
 class TestConfig:
