@@ -32,25 +32,30 @@ def _add_common(sub: argparse.ArgumentParser, axis: str) -> None:
 def _build_spec(args) -> ExperimentSpec:
     base = parse_config_file(args.config) if args.config else NetworkConfig()
     strategies = tuple(Strategy.parse(s) for s in args.strategies.split(","))
-    parse = int if args.sweep == "users" else float
-    try:
-        values = tuple(parse(v) for v in args.values.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"--values: {exc}") from exc
+    values = parse_list("--values", args.values, int if args.sweep == "users" else float)
     return ExperimentSpec(base=base, sweep=args.sweep, values=values,
                           strategies=strategies, trials=args.trials, seed=args.seed)
 
 
-def _check_out(path: str) -> None:
+def parse_list(option: str, text: str, parse) -> tuple:
+    """The comma list text given for option, each item read by parse;
+    ConfigError naming the option if one cannot be read."""
+    try:
+        return tuple(parse(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"{option}: {exc}") from exc
+
+
+def check_out(path: str, option: str = "--out") -> None:
     """Reject an output path the CSV cannot be written to, before any trial
     runs; the file itself is not opened, so an existing one is kept."""
     target = os.path.abspath(path)
     folder = os.path.dirname(target)
     if not os.path.isdir(folder):
-        raise ConfigError(f"--out: directory {folder} does not exist")
+        raise ConfigError(f"{option}: directory {folder} does not exist")
     if os.path.isdir(target) or not os.access(
             target if os.path.exists(target) else folder, os.W_OK):
-        raise ConfigError(f"--out: {path!r} is not a writable file")
+        raise ConfigError(f"{option}: {path!r} is not a writable file")
 
 
 def main(argv=None) -> int:
@@ -77,7 +82,7 @@ def main(argv=None) -> int:
             from .selftest import run_selftest
             return 0 if run_selftest(args.seed) else 1
         spec = _build_spec(args)
-        _check_out(args.out)
+        check_out(args.out)
         rows = run_experiment(spec)
         emit_csv(rows, args.out)
     except (ConfigError, ExperimentError) as exc:

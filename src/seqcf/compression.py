@@ -9,17 +9,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import PsdError, check_psd_spectrum, herm
-
-# after .linalg, which loads scipy.linalg: this module loading it first made
-# the import run one more full garbage collection, about 20 ms of set-up
-from scipy.linalg import lapack
+from .linalg import _ZHEEVD, PsdError, check_psd_spectrum, herm
 
 LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
-
-# LAPACK's divide-and-conquer Hermitian eigensolver, bound once
-_ZHEEVD = lapack.zheevd
 
 # eigenvalues of P below this fraction of the largest are treated as a
 # null space: those modes carry no rate and no compression noise

@@ -193,16 +193,22 @@ def emit_csv(rows: list, path: str) -> None:
 
 
 def parse_csv(path: str) -> list:
-    """Round-trip reader for the CSV emitted above."""
+    """Round-trip reader for the CSV emitted above. Blank lines are skipped;
+    a malformed row raises ExperimentError naming the path and line."""
     rows = []
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
         if header != CSV_HEADER:
-            raise ExperimentError(f"unexpected CSV header {header!r}")
-        for line in f:
-            sweep, pm, alloc, compr, mean, err, trials, seed = line.strip().split(",")
-            rows.append(ResultRow(sweep_value=float(sweep),
-                                  strategy=Strategy(pm, alloc, compr),
-                                  mean_sum_se=float(mean), stderr=float(err),
-                                  trials=int(trials), seed=int(seed)))
+            raise ExperimentError(f"{path}:1: unexpected CSV header {header!r}")
+        for lineno, line in enumerate(f, start=2):
+            if not line.strip():
+                continue
+            try:       # ConfigError (a bad strategy) is a ValueError
+                sweep, pm, alloc, compr, mean, err, trials, seed = line.strip().split(",")
+                rows.append(ResultRow(sweep_value=float(sweep),
+                                      strategy=Strategy(pm, alloc, compr),
+                                      mean_sum_se=float(mean), stderr=float(err),
+                                      trials=int(trials), seed=int(seed)))
+            except ValueError as exc:
+                raise ExperimentError(f"{path}:{lineno}: malformed row: {exc}") from exc
     return rows

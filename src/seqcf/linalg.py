@@ -1,10 +1,14 @@
-# Small Hermitian/PSD helpers shared by the chain and compression code.
+# Small Hermitian/PSD helpers shared by the chain and compression code, and
+# the package's LAPACK handles: the one module that imports scipy.
 from __future__ import annotations
 
 import math
+import os
+import sys
+from importlib import machinery, util
 
 import numpy as np
-import scipy.linalg as sla
+import scipy
 
 # PSD checks allow round-off down to -PSD_REL_TOL times the scale: the
 # largest diagonal entry in ensure_psd, ||X||_2 in check_psd_spectrum
@@ -33,9 +37,35 @@ def check_psd_spectrum(w: np.ndarray, name: str = "matrix") -> None:
         raise PsdError(f"{name} has negative eigenvalue {lo:.3e} (scale {scale:.3e})")
 
 
-# LAPACK potrf / potrs, bound once: the (real, complex) handles
-_POTRF = tuple(sla.get_lapack_funcs("potrf", dtype=t) for t in (float, complex))
-_POTRS = tuple(sla.get_lapack_funcs("potrs", dtype=t) for t in (float, complex))
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, the module scipy.linalg.lapack hands
+    out, loaded without scipy.linalg's package init (most of a cold import).
+
+    The package root has set up the shared-library path; a module already
+    imported is reused, and one not found beside scipy/linalg is imported the
+    usual way.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    finder = machinery.FileFinder(
+        os.path.join(os.path.dirname(scipy.__file__), "linalg"),
+        (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        from scipy.linalg import _flapack
+        return _flapack
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# LAPACK handles, bound once: potrf / potrs as (real, complex) pairs, and the
+# divide-and-conquer Hermitian eigensolver zheevd
+_FLAPACK = _load_flapack()
+_POTRF = (_FLAPACK.dpotrf, _FLAPACK.zpotrf)
+_POTRS = (_FLAPACK.dpotrs, _FLAPACK.zpotrs)
+_ZHEEVD = _FLAPACK.zheevd
 
 
 def _cholesky(X: np.ndarray, overwrite: bool = False) -> tuple:

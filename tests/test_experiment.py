@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,33 @@ class TestCsv:
             assert b.mean_sum_se == r.mean_sum_se
             assert b.stderr == r.stderr
             assert (b.trials, b.seed) == (r.trials, r.seed)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "out.csv"
+        emit_csv([ResultRow(1.0, Strategy("sp", "ef", "eiu"), 2.0, 0.1, 5, 7)] * 2,
+                 str(path))
+        head, row = path.read_text().splitlines()[:2]
+        path.write_text(f"{head}\n\n{row}\n  \n{row}\n\n")
+        assert [r.mean_sum_se for r in parse_csv(str(path))] == [2.0, 2.0]
+
+    @pytest.mark.parametrize("line, message", [
+        ("1,sp,ef,eiu,2,0.1,5", "not enough values to unpack"),
+        ("1,sp,ef,eiu,2,0.1,5,7,9", "too many values to unpack"),
+        ("1,sp,ef,eiu,two,0.1,5,7", "could not convert string to float: 'two'"),
+        ("1,sp,ef,eiu,2,0.1,5.5,7", "invalid literal for int"),
+        ("1,sp,zz,eiu,2,0.1,5,7", "unknown allocation scheme 'zz'"),
+    ])
+    def test_malformed_row_names_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "out.csv"
+        path.write_text(f"{CSV_HEADER}\n1,sp,ef,eiu,2,0.1,5,7\n\n{line}\n")
+        with pytest.raises(ExperimentError, match=f"^{re.escape(str(path))}:4: malformed row: {re.escape(message)}"):
+            parse_csv(str(path))
+
+    def test_bad_header_names_path(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("sweep,mean\n")
+        with pytest.raises(ExperimentError, match=f"^{re.escape(str(path))}:1: unexpected CSV header"):
+            parse_csv(str(path))
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "out.csv"

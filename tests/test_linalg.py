@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -107,3 +112,46 @@ class TestSampling:
     def test_sample_cn_zero_covariance(self, rng):
         z = sample_cn(rng, np.zeros((3, 3), dtype=complex))
         assert np.array_equal(z, np.zeros(3))
+
+
+# Checks of how seqcf binds LAPACK, each in a fresh interpreter: this one has
+# imported scipy.linalg already, through the import at the top of this file.
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SAME_HANDLES = """
+import scipy.linalg.lapack as lapack
+from seqcf import compression, linalg
+got = [*linalg._POTRF, *linalg._POTRS, compression._ZHEEVD]
+want = [lapack.dpotrf, lapack.zpotrf, lapack.dpotrs, lapack.zpotrs, lapack.zheevd]
+assert all(a is b for a, b in zip(got, want)), "not the handles scipy.linalg.lapack hands out"
+"""
+
+# with no extension suffix, the finder linalg builds sees no compiled module;
+# the import system keeps its own list of suffixes
+NO_FLAPACK_FILE = """
+from importlib import machinery
+suffixes, machinery.EXTENSION_SUFFIXES = machinery.EXTENSION_SUFFIXES, []
+import seqcf
+machinery.EXTENSION_SUFFIXES = suffixes
+assert "scipy.linalg" in sys.modules, "the fallback did not import scipy.linalg"
+"""
+
+
+def run_fresh(code: str) -> None:
+    proc = subprocess.run([sys.executable, "-c", "import sys\n" + code],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestLapackBinding:
+    def test_import_skips_scipy_linalg(self):
+        run_fresh('import seqcf\n'
+                  'assert "scipy.linalg" not in sys.modules, "seqcf imported scipy.linalg"')
+
+    @pytest.mark.parametrize("first", ["seqcf", "scipy.linalg"])
+    def test_handles_are_scipy_lapack(self, first):
+        run_fresh(f"import {first}\n" + SAME_HANDLES)
+
+    def test_fallback_binds_the_same_handles(self):
+        run_fresh(NO_FLAPACK_FILE + SAME_HANDLES)
