@@ -36,10 +36,9 @@ def gain(C_prev: np.ndarray, H_l: np.ndarray, sigma2: float) -> np.ndarray:
     """LMMSE combining matrix C H^H (H C H^H + sigma2 I)^-1, via a PD solve."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be strictly positive")
-    N = H_l.shape[0]
     HC = H_l @ C_prev
     S = herm(HC @ H_l.conj().T)
-    S.flat[::N + 1] += sigma2
+    S.ravel()[::len(S) + 1] += sigma2       # a view of the fresh S's diagonal
     # (S^-1 H C)^H = C H^H S^-1 for Hermitian C
     return herm_solve(S, HC).conj().T
 
@@ -58,9 +57,14 @@ def update_error_cov(C_pre: np.ndarray, Q_l: np.ndarray) -> np.ndarray:
     """C_l = C_pre + Q_l, symmetrized and checked PSD.
 
     C_pre = (I - Gamma H) C_{l-1} is the error covariance before the AP
-    compresses.
+    compresses. Q_l may be a diagonal noise given as its diagonal (K,), as
+    in update_pre_compression_corr: it is then added to C_pre's diagonal in
+    place, to the same bits as the matrix sum.
     """
-    return ensure_psd(C_pre + Q_l, name="C")
+    if Q_l.ndim == 2:
+        return ensure_psd(C_pre + Q_l, name="C")
+    C_pre.flat[::len(Q_l) + 1] += Q_l
+    return ensure_psd(C_pre, name="C")
 
 
 def update_pre_compression_corr(P_prev: np.ndarray, Q_prev: np.ndarray,
@@ -76,7 +80,7 @@ def update_pre_compression_corr(P_prev: np.ndarray, Q_prev: np.ndarray,
         P = P_prev + Q_prev + GHC - Q_prev @ GH.conj().T - GH @ Q_prev
     else:
         P = P_prev.copy()
-        P.flat[::len(Q_prev) + 1] += Q_prev
+        P.ravel()[::len(Q_prev) + 1] += Q_prev       # a view of the copy's diagonal
         P += GHC
         GHQ = GH * Q_prev             # GH Q_prev, and (GH Q_prev)^H = Q_prev GH^H
         P -= GHQ.conj().T
@@ -90,7 +94,10 @@ def propagate_combiners(T_prev: np.ndarray, GH: np.ndarray) -> np.ndarray:
     T_l = sum_i V_il H_i is what the combiners V_il of all APs so far make of
     the user signals, so the chain never has to carry the V_il themselves.
     """
-    return T_prev - GH @ T_prev + GH
+    T = GH @ T_prev
+    np.subtract(T_prev, T, out=T)
+    T += GH
+    return T
 
 
 def centralized(p: float, sigma2: float, H: list) -> ChainState:
@@ -136,14 +143,21 @@ def run_chain(p: float, sigma2: float, H: list, strategy: str, rates) -> ChainSt
     rates = np.asarray(rates, dtype=float)
     if len(rates) != len(H):
         raise ValueError("H and rates must have one entry per chain AP")
+    # the last live AP's compression noise, zero before the first one and
+    # after a dead link; EIU's is diagonal by construction and carried as its
+    # diagonal
+    diagonal = strategy == "eiu"
+    zero_q = np.zeros(K) if diagonal else np.zeros((K, K), dtype=complex)
+    Q_l = zero_q
 
-    for H_l, R_l in zip(H, rates):
+    for H_l, R_l in zip(H, rates.tolist()):
         if strategy != "infinite" and R_l <= ZERO_RATE_TOL:
             # dead link: the next AP sees no estimate at all
             fresh = initial_state(K, p)
             st.C, st.P, st.T = fresh.C, fresh.P, fresh.T
             st.outcomes.append(comp.CompressionOutcome(
                 Q=np.zeros((K, K), dtype=complex), achieved_rate=0.0))
+            Q_l = zero_q
             continue
         Gamma = gain(st.C, H_l, sigma2)
         GH = Gamma @ H_l
@@ -156,14 +170,13 @@ def run_chain(p: float, sigma2: float, H: list, strategy: str, rates) -> ChainSt
                                               achieved_rate=np.inf)
             P = st.P
         else:
-            Q_prev = st.outcomes[-1].Q if st.outcomes else np.zeros((K, K), dtype=complex)
-            if strategy == "eiu":         # EIU's Q is diagonal by construction
-                Q_prev = Q_prev.diagonal().real
-            P = update_pre_compression_corr(st.P, Q_prev, GH, GHC)
+            # Q_l is still the previous AP's noise here
+            P = update_pre_compression_corr(st.P, Q_l, GH, GHC)
             base = metrics.interference_context(T, C_pre, p) if strategy == "wsinm" else None
             outcome = _compress(strategy, P, R_l, base)
 
-        st.C = update_error_cov(C_pre, outcome.Q)
+        Q_l = outcome.q if diagonal else outcome.Q
+        st.C = update_error_cov(C_pre, Q_l)
         st.P = P
         st.T = T
         st.outcomes.append(outcome)

@@ -60,19 +60,25 @@ def _support_rate_bits(Pr: np.ndarray, d: np.ndarray) -> float:
 
 
 class _EiuOutcome(CompressionOutcome):
-    """EIU's outcome; only diagnostics read its rate, so it is formed on first read."""
+    """EIU's outcome. Its noise is diagonal: q holds that diagonal, which an
+    EIU chain carries, and the dense Q and the rate are formed on first read."""
 
     def __init__(self, P: np.ndarray, q: np.ndarray):
-        Q = np.zeros((len(q), len(q)), dtype=complex)
-        Q.flat[::len(q) + 1] = q
-        super().__init__(Q=Q, achieved_rate=math.nan)
-        del self.achieved_rate        # hand the name to the cached property
-        self._P, self._q = P, q
+        super().__init__(Q=None, achieved_rate=math.nan)
+        del self.Q, self.achieved_rate     # hand the names to the cached properties
+        self._P, self.q = P, q
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        K = len(self.q)
+        Q = np.zeros((K, K), dtype=complex)
+        Q.ravel()[::K + 1] = self.q
+        return Q
 
     @cached_property
     def achieved_rate(self) -> float:
-        keep = self._q > RANK_TOL * self._q.max(initial=0.0)
-        return _support_rate_bits(herm(self._P)[np.ix_(keep, keep)], self._q[keep])
+        keep = self.q > RANK_TOL * self.q.max(initial=0.0)
+        return _support_rate_bits(herm(self._P)[np.ix_(keep, keep)], self.q[keep])
 
 
 def achieved_rate_bits(P: np.ndarray, Q: np.ndarray) -> float:
@@ -96,7 +102,7 @@ def eiu(P: np.ndarray, R_l: float) -> CompressionOutcome:
     if not np.isfinite(P).all():
         raise PsdError("P is not finite")
     pdiag = P.diagonal().real
-    if pdiag.min() < -RANK_TOL * max(pdiag.max(), 1.0):
+    if np.minimum.reduce(pdiag) < -RANK_TOL * max(np.maximum.reduce(pdiag), 1.0):
         raise SolverError("P has a negative diagonal entry")
     return _EiuOutcome(P, np.maximum(pdiag, 0.0) / (2.0 ** b - 1.0))
 
@@ -116,9 +122,10 @@ def _rate_slope(lam: list, mu: float) -> tuple:
     """(rate, g) at mu in plain floats: the rate in bits and its slope
     g = -d rate / d ln mu, in bits per unit of ln mu."""
     mu2 = 2.0 * mu
+    mu4 = 2.0 * mu2
     r = g = 0.0
     for x in lam:
-        s = math.sqrt(x * (x + 2.0 * mu2))   # 2 d_k + lam_k
+        s = math.sqrt(x * (x + mu4))         # 2 d_k + lam_k
         r += math.log1p((x + s) / mu2)       # ln(1 + lam_k / d_k)
         g += x / s
     return r / LN2, g / LN2
@@ -327,7 +334,7 @@ def weighted_scnm(P: np.ndarray, R_l: float, weights: np.ndarray) -> Compression
         raise SolverError("weights must be strictly positive")
     ws = np.sqrt(w)
     # exactly Hermitian, as herm(P) is: entry (j, i) is the conjugate of (i, j)
-    Pbar = herm(P) * np.outer(ws, ws)
+    Pbar = herm(P) * (ws[:, None] * ws)
     inner = scnm(Pbar, R_l)
     Q = herm(inner.Q / ws[:, None] / ws[None, :])
     return CompressionOutcome(Q=Q, achieved_rate=inner.achieved_rate)
@@ -366,13 +373,15 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> Compressi
     for it in range(BCD_MAX_ITER):
         iters = it + 1
         ws = np.sqrt(w)
-        U, pos, lam, d = _eigen_solve(P * np.outer(ws, ws), R_l, mu)
+        U, pos, lam, d = _eigen_solve(P * (ws[:, None] * ws), R_l, mu)
         if d.size:
             # every mode gives back its multiplier: d^2 + lam d = mu lam
             d_top, lam_top = float(d[-1]), float(lam[-1])
             mu = d_top * (d_top + lam_top) / lam_top
         Up = U[:, pos]
-        X = base + (Up.real ** 2 + Up.imag ** 2) @ d / w
+        A = Up.real ** 2                     # |U_kj|^2 on the support
+        A += Up.imag ** 2
+        X = base + A @ d / w
         obj_q = float(w @ X - log_w)
         trace_vals.append(obj_q)
         w = 1.0 / (LN2 * X)

@@ -20,9 +20,14 @@ class PsdError(RuntimeError):
 
 
 def herm(X: np.ndarray) -> np.ndarray:
-    """Symmetrize against floating-point drift."""
-    Y = X + X.conj().T
-    Y *= 0.5
+    """Symmetrize against floating-point drift: (X + X^H) / 2, in C order."""
+    Y = X.T.copy()                 # X^T in C order, conjugated in place: X^H
+    np.conjugate(Y, out=Y)
+    Y += X
+    # halved as reals: the complex product by 0.5 + 0j gives the same finite
+    # values, at twice the cost
+    R = Y.view(Y.real.dtype)
+    R *= 0.5
     return Y
 
 
@@ -73,16 +78,17 @@ def _cholesky(X: np.ndarray, overwrite: bool = False) -> tuple:
 
     With overwrite, a Fortran-ordered X of the handle's dtype is factored in place.
     """
-    c, info = _POTRF[np.iscomplexobj(X)](X, overwrite_a=overwrite, clean=False)
-    # OpenBLAS's potrf lets NaN through with info 0; it leaves the trace NaN
-    return c, info == 0 and math.isfinite(c.trace().real)
+    c, info = _POTRF[X.dtype.kind == "c"](X, overwrite_a=overwrite, clean=False)
+    # OpenBLAS's potrf lets NaN through with info 0; it leaves the diagonal's
+    # sum NaN (summed as Python numbers: fewer numpy calls than c.trace())
+    return c, info == 0 and math.isfinite(sum(c.diagonal().tolist()).real)
 
 
 def ensure_psd(X: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Symmetrize X and check it is PSD up to round-off (else PsdError); no repair."""
     X = herm(X)
     shifted = X.copy(order="F")           # X + PSD_REL_TOL * max(diag X) * I
-    shift = PSD_REL_TOL * max(X.diagonal().real.max(), 1e-300)
+    shift = PSD_REL_TOL * max(np.maximum.reduce(X.diagonal().real), 1e-300)
     shifted.ravel(order="F")[::len(X) + 1] += shift    # a view of the diagonal
     if not _cholesky(shifted, overwrite=True)[1]:
         raise PsdError(f"{name} is not PSD (diagonal shift {shift:.3e})")
@@ -112,4 +118,4 @@ def herm_solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
     c, ok = _cholesky(S)
     if not ok:
         raise np.linalg.LinAlgError("matrix is not finite and positive definite")
-    return _POTRS[np.iscomplexobj(c) or np.iscomplexobj(B)](c, B)[0]
+    return _POTRS[c.dtype.kind == "c" or B.dtype.kind == "c"](c, B)[0]

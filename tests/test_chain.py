@@ -113,31 +113,43 @@ class TestCovarianceUpdates:
         P = update_pre_compression_corr(P_prev, Z, G @ H, G @ H @ C)
         assert np.allclose(P, herm(P_prev + G @ H @ C), atol=1e-12)
 
-    @pytest.mark.parametrize("case", [0, 4, 5], ids=["eiu", "log-eiu", "dead-mid-eiu"])
-    def test_diagonal_q_matches_matrix_form(self, case, monkeypatch):
-        # an EIU chain hands P's update the diagonal of Q_prev; at every AP
-        # of the Fig-2 network that gives the matrix form's P bit for bit,
-        # with Q_prev = 0 at the first AP and after a dead link
+    @pytest.mark.parametrize("helper, case", [
+        ("update_pre_compression_corr", 0), ("update_pre_compression_corr", 4),
+        ("update_pre_compression_corr", 5), ("update_error_cov", 0),
+        ("update_error_cov", 4), ("update_error_cov", 5)],
+        ids=["eiu", "log-eiu", "dead-mid-eiu",
+             "error-cov-eiu", "error-cov-log-eiu", "error-cov-dead-mid-eiu"])
+    def test_diagonal_q_matches_matrix_form(self, helper, case, monkeypatch):
+        # an EIU chain hands P's and C's updates a diagonal noise as its
+        # diagonal; at every live AP of the Fig-2 network, the first one and
+        # those after a dead link included, each update gives the matrix
+        # form's result bit for bit. P's update gets the previous AP's noise,
+        # Q_prev = 0 at the first AP and after a dead link; C's the AP's own
         cfg = NetworkConfig(L=12, N=10, K=20)
         rng = np.random.default_rng(2026)
         H = draw_channels(cfg, place_network(cfg, rng), rng).H
         strategy, rates = chain_cases(cfg.R_T, cfg.L)[case]
-        real = seqcf.chain.update_pre_compression_corr
+        real = getattr(seqcf.chain, helper)
         zero_q = []
 
-        def both(P_prev, q_prev, GH, GHC):
-            assert q_prev.shape == (cfg.K,)
-            P = real(P_prev, q_prev, GH, GHC)
-            assert np.array_equal(P, real(P_prev, np.diag(q_prev).astype(complex), GH, GHC))
-            zero_q.append(not q_prev.any())
-            return P
+        def both(X, q, *products):
+            assert q.shape == (cfg.K,)
+            # the matrix form first: the diagonal one may update X in place
+            dense = real(X, np.diag(q).astype(complex), *products)
+            out = real(X, q, *products)
+            assert np.array_equal(out, dense)
+            zero_q.append(not q.any())
+            return out
 
-        monkeypatch.setattr(seqcf.chain, "update_pre_compression_corr", both)
+        monkeypatch.setattr(seqcf.chain, helper, both)
         run_chain(cfg.p, cfg.sigma2, H, strategy, rates)
         live = rates > 0
         fresh = live & ~np.concatenate([[False], live[:-1]])   # first AP or after a dead one
         assert len(zero_q) == live.sum()
-        assert zero_q == [bool(f) for f in fresh[live]]
+        if helper == "update_pre_compression_corr":
+            assert zero_q == [bool(f) for f in fresh[live]]
+        else:
+            assert not any(zero_q)
 
     def test_error_cov_trivial(self, rng):
         C = np.eye(2, dtype=complex) * 0.8

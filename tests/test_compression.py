@@ -71,6 +71,21 @@ class TestEiu:
         assert out.achieved_rate == expected
         assert len(calls) == 1
 
+    def test_dense_q_formed_on_first_read(self):
+        # an EIU chain carries each outcome's diagonal q and never forms its
+        # dense Q; the first read does, once, as exactly the complex diag(q)
+        cfg = NetworkConfig(L=12, N=10, K=20)
+        rng = np.random.default_rng(2026)
+        H = draw_channels(cfg, place_network(cfg, rng), rng).H
+        st = run_chain(cfg.p, cfg.sigma2, H, "eiu", equal(cfg.R_T, cfg.L))
+        assert len(st.outcomes) == cfg.L
+        assert all("Q" not in vars(out) for out in st.outcomes)
+        for out in st.outcomes:
+            Q = out.Q
+            assert Q.dtype == complex
+            assert np.array_equal(Q, np.diag(out.q).astype(complex))
+            assert out.Q is Q
+
 
 class TestScnm:
     def test_single_mode_closed_form(self):
