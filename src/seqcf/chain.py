@@ -3,7 +3,7 @@
 # channel of the forwarded estimate.
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,10 +20,8 @@ ZERO_RATE_TOL = 1e-12
 class ChainState:
     """K x K statistics of the estimate s̃ a chain forwards; s̃ is never formed."""
     C: np.ndarray             # (K,K) error covariance E[(s - s̃)(s - s̃)^H]
-    P: np.ndarray             # (K,K) pre-compression correlation; stays 0 on an
-                              # "infinite" chain, where no compression reads it
+    P: np.ndarray             # (K,K) pre-compression correlation
     T: np.ndarray             # (K,K) effective channel: s̃ = T s + noise
-    outcomes: list = field(default_factory=list)  # per-AP CompressionOutcome
 
 
 def initial_state(K: int, p: float) -> ChainState:
@@ -106,8 +104,8 @@ def centralized(p: float, sigma2: float, H: list) -> ChainState:
     Without compression the chain is the batch LMMSE over all its APs, in
     information form C = (I/p + sum_l H_l^H H_l / sigma2)^-1 and T = I - C/p:
     one Gram product and one PD solve instead of one gain step per AP.
-    run_chain(..., "infinite") is the per-AP recursion it equals; P stays 0
-    and no per-AP outcome is formed.
+    An EIU chain at infinite rates, whose noise is exactly 0, is the per-AP
+    recursion it equals; P is left at 0.
     """
     Hs = np.concatenate(H)
     K = Hs.shape[1]
@@ -134,29 +132,24 @@ def run_chain(p: float, sigma2: float, H: list, strategy: str, rates) -> ChainSt
     """Run the full refine -> compress pass over an ordered AP subset.
 
     H holds the per-AP channels in chain order and rates gives R_l per AP.
-    strategy is one of eiu | scnm | wsinm | infinite ("infinite" disables
-    compression, Q_l = 0). Only the statistics of the forwarded estimate are
-    tracked, so the result is a deterministic function of the channels.
+    strategy is one of eiu | scnm | wsinm. Only the statistics of the
+    forwarded estimate are tracked, so the result is a deterministic function
+    of the channels; no per-AP compression outcome is kept.
     """
     K = H[0].shape[1]
     st = initial_state(K, p)
     rates = np.asarray(rates, dtype=float)
     if len(rates) != len(H):
         raise ValueError("H and rates must have one entry per chain AP")
-    # the last live AP's compression noise, zero before the first one and
-    # after a dead link; EIU's is diagonal by construction and carried as its
-    # diagonal
-    diagonal = strategy == "eiu"
-    zero_q = np.zeros(K) if diagonal else np.zeros((K, K), dtype=complex)
+    # the last live AP's compression noise, a zero diagonal before the first
+    # one and after a dead link; EIU's is diagonal and carried as its diagonal
+    zero_q = np.zeros(K)
     Q_l = zero_q
 
     for H_l, R_l in zip(H, rates.tolist()):
-        if strategy != "infinite" and R_l <= ZERO_RATE_TOL:
+        if R_l <= ZERO_RATE_TOL:
             # dead link: the next AP sees no estimate at all
-            fresh = initial_state(K, p)
-            st.C, st.P, st.T = fresh.C, fresh.P, fresh.T
-            st.outcomes.append(comp.CompressionOutcome(
-                Q=np.zeros((K, K), dtype=complex), achieved_rate=0.0))
+            st = initial_state(K, p)
             Q_l = zero_q
             continue
         Gamma = gain(st.C, H_l, sigma2)
@@ -164,21 +157,10 @@ def run_chain(p: float, sigma2: float, H: list, strategy: str, rates) -> ChainSt
         GHC = GH @ st.C
         C_pre = st.C - GHC        # (I - Gamma H) C_{l-1}, before compression
         T = propagate_combiners(st.T, GH)
-
-        if strategy == "infinite":
-            outcome = comp.CompressionOutcome(Q=np.zeros((K, K), dtype=complex),
-                                              achieved_rate=np.inf)
-            P = st.P
-        else:
-            # Q_l is still the previous AP's noise here
-            P = update_pre_compression_corr(st.P, Q_l, GH, GHC)
-            base = metrics.interference_context(T, C_pre, p) if strategy == "wsinm" else None
-            outcome = _compress(strategy, P, R_l, base)
-
-        Q_l = outcome.q if diagonal else outcome.Q
-        st.C = update_error_cov(C_pre, Q_l)
-        st.P = P
-        st.T = T
-        st.outcomes.append(outcome)
-
+        # Q_l is still the previous AP's noise here
+        P = update_pre_compression_corr(st.P, Q_l, GH, GHC)
+        base = metrics.interference_context(T, C_pre, p) if strategy == "wsinm" else None
+        outcome = _compress(strategy, P, R_l, base)
+        Q_l = outcome.q if strategy == "eiu" else outcome.Q
+        st = ChainState(C=update_error_cov(C_pre, Q_l), P=P, T=T)
     return st

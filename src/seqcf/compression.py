@@ -61,7 +61,8 @@ def _support_rate_bits(Pr: np.ndarray, d: np.ndarray) -> float:
 
 class _EiuOutcome(CompressionOutcome):
     """EIU's outcome. Its noise is diagonal: q holds that diagonal, which an
-    EIU chain carries, and the dense Q and the rate are formed on first read."""
+    EIU chain carries, and the dense Q and the rate are formed on first read,
+    the rate from the Hermitian P that eiu was given."""
 
     def __init__(self, P: np.ndarray, q: np.ndarray):
         super().__init__(Q=None, achieved_rate=math.nan)
@@ -78,7 +79,7 @@ class _EiuOutcome(CompressionOutcome):
     @cached_property
     def achieved_rate(self) -> float:
         keep = self.q > RANK_TOL * self.q.max(initial=0.0)
-        return _support_rate_bits(herm(self._P)[np.ix_(keep, keep)], self.q[keep])
+        return _support_rate_bits(self._P[np.ix_(keep, keep)], self.q[keep])
 
 
 def achieved_rate_bits(P: np.ndarray, Q: np.ndarray) -> float:
@@ -93,7 +94,9 @@ def eiu(P: np.ndarray, R_l: float) -> CompressionOutcome:
     """Element-wise compression: b = R_l/K bits per user's estimate entry.
 
     Per rate-distortion theory the per-entry noise variance is
-    P[k,k] / (2^b - 1); Q is diagonal.
+    P[k,k] / (2^b - 1); Q is diagonal. P is Hermitian. From b = 1024 on 2^b
+    overflows a float, and as 2^b - 1 rounds to 2^b (from b = 54 on) the
+    variance is taken as P[k,k] 2^-b: 0 at b = inf, where nothing is lost.
     """
     K = P.shape[0]
     b = R_l / K
@@ -104,7 +107,12 @@ def eiu(P: np.ndarray, R_l: float) -> CompressionOutcome:
     pdiag = P.diagonal().real
     if np.minimum.reduce(pdiag) < -RANK_TOL * max(np.maximum.reduce(pdiag), 1.0):
         raise SolverError("P has a negative diagonal entry")
-    return _EiuOutcome(P, np.maximum(pdiag, 0.0) / (2.0 ** b - 1.0))
+    q = np.maximum(pdiag, 0.0)
+    if b < 1024.0:
+        q /= 2.0 ** b - 1.0
+    else:
+        q *= 2.0 ** -b
+    return _EiuOutcome(P, q)
 
 
 def _mode_noise(lam: np.ndarray, mu: float) -> np.ndarray:
@@ -309,7 +317,8 @@ def _mode_covariance(U: np.ndarray, pos, d: np.ndarray) -> np.ndarray:
 def scnm(P: np.ndarray, R_l: float) -> CompressionOutcome:
     """Minimize trace(Q) s.t. log2 det(P Q^-1 + I) = R_l, Q >= 0.
 
-    Q shares the eigenbasis of P; each mode's noise solves the KKT
+    P is Hermitian, as ensure_psd leaves it; zheevd reads its lower triangle
+    only. Q shares the eigenbasis of P; each mode's noise solves the KKT
     quadratic d^2 + lam*d - mu*lam = 0. The multiplier mu is the rate
     bisection's (_solve_mode_noises), whose rate model starts cold. The
     eigendecomposition, PSD check, support and mode solve are _eigen_solve,
@@ -317,7 +326,7 @@ def scnm(P: np.ndarray, R_l: float) -> CompressionOutcome:
     """
     if R_l <= 0:
         raise SolverError("vector-wise compression needs R_l > 0")
-    U, pos, lam, d = _eigen_solve(herm(P), R_l, math.nan)
+    U, pos, lam, d = _eigen_solve(P, R_l, math.nan)
     return CompressionOutcome(Q=_mode_covariance(U, pos, d),
                               achieved_rate=_mode_rate(lam, d))
 
@@ -346,7 +355,9 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> Compressi
     Alternates (i) weighted trace minimization at the current weights and
     (ii) the closed-form weight update w_k = 1/(ln2 * X_k), where
     X_k = interference_base[k] + Q[k,k] is user k's interference-plus-noise.
-    interference_base must exclude the current AP's own Q[k,k] term.
+    interference_base must exclude the current AP's own Q[k,k] term. P is
+    Hermitian, as ensure_psd leaves it, so every P * outer(ws, ws) is too;
+    zheevd reads the lower triangle of each.
 
     Step (i) is weighted_scnm's congruence transform with one zheevd per
     iteration. The weight update reads only diag Q, so an iteration forms
@@ -361,8 +372,6 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> Compressi
     base = np.asarray(interference_base, dtype=float)
     if not np.all((base > 0) & (base < math.inf)):
         raise SolverError("interference-plus-noise base must be finite and strictly positive")
-    # exactly Hermitian, so every P * outer(ws, ws) below is too
-    P = herm(P)
     K = P.shape[0]
     w = np.ones(K)
     mu = math.nan

@@ -5,15 +5,16 @@ import numpy as np
 
 from . import allocation, compression
 from .chain import centralized, run_chain
-from .linalg import complex_normal
+from .linalg import complex_normal, herm
 
 
 def _check_centralized_equivalence(rng) -> tuple[bool, str]:
-    # without compression the per-AP recursion is the batch LMMSE that
-    # chain.centralized computes in closed form
+    # without compression (EIU at infinite rates adds exactly zero noise) the
+    # per-AP recursion is the batch LMMSE that chain.centralized computes in
+    # closed form
     p, sigma2, K, L, N = 1.0, 0.5, 3, 3, 2
     H = [complex_normal(rng, (N, K)) for _ in range(L)]
-    st = run_chain(p, sigma2, H, "infinite", np.full(L, np.inf))
+    st = run_chain(p, sigma2, H, "eiu", np.full(L, np.inf))
     cen = centralized(p, sigma2, H)
 
     def rel(a, b):
@@ -42,7 +43,7 @@ def _check_dead_link_restart(rng) -> tuple[bool, str]:
 def _check_rate_equality(rng) -> tuple[bool, str]:
     K = 3
     X = complex_normal(rng, (K, K))
-    P = X @ X.conj().T + 0.1 * np.eye(K)
+    P = herm(X @ X.conj().T + 0.1 * np.eye(K))      # the designs take a Hermitian P
     worst = 0.0
     for R in (2.0, 7.5, 20.0):
         out = compression.scnm(P, R)

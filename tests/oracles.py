@@ -10,8 +10,11 @@ def complex_randn(rng, size):
 
 
 def rand_psd(rng, K, jitter=0.0):
+    """X X^H + jitter I, symmetrized to be exactly Hermitian, as the
+    compression designs take P."""
     X = complex_randn(rng, (K, K))
-    return X @ X.conj().T + jitter * np.eye(K)
+    P = X @ X.conj().T + jitter * np.eye(K)
+    return 0.5 * (P + P.conj().T)
 
 
 def rand_channels(rng, L, N, K):
@@ -240,13 +243,43 @@ class ChainExpansion:
         return out
 
 
-def run_and_expand(p, sigma2, H, strategy, rates):
-    """Run the chain under test and rebuild it in expansion form from its Q_i."""
-    from seqcf import run_chain
+def run_recorded(p, sigma2, H, strategy, rates):
+    """(state, outcomes): run_chain's result and its per-AP CompressionOutcomes.
 
-    st = run_chain(p, sigma2, H, strategy, rates)
-    ex = ChainExpansion(p, sigma2, H, rates, [o.Q for o in st.outcomes])
-    return st, ex
+    seqcf.chain._compress is wrapped for the length of the call to record each
+    live AP's outcome; a dead AP (rate <= ZERO_RATE_TOL) compresses nothing
+    and gets a zero Q at rate 0.
+    """
+    import seqcf.chain as chain
+    from seqcf.compression import CompressionOutcome
+
+    real = chain._compress
+    live = []
+
+    def recorded(*args):
+        live.append(real(*args))
+        return live[-1]
+
+    chain._compress = recorded
+    try:
+        st = chain.run_chain(p, sigma2, H, strategy, rates)
+    finally:
+        chain._compress = real
+    K = H[0].shape[1]
+    it = iter(live)
+    outcomes = [CompressionOutcome(Q=np.zeros((K, K), dtype=complex), achieved_rate=0.0)
+                if R_l <= chain.ZERO_RATE_TOL else next(it) for R_l in rates]
+    return st, outcomes
+
+
+def run_and_expand(p, sigma2, H, strategy, rates):
+    """Run the chain under test and rebuild it in expansion form from its Q_i.
+
+    Returns (state, expansion, outcomes), the outcomes as run_recorded's.
+    """
+    st, outcomes = run_recorded(p, sigma2, H, strategy, rates)
+    ex = ChainExpansion(p, sigma2, H, rates, [o.Q for o in outcomes])
+    return st, ex, outcomes
 
 
 def stacked_wsinm(P, R_l, interference_base):

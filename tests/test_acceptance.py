@@ -17,10 +17,12 @@ from seqcf.linalg import sample_cn
 
 from oracles import (centralized_combiner, centralized_error_cov,
                      centralized_sinr, complex_randn, grid_min_trace,
-                     rand_channels, rand_psd, run_and_expand)
+                     rand_channels, rand_psd, run_and_expand, run_recorded)
 
 
 def test_centralized_equivalence():
+    # the per-AP recursion without compression: EIU at infinite rates, whose
+    # noise is exactly 0
     rng = np.random.default_rng(2024)
     p, sigma2 = 1.0, 0.5
     combos = list(itertools.product((1, 2, 5), (2, 4), (1, 2, 4)))
@@ -28,7 +30,7 @@ def test_centralized_equivalence():
     for i in range(100):
         K, L, N = combos[i % len(combos)]
         H = rand_channels(rng, L, N, K)
-        st = run_chain(p, sigma2, H, "infinite", np.full(L, np.inf))
+        st = run_chain(p, sigma2, H, "eiu", np.full(L, np.inf))
         T_cen = centralized_combiner(H, p, sigma2) @ np.vstack(H)
         worst_T = max(worst_T, np.linalg.norm(st.T - T_cen) / np.linalg.norm(T_cen))
         sinr = sinr_chain(st.T, st.C, p)
@@ -45,7 +47,8 @@ def test_centralized_equivalence():
 def test_algebraic_reconstruction():
     rng = np.random.default_rng(7)
     worst = 0.0
-    strategies = ("eiu", "scnm", "wsinm", "infinite")
+    # the last case is the lossless chain: EIU at infinite rates
+    strategies = ("eiu", "scnm", "wsinm", "eiu")
     for i in range(100):
         K = int(rng.integers(1, 4))
         L = int(rng.integers(1, 5))
@@ -53,7 +56,9 @@ def test_algebraic_reconstruction():
         H = rand_channels(rng, L, N, K)
         strat = strategies[i % 4]
         rates = rng.uniform(3.0, 10.0, size=L)
-        st, ex = run_and_expand(1.0, 0.5, H, strat, rates)
+        if i % 4 == 3:
+            rates[:] = np.inf
+        st, ex, _ = run_and_expand(1.0, 0.5, H, strat, rates)
         worst = max(worst, np.linalg.norm(st.T - ex.T) / np.linalg.norm(ex.T))
     assert worst < 1e-9
     print(f"\n[PASS] algebraic-reconstruction: worst relative T err {worst:.2e} "
@@ -131,11 +136,12 @@ def test_covariance_fidelity_monte_carlo_experiment_size(strategy):
     H = draw_channels(cfg, place_network(cfg, rng), rng).H
     rates = equal(cfg.R_T, cfg.L)
     # the chain after each AP: every prefix is run_chain's own pass
-    states = [run_chain(cfg.p, cfg.sigma2, H[:l], strategy, rates[:l])
-              for l in range(1, cfg.L + 1)]
+    runs = [run_recorded(cfg.p, cfg.sigma2, H[:l], strategy, rates[:l])
+            for l in range(1, cfg.L + 1)]
+    states = [st for st, _ in runs]
     C_before = [cfg.p * np.eye(cfg.K)] + [st.C for st in states[:-1]]
     gammas = [gain(C, Hl, cfg.sigma2) for C, Hl in zip(C_before, H)]
-    Qs = [st.outcomes[-1].Q for st in states]
+    Qs = [outcomes[-1].Q for _, outcomes in runs]
     n = 40_000
     worst_C, worst_T = 0.0, 0.0
     draws = _chain_realizations(rng, cfg.p, cfg.sigma2, H, gammas, Qs, n)
@@ -263,7 +269,7 @@ def test_sinr_monotone_in_compression_noise():
         K = int(rng.integers(2, 4))
         L = int(rng.integers(2, 5))
         H = rand_channels(rng, L, 3, K)
-        st, ex = run_and_expand(1.0, 0.5, H, "scnm", rng.uniform(3.0, 8.0, size=L))
+        st, ex, _ = run_and_expand(1.0, 0.5, H, "scnm", rng.uniform(3.0, 8.0, size=L))
         before = sinr_chain(st.T, st.C, 1.0)
         assert np.allclose(before, ex.sinr, rtol=1e-9)
         for i in range(L):

@@ -10,7 +10,7 @@ from seqcf.compression import LN2
 from seqcf.linalg import PsdError, herm
 
 from oracles import (centralized_combiner, centralized_error_cov, complex_randn,
-                     rand_channels, run_and_expand)
+                     rand_channels, run_and_expand, run_recorded)
 
 
 def run_random_chain(rng, p=1.0, sigma2=0.4, K=2, L=3, N=3, strategy="eiu", rates=None):
@@ -18,7 +18,7 @@ def run_random_chain(rng, p=1.0, sigma2=0.4, K=2, L=3, N=3, strategy="eiu", rate
     H = rand_channels(rng, L, N, K)
     if rates is None:
         rates = np.full(L, 6.0)
-    st, ex = run_and_expand(p, sigma2, H, strategy, rates)
+    st, ex, _ = run_and_expand(p, sigma2, H, strategy, rates)
     return st, ex, H
 
 
@@ -26,13 +26,14 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-# (strategy, rate schedule) cases: every compression design, a LOG schedule
+# (strategy, rate schedule) cases: every compression design, the lossless
+# chain (EIU at infinite rates, whose noise is exactly 0), a LOG schedule
 # whose first link is dead, and an equal schedule with a dead mid-chain link
 def chain_cases(R_T, L):
     ef = np.full(L, R_T / L)
     dead_mid = ef.copy()
     dead_mid[L // 2] = 0.0
-    return [("eiu", ef), ("scnm", ef), ("wsinm", ef), ("infinite", np.full(L, np.inf)),
+    return [("eiu", ef), ("scnm", ef), ("wsinm", ef), ("eiu", np.full(L, np.inf)),
             ("eiu", logarithmic(R_T, L)), ("eiu", dead_mid)]
 
 
@@ -84,7 +85,7 @@ class TestRefine:
         # the truth, so T -> I and the error covariance C -> 0
         p, s2, N = 1.0, 1e-12, 8
         H = [complex_randn(rng, (N, 1))]
-        st = run_chain(p, s2, H, "infinite", [np.inf])
+        st = run_chain(p, s2, H, "eiu", [np.inf])
         assert p * np.abs(1.0 - st.T[0, 0]) ** 2 < 1e-6 * p
         assert st.C[0, 0].real < 1e-6 * p
 
@@ -212,8 +213,11 @@ class TestCombinerFamilies:
 
     @pytest.mark.parametrize("strategy", ["eiu", "scnm", "wsinm", "infinite"])
     def test_recursion_matches_expansion(self, rng, strategy):
-        # the tracked T equals sum_i V_i H_i
-        st, ex, _ = run_random_chain(rng, strategy=strategy)
+        # the tracked T equals sum_i V_i H_i; "infinite" is the lossless
+        # chain, EIU at infinite rates
+        rates = np.full(3, np.inf) if strategy == "infinite" else None
+        strategy = "eiu" if strategy == "infinite" else strategy
+        st, ex, _ = run_random_chain(rng, strategy=strategy, rates=rates)
         assert rel_err(st.T, ex.T) < 1e-9
 
 
@@ -221,7 +225,7 @@ class TestRunChain:
     def test_no_compression_matches_centralized(self, rng):
         p, s2 = 1.0, 0.5
         H = rand_channels(rng, 4, 2, 3)
-        st = run_chain(p, s2, H, "infinite", np.full(4, np.inf))
+        st = run_chain(p, s2, H, "eiu", np.full(4, np.inf))
         T_cen = centralized_combiner(H, p, s2) @ np.vstack(H)
         assert np.linalg.norm(st.T - T_cen) / np.linalg.norm(T_cen) < 1e-8
         C_cen = centralized_error_cov(H, p, s2)
@@ -229,24 +233,25 @@ class TestRunChain:
 
     @pytest.mark.parametrize("K,L,N", [(1, 1, 1), (3, 4, 2), (5, 2, 4), (20, 12, 10)])
     def test_closed_form_matches_recursion(self, rng, K, L, N):
-        # chain.centralized is the compression-free recursion in closed form
+        # chain.centralized is the compression-free recursion (EIU at
+        # infinite rates) in closed form
         p, s2 = 1.0, 0.5
         H = rand_channels(rng, L, N, K)
-        st = run_chain(p, s2, H, "infinite", np.full(L, np.inf))
+        st = run_chain(p, s2, H, "eiu", np.full(L, np.inf))
         cen = centralized(p, s2, H)
         assert rel_err(cen.C, st.C) < 1e-12
         assert rel_err(cen.T, st.T) < 1e-12
-        assert np.array_equal(cen.P, np.zeros((K, K))) and cen.outcomes == []
+        assert np.array_equal(cen.P, np.zeros((K, K)))
         C_cen = centralized_error_cov(H, p, s2)
         assert rel_err(cen.C, C_cen) < 1e-10
 
     def test_single_ap_reduces_to_lmmse_plus_compression(self, rng):
         p, s2, K, N = 1.0, 0.5, 2, 3
         H = rand_channels(rng, 1, N, K)
-        st = run_chain(p, s2, H, "eiu", [8.0])
+        st, outcomes = run_recorded(p, s2, H, "eiu", [8.0])
         Gamma = gain(p * np.eye(K, dtype=complex), H[0], s2)
         assert np.allclose(st.T, Gamma @ H[0], atol=1e-10)
-        assert np.allclose(st.C, centralized_error_cov(H, p, s2) + st.outcomes[0].Q,
+        assert np.allclose(st.C, centralized_error_cov(H, p, s2) + outcomes[0].Q,
                            atol=1e-10)
 
     def test_terminal_mse_non_increasing_in_rate(self, rng):
@@ -268,16 +273,27 @@ class TestRunChain:
         H = rand_channels(rng, 4, 3, 2)
         prev = np.trace(initial_state(2, p).C).real
         for l in range(1, 5):
-            stl = run_chain(p, s2, H[:l], "scnm", np.full(l, 6.0))
+            stl, outcomes = run_recorded(p, s2, H[:l], "scnm", np.full(l, 6.0))
             tr = np.trace(stl.C).real
-            assert tr <= prev + np.trace(stl.outcomes[-1].Q).real + 1e-9
+            assert tr <= prev + np.trace(outcomes[-1].Q).real + 1e-9
             prev = tr
 
     def test_psd_state_every_step(self, rng):
-        st, *_ = run_random_chain(rng, L=4, strategy="wsinm")
-        for X in [st.C, st.P] + [o.Q for o in st.outcomes]:
+        st, ex, _ = run_random_chain(rng, L=4, strategy="wsinm")
+        for X in [st.C, st.P] + ex.Qs:
             w = np.linalg.eigvalsh(herm(X))
             assert w.min() >= -1e-10 * max(abs(w).max(), 1e-300)
+
+    def test_infinite_is_not_a_design(self, rng):
+        # a compression-free chain is chain.centralized, or EIU at infinite
+        # rates; run_chain itself knows only the three designs
+        H = rand_channels(rng, 2, 3, 2)
+        with pytest.raises(ValueError, match="unknown compression strategy"):
+            run_chain(1.0, 0.5, H, "infinite", np.full(2, np.inf))
+
+    def test_state_is_its_statistics(self, rng):
+        st = run_chain(1.0, 0.5, rand_channels(rng, 2, 3, 2), "eiu", [6.0, 0.0])
+        assert list(vars(st)) == ["C", "P", "T"]
 
     def test_zero_rate_link_restarts_chain(self, rng):
         # a dead first link must leave AP 2 with a fresh prior
@@ -299,18 +315,12 @@ class TestRunChain:
         run_chain(1.0, 0.5, H, "eiu", [0.0, 10.0, 0.0, 10.0])
         assert len(calls) == 2
 
-    def test_infinite_chain_never_forms_p(self, rng, monkeypatch):
-        # nothing reads P without compression: it is never formed, stays at
-        # its initial zeros, and C and T are the uncompressed recursions
-        # exactly
-        def never(*args):
-            raise AssertionError("P formed on an infinite chain")
-
-        monkeypatch.setattr(seqcf.chain, "update_pre_compression_corr", never)
+    def test_lossless_chain_is_uncompressed_recursion(self, rng):
+        # EIU at infinite rates adds exactly zero noise: C and T are the
+        # uncompressed recursions bit for bit
         p, s2, K, L, N = 1.0, 0.4, 3, 5, 3
         H = rand_channels(rng, L, N, K)
-        st = run_chain(p, s2, H, "infinite", np.full(L, np.inf))
-        assert np.array_equal(st.P, np.zeros((K, K)))
+        st = run_chain(p, s2, H, "eiu", np.full(L, np.inf))
         ref = initial_state(K, p)
         zero_q = np.zeros((K, K), dtype=complex)
         for H_l in H:
@@ -332,7 +342,7 @@ class TestExperimentSize:
         rng = np.random.default_rng(2026)
         H = draw_channels(cfg, place_network(cfg, rng), rng).H
         strategy, rates = chain_cases(cfg.R_T, cfg.L)[case]
-        st, ex = run_and_expand(p, s2, H, strategy, rates)
+        st, ex, outcomes = run_and_expand(p, s2, H, strategy, rates)
 
         assert rel_err(st.T, ex.T) < 1e-9
         D = np.eye(cfg.K) - st.T
@@ -341,10 +351,10 @@ class TestExperimentSize:
         assert np.max(np.abs(sinr - ex.sinr) / ex.sinr) < 1e-9
         # the terminal AP's interference base, and for WSINM the base each AP
         # used, recovered from its final weights w_k = 1 / (ln2 (base_k + Q_kk))
-        Q_L = st.outcomes[-1].Q
+        Q_L = outcomes[-1].Q
         base = interference_context(st.T, st.C - Q_L, p)
         assert np.max(np.abs(base - ex.bases[-1]) / ex.bases[-1]) < 1e-9
         if strategy == "wsinm":
-            for o, ref in zip(st.outcomes, ex.bases):
+            for o, ref in zip(outcomes, ex.bases):
                 used = 1.0 / (LN2 * o.weights) - np.diag(o.Q).real
                 assert np.max(np.abs(used - ref) / ref) < 1e-9

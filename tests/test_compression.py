@@ -71,16 +71,37 @@ class TestEiu:
         assert out.achieved_rate == expected
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("b", [1023.9, 1024.0, 1041.7, 1e4, np.inf])
+    def test_beyond_the_float_range_of_two_to_the_b(self, rng, b):
+        # 2^b overflows from b = 1024 on; below it the noise keeps the
+        # P_kk / (2^b - 1) bits, from it on it is P_kk 2^-b, 0 at b = inf.
+        # The reported rate never exceeds the budget
+        K = 3
+        P = rand_psd(rng, K, jitter=0.1)
+        pdiag = np.diag(P).real
+        out = eiu(P, b * K)
+        b = b * K / K                      # the bits eiu sees
+        if b < 1024:
+            assert np.array_equal(out.q, pdiag / (2.0 ** b - 1.0))
+        else:
+            assert np.array_equal(out.q, pdiag * 2.0 ** -b)
+        assert np.all(out.q >= 0.0)
+        assert np.all(np.isfinite(out.Q))
+        assert out.achieved_rate <= b * K
+        if b >= 1e4:
+            assert not out.q.any()
+
     def test_dense_q_formed_on_first_read(self):
         # an EIU chain carries each outcome's diagonal q and never forms its
         # dense Q; the first read does, once, as exactly the complex diag(q)
         cfg = NetworkConfig(L=12, N=10, K=20)
         rng = np.random.default_rng(2026)
         H = draw_channels(cfg, place_network(cfg, rng), rng).H
-        st = run_chain(cfg.p, cfg.sigma2, H, "eiu", equal(cfg.R_T, cfg.L))
-        assert len(st.outcomes) == cfg.L
-        assert all("Q" not in vars(out) for out in st.outcomes)
-        for out in st.outcomes:
+        _, outcomes = oracles.run_recorded(cfg.p, cfg.sigma2, H, "eiu",
+                                           equal(cfg.R_T, cfg.L))
+        assert len(outcomes) == cfg.L
+        assert all("Q" not in vars(out) for out in outcomes)
+        for out in outcomes:
             Q = out.Q
             assert Q.dtype == complex
             assert np.array_equal(Q, np.diag(out.q).astype(complex))
@@ -568,7 +589,7 @@ class TestWsinmMatchesStackedBcd:
     def test_rank_deficient(self, rng):
         # a null direction of P stays out of every iteration's support
         X = complex_randn(rng, (4, 2))
-        assert_same_bcd(X @ X.conj().T, 6.0, np.full(4, 0.2))
+        assert_same_bcd(herm(X @ X.conj().T), 6.0, np.full(4, 0.2))
 
 
 class TestAppendixScalarBound:

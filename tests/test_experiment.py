@@ -192,7 +192,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("label", ["sp-ef-infinite", "sp-log-infinite", "tp-lf-infinite"])
     def test_closed_form_infinite_matches_recursion(self, monkeypatch, L, K, label):
         # simulate_trial's closed-form chains give the sum SE of the per-AP
-        # compression-free recursion
+        # compression-free recursion, an EIU chain at infinite rates
         import seqcf.experiment as exp
         from seqcf import draw_channels, place_network, run_chain
 
@@ -205,12 +205,24 @@ class TestRunExperiment:
 
         def recursion(p, s2, H_chain):
             chains.append(len(H_chain))
-            return run_chain(p, s2, H_chain, "infinite", np.full(len(H_chain), np.inf))
+            return run_chain(p, s2, H_chain, "eiu", np.full(len(H_chain), np.inf))
 
         monkeypatch.setattr(exp, "centralized", recursion)
         ref = exp.simulate_trial(cfg, strategy, H)
         assert sum(chains) == L and len(chains) == (1 if label[:2] == "sp" else 2)
         assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_eiu_beyond_1023_bits_per_user(self):
+        # R_T = 250000 over L = 12, K = 20 gives b of about 1042 bits per user,
+        # past the largest power of two a float holds: the cell completes and
+        # stays at or below the uncompressed chain
+        spec = ExperimentSpec(base=NetworkConfig(L=12, N=10, K=20), sweep="rate",
+                              values=(250000.0,), trials=1, seed=0,
+                              strategies=(Strategy.parse("sp-ef-eiu"),
+                                          Strategy.parse("sp-ef-infinite")))
+        eiu_row, inf_row = run_experiment(spec)
+        assert eiu_row.trials == inf_row.trials == 1
+        assert eiu_row.mean_sum_se <= inf_row.mean_sum_se * (1 + 1e-9)
 
     def test_programming_error_propagates(self, monkeypatch):
         # only typed numerical failures count as failed trials; a bug stops

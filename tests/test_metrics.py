@@ -8,11 +8,12 @@ from oracles import (centralized_sinr, complex_randn, rand_channels, rand_psd,
 
 
 def chain_families(rng, p=1.0, sigma2=0.4, K=2, L=3, N=3, strategy="eiu", rates=None):
-    """A chain on random channels and its expansion oracle."""
+    """A chain on random channels and its expansion oracle; the chain without
+    compression is EIU at infinite rates."""
     H = rand_channels(rng, L, N, K)
     if rates is None:
         rates = np.full(L, 6.0)
-    st, ex = run_and_expand(p, sigma2, H, strategy, rates)
+    st, ex, _ = run_and_expand(p, sigma2, H, strategy, rates)
     return H, st, ex
 
 
@@ -21,7 +22,7 @@ class TestSinrChain:
         # K=1, no compression: SINR = p |Gamma h|^2 / (sigma2 Gamma Gamma^H)
         p, s2, N = 1.0, 0.3, 4
         H, st, _ = chain_families(rng, p=p, sigma2=s2, K=1, L=1, N=N,
-                                  strategy="infinite", rates=[np.inf])
+                                  strategy="eiu", rates=[np.inf])
         G = gain(p * np.eye(1, dtype=complex), H[0], s2)
         expected = p * np.abs(G @ H[0][:, 0]) ** 2 / (s2 * (G @ G.conj().T).real)
         sinr = sinr_chain(st.T, st.C, p)
@@ -33,7 +34,7 @@ class TestSinrChain:
     def test_matches_centralized_without_compression(self, rng):
         p, s2 = 1.0, 0.5
         H, st, _ = chain_families(rng, p=p, sigma2=s2, K=3, L=4, N=2,
-                                  strategy="infinite", rates=np.full(4, np.inf))
+                                  strategy="eiu", rates=np.full(4, np.inf))
         sinr = sinr_chain(st.T, st.C, p)
         cen = centralized_sinr(H, p, s2)
         assert np.allclose(sinr, cen, rtol=1e-8)
@@ -42,7 +43,7 @@ class TestSinrChain:
         p, s2, K, N = 1.0, 0.5, 2, 3
         H = [complex_randn(rng, (N, K))]
         H[0][:, 0] = 0.0
-        st = run_chain(p, s2, H, "infinite", [np.inf])
+        st = run_chain(p, s2, H, "eiu", [np.inf])
         sinr = sinr_chain(st.T, st.C, p)
         assert sinr[0] == 0.0
 
@@ -83,7 +84,7 @@ class TestInterferenceContext:
     def test_first_ap_terms(self, rng):
         p, s2 = 1.3, 0.6
         H, st, _ = chain_families(rng, p=p, sigma2=s2, K=2, L=1, N=3,
-                                  strategy="infinite", rates=[np.inf])
+                                  strategy="eiu", rates=[np.inf])
         base = interference_context(st.T, st.C, p)   # Q_1 = 0: C_pre = C
         G = gain(p * np.eye(2, dtype=complex), H[0], s2)
         T = G @ H[0]
@@ -95,7 +96,7 @@ class TestInterferenceContext:
     def test_history_increment_never_decreases_base(self, rng):
         p, s2 = 1.0, 0.4
         _, st, ex = chain_families(rng, K=3, L=3, strategy="eiu")
-        C_pre = st.C - st.outcomes[-1].Q
+        C_pre = st.C - ex.Qs[-1]
         base = interference_context(st.T, C_pre, p)
         assert np.allclose(base, ex.bases[-1], rtol=1e-9)
         dQ = rand_psd(rng, 3)
@@ -104,8 +105,8 @@ class TestInterferenceContext:
 
     def test_consistency_with_sinr_denominator(self, rng):
         p, s2 = 1.0, 0.4
-        _, st, _ = chain_families(rng, K=3, L=3, strategy="scnm")
-        Q_l = st.outcomes[-1].Q
+        _, st, ex = chain_families(rng, K=3, L=3, strategy="scnm")
+        Q_l = ex.Qs[-1]
         base = interference_context(st.T, st.C - Q_l, p)
         sinr = sinr_chain(st.T, st.C, p)
         num = p * np.abs(np.diag(st.T)) ** 2

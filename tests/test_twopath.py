@@ -11,10 +11,11 @@ from oracles import (centralized_combiner, centralized_sinr, complex_randn,
 
 
 def run_path(H, p, s2, strategy="eiu", rates=None):
-    """Summary of one path's chain, and the chain's expansion oracle."""
+    """Summary of one path's chain, and the chain's expansion oracle; the
+    chain without compression is EIU at infinite rates."""
     if rates is None:
         rates = np.full(len(H), 6.0)
-    st, ex = run_and_expand(p, s2, H, strategy, rates)
+    st, ex, _ = run_and_expand(p, s2, H, strategy, rates)
     return summarize_path(st, p), ex
 
 
@@ -47,7 +48,7 @@ class TestSummarizePath:
     def test_single_ap_no_compression(self, rng):
         p, s2, K, N = 1.0, 0.5, 2, 3
         H = rand_channels(rng, 1, N, K)
-        summ, _ = run_path(H, p, s2, strategy="infinite", rates=[np.inf])
+        summ, _ = run_path(H, p, s2, rates=[np.inf])
         G1 = gain(p * np.eye(K, dtype=complex), H[0], s2)
         assert np.allclose(summ.G, G1 @ H[0], atol=1e-12)
         assert np.allclose(summ.Z, s2 * G1 @ G1.conj().T, atol=1e-12)
@@ -83,8 +84,9 @@ class TestSummarizePath:
 
 
 class TestFuse:
-    def two_path_setup(self, rng, strategy="infinite", rates=None, L=4, K=2, N=2,
+    def two_path_setup(self, rng, strategy="eiu", rates=None, L=4, K=2, N=2,
                        p=1.0, s2=0.5):
+        # without rates, each path is uncompressed: EIU at infinite rates
         H = rand_channels(rng, L, N, K)
         summs = []
         for idx in split_paths(L):
@@ -113,7 +115,7 @@ class TestFuse:
     def test_fusion_never_hurts_either_path(self, rng):
         # LMMSE on both paths dominates LMMSE on each alone, in PSD order
         p = 1.0
-        _, (s1, s2_) = self.two_path_setup(rng, strategy="eiu", rates=np.full(4, 6.0))
+        _, (s1, s2_) = self.two_path_setup(rng, rates=np.full(4, 6.0))
         f = fuse(s1, s2_, p)
         K = 2
         S = p * f.G @ f.G.conj().T + f.Z
@@ -205,8 +207,7 @@ class TestSinrFused:
         H = draw_channels(cfg, place_network(cfg, rng), rng).H
         summs = []
         for idx in split_paths(cfg.L):
-            st = run_chain(p, s2, [H[i] for i in idx], "infinite",
-                           np.full(len(idx), np.inf))
+            st = run_chain(p, s2, [H[i] for i in idx], "eiu", np.full(len(idx), np.inf))
             summs.append(summarize_path(st, p))
         f = fuse(summs[0], summs[1], p)
         assert np.allclose(sinr_fused(f), centralized_sinr(H, p, s2), rtol=1e-8)
