@@ -123,9 +123,7 @@ def _compress(strategy: str, P: np.ndarray, R_l: float,
         return comp.eiu(P, R_l)
     if strategy == "scnm":
         return comp.scnm(P, R_l)
-    if strategy == "wsinm":
-        return comp.wsinm(P, R_l, base)
-    raise ValueError(f"unknown compression strategy {strategy!r}")
+    return comp.wsinm(P, R_l, base)
 
 
 def run_chain(p: float, sigma2: float, H: list, strategy: str, rates) -> ChainState:
@@ -136,6 +134,8 @@ def run_chain(p: float, sigma2: float, H: list, strategy: str, rates) -> ChainSt
     forwarded estimate are tracked, so the result is a deterministic function
     of the channels; no per-AP compression outcome is kept.
     """
+    if strategy not in ("eiu", "scnm", "wsinm"):
+        raise ValueError(f"unknown compression strategy {strategy!r}")
     K = H[0].shape[1]
     st = initial_state(K, p)
     rates = np.asarray(rates, dtype=float)

@@ -62,12 +62,12 @@ def _support_rate_bits(Pr: np.ndarray, d: np.ndarray) -> float:
 class _EiuOutcome(CompressionOutcome):
     """EIU's outcome. Its noise is diagonal: q holds that diagonal, which an
     EIU chain carries, and the dense Q and the rate are formed on first read,
-    the rate from the Hermitian P that eiu was given."""
+    the rate from the Hermitian P and the budget R_l that eiu was given."""
 
-    def __init__(self, P: np.ndarray, q: np.ndarray):
+    def __init__(self, P: np.ndarray, q: np.ndarray, R_l: float):
         super().__init__(Q=None, achieved_rate=math.nan)
         del self.Q, self.achieved_rate     # hand the names to the cached properties
-        self._P, self.q = P, q
+        self._P, self.q, self._R_l = P, q, R_l
 
     @cached_property
     def Q(self) -> np.ndarray:
@@ -78,8 +78,18 @@ class _EiuOutcome(CompressionOutcome):
 
     @cached_property
     def achieved_rate(self) -> float:
+        """The log-det rate on the support of q, plus the b = R_l / K bits of
+        each entry sent losslessly (q_k = 0 < P_kk), whose log-det term is
+        infinite.
+
+        At most R_l: by Hadamard's inequality each supported entry adds at
+        most log2(1 + P_kk / q_k) = b bits.
+        """
         keep = self.q > RANK_TOL * self.q.max(initial=0.0)
-        return _support_rate_bits(self._P[np.ix_(keep, keep)], self.q[keep])
+        rate = _support_rate_bits(self._P[np.ix_(keep, keep)], self.q[keep])
+        lossless = np.count_nonzero((self.q == 0.0) & (self._P.diagonal().real > 0.0))
+        # 0 * inf would be NaN: an outcome without lossless entries adds nothing
+        return rate + self._R_l * (lossless / len(self.q)) if lossless else rate
 
 
 def achieved_rate_bits(P: np.ndarray, Q: np.ndarray) -> float:
@@ -112,7 +122,7 @@ def eiu(P: np.ndarray, R_l: float) -> CompressionOutcome:
         q /= 2.0 ** b - 1.0
     else:
         q *= 2.0 ** -b
-    return _EiuOutcome(P, q)
+    return _EiuOutcome(P, q, R_l)
 
 
 def _mode_noise(lam: np.ndarray, mu: float) -> np.ndarray:

@@ -17,6 +17,11 @@ def rand_psd(rng, K, jitter=0.0):
     return 0.5 * (P + P.conj().T)
 
 
+def rand_unitary(rng, K):
+    Q, _ = np.linalg.qr(complex_randn(rng, (K, K)))
+    return Q
+
+
 def rand_channels(rng, L, N, K):
     return [complex_randn(rng, (N, K)) for _ in range(L)]
 

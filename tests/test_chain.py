@@ -291,6 +291,11 @@ class TestRunChain:
         with pytest.raises(ValueError, match="unknown compression strategy"):
             run_chain(1.0, 0.5, H, "infinite", np.full(2, np.inf))
 
+    def test_unknown_design_rejected_where_it_enters(self):
+        # every link is dead, so no AP compresses: the check cannot wait for one
+        with pytest.raises(ValueError, match="unknown compression strategy"):
+            run_chain(1.0, 0.5, [np.ones((2, 2))], "bogus", [0.0])
+
     def test_state_is_its_statistics(self, rng):
         st = run_chain(1.0, 0.5, rand_channels(rng, 2, 3, 2), "eiu", [6.0, 0.0])
         assert list(vars(st)) == ["C", "P", "T"]

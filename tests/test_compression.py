@@ -91,6 +91,21 @@ class TestEiu:
         if b >= 1e4:
             assert not out.q.any()
 
+    @pytest.mark.parametrize("b", [1100.0, 1e4, np.inf])
+    def test_lossless_entries_count_their_bits(self, rng, b):
+        # from about 1100 bits per entry every noise is exactly 0: each entry
+        # with P_kk > 0 is sent losslessly and counts its b bits, so the rate
+        # is the budget, not 0; an entry with P_kk = 0 sends nothing
+        K = 3
+        P = rand_psd(rng, K, jitter=0.1)
+        out = eiu(P, b * K)
+        assert not out.q.any()
+        assert out.achieved_rate == b * K
+        P[1, :] = P[:, 1] = 0.0
+        rate = eiu(P, b * K).achieved_rate
+        assert 0.0 < rate <= b * K
+        assert rate == (b * K) * (2 / K)
+
     def test_dense_q_formed_on_first_read(self):
         # an EIU chain carries each outcome's diagonal q and never forms its
         # dense Q; the first read does, once, as exactly the complex diag(q)

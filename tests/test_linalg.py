@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 from seqcf.linalg import (PSD_REL_TOL, PsdError, complex_normal, ensure_psd, herm,
                           herm_solve, sample_cn)
 
-from oracles import complex_randn, rand_psd
-
-
-def rand_unitary(rng, K):
-    Q, _ = np.linalg.qr(complex_randn(rng, (K, K)))
-    return Q
+from oracles import complex_randn, rand_psd, rand_unitary
 
 
 class TestEnsurePsd:

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqcf import (NetworkConfig, draw_channels, fuse, gain, initial_state,
+from seqcf import (NetworkConfig, Strategy, draw_channels, fuse, gain, initial_state,
                    place_network, run_chain, sinr_fused, split_paths, summarize_path)
-from seqcf.linalg import PsdError
-from seqcf.twopath import PathSummary, _fusion_gram
+from seqcf.experiment import _chains
+from seqcf.linalg import PsdError, herm_solve
+from seqcf.twopath import (_CERT_LIMIT, PathSummary, _certified_factor, _fusion_gram,
+                           _gram)
 
 from oracles import (centralized_combiner, centralized_sinr, complex_randn,
-                     cond_fusion_gram, rand_channels, run_and_expand)
+                     cond_fusion_gram, rand_channels, rand_unitary, run_and_expand)
 
 
 def run_path(H, p, s2, strategy="eiu", rates=None):
@@ -181,6 +185,72 @@ class TestFusionGram:
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             _fusion_gram(G, Z, 1.0)
         self.assert_same_gram(G, Z)
+
+
+class TestCertifiedFactor:
+    # the O(n^2) bound read from the Cholesky factor may be loose, but it
+    # never reads below the condition number, so a certified Gram is one the
+    # eigvalsh rule would leave unbumped
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 80),
+           log_cond=st.floats(0.0, 16.0), log_scale=st.floats(-100.0, 100.0))
+    def test_bound_never_below_cond(self, seed, n, log_cond, log_scale):
+        rng = np.random.default_rng(seed)
+        w = 10.0 ** (log_scale - log_cond * np.linspace(0.0, 1.0, n))
+        U = rand_unitary(rng, n)
+        S = _gram(np.zeros((n, 1)), (U * rng.permutation(w)) @ U.conj().T, 1.0)
+        _, bound = _certified_factor(S)
+        assert bound >= np.linalg.cond(S)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), K=st.integers(1, 40),
+           log_noise=st.floats(-3.0, 16.0), forwards_nothing=st.booleans())
+    def test_bound_with_one_useless_path(self, seed, K, log_noise, forwards_nothing):
+        # the second path forwards nothing (G = Z = 0, as summarize_path
+        # gives for a chain at its prior: S is singular) or pure noise
+        rng = np.random.default_rng(seed)
+        p = 1.0
+        useful = summarize_path(run_chain(p, 0.5, rand_channels(rng, 3, 2, K), "eiu",
+                                          np.full(3, 4.0 * K)), p)
+        noise = 0.0 if forwards_nothing else 10.0 ** log_noise
+        G = np.vstack([useful.G, np.zeros((K, K))])
+        Z = np.zeros((2 * K, 2 * K), dtype=complex)
+        Z[:K, :K] = useful.Z
+        Z[K:, K:] = noise * np.eye(K)
+        S = _gram(G, Z, p)
+        _, bound = _certified_factor(S)
+        assert bound >= np.linalg.cond(S)
+        if forwards_nothing:
+            assert bound == np.inf
+
+    def test_non_finite_gram_is_not_certified(self):
+        S = np.eye(3, dtype=complex)
+        S[1, 1] = np.nan
+        assert _certified_factor(S)[1] == np.inf
+
+    @pytest.mark.parametrize("K", [5, 20, 40])
+    def test_network_fusions_skip_the_eigensolve(self, monkeypatch, K):
+        # on L=12 drops every fusion is certified: no eigvalsh runs, and V is
+        # the eigvalsh rule's bit for bit
+        cfg = NetworkConfig(L=12, N=10, K=K)
+        p = cfg.p
+        rng = np.random.default_rng(K)
+        H = draw_channels(cfg, place_network(cfg, rng), rng).H
+        real = np.linalg.eigvalsh
+        for label in ("tp-ef-scnm", "tp-lf-eiu", "tp-lf-wsinm"):
+            strategy = Strategy.parse(label)
+            paths = [summarize_path(run_chain(p, cfg.sigma2, [H[i] for i in idx],
+                                              strategy.compression, rates), p)
+                     for idx, rates in _chains(cfg, strategy)]
+            calls = []
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda S: calls.append(1) or real(S))
+            f = fuse(*paths, p)
+            monkeypatch.setattr(np.linalg, "eigvalsh", real)
+            assert calls == []
+            assert _certified_factor(_gram(f.G, f.Z, p))[1] <= _CERT_LIMIT
+            V = p * herm_solve(_fusion_gram(f.G, f.Z, p), f.G).conj().T
+            assert np.array_equal(f.V, V)
 
 
 class TestSinrFused:
