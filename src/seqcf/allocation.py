@@ -2,6 +2,8 @@
 # returns the rates in bits per uplink sample, one entry per chain position.
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 SCHEMES = ("ef", "lf", "log")
@@ -45,11 +47,14 @@ def path_budget(R_T: float, L_total: int, L_path: int) -> float:
     This is the unique split under which equal allocation gives every AP
     R_T / L regardless of the path it sits on.
     """
+    _check(R_T, L_path)
+    if L_path > L_total:
+        raise ValueError(f"a path of {L_path} APs does not fit a ring of {L_total}")
     return R_T * L_path / L_total
 
 
 def _check(R_T: float, L_chain: int) -> None:
-    if R_T <= 0:
-        raise ValueError("R_T must be strictly positive")
+    if not (0.0 < R_T < math.inf):          # NaN fails both comparisons
+        raise ValueError(f"R_T must be finite and strictly positive, got {R_T!r}")
     if L_chain < 1:
         raise ValueError("chain must contain at least one AP")

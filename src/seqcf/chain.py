@@ -136,6 +136,8 @@ def run_chain(p: float, sigma2: float, H: list, strategy: str, rates) -> ChainSt
     """
     if strategy not in ("eiu", "scnm", "wsinm"):
         raise ValueError(f"unknown compression strategy {strategy!r}")
+    if not len(H):
+        raise ValueError("the chain is empty: H has no AP")
     K = H[0].shape[1]
     st = initial_state(K, p)
     rates = np.asarray(rates, dtype=float)

@@ -34,6 +34,15 @@ _FENCE_BITS = 1e-7
 _LAM_MIN, _LAM_MAX = 2.0 ** -500, 2.0 ** 500
 _LN_MU_SPAN = 1000.0 * LN2
 
+# SCNM and WSINM send every mode losslessly (zero noise, rate R_l) when the
+# rate solve's root lies more than _LOSSLESS_BINADES below lam.max(): the
+# noises are then 0 at double precision relative to P, and up to that depth
+# every lam / d the solve rates is finite. The water-filling point mu_wf,
+# where sum_k log2(lam_k / mu_wf) = R_l, lies below the root (each noise is
+# below mu) and, that deep, within a binade of it; as each lam_k exceeds
+# RANK_TOL lam.max(), it is that deep only from about 960 bits per mode on
+_LOSSLESS_BINADES = 1000.0
+
 # WSINM block coordinate descent: stops when the objective moves by at most
 # BCD_REL_TOL relative, or after BCD_MAX_ITER iterations
 BCD_REL_TOL = 1e-8
@@ -298,7 +307,8 @@ def _eigen_solve(P: np.ndarray, R_l: float, mu0: float) -> tuple:
     LAPACK zheevd reads P's lower triangle only. U is P's eigenbasis; pos
     selects the modes whose eigenvalue lam exceeds RANK_TOL of the largest
     (all of them, as a slice, when the smallest does), and d holds their
-    noises (_solve_mode_noises, guessing mu0). Modes outside pos, including
+    noises (_solve_mode_noises, guessing mu0), all 0 when the root lies
+    more than _LOSSLESS_BINADES below lam.max(). Modes outside pos, including
     round-off-level negative eigenvalues, get no noise. Raises PsdError on a
     genuinely negative or a non-finite eigenvalue, LinAlgError when zheevd fails.
     """
@@ -312,8 +322,13 @@ def _eigen_solve(P: np.ndarray, R_l: float, mu0: float) -> tuple:
     else:
         pos = w > tol
         lam = w[pos]
-    # nothing to forward: zero estimate costs zero rate and zero noise
-    d = _solve_mode_noises(lam, R_l, mu0) if lam.size else lam
+    K = lam.size
+    if K and R_l > K * (_LOSSLESS_BINADES + math.log2(RANK_TOL)) and (
+            R_l - float(np.log2(lam / lam[-1]).sum()) > K * _LOSSLESS_BINADES):
+        d = np.zeros(K)            # mu_wf, below the root, is that deep
+    else:
+        # nothing to forward: zero estimate costs zero rate and zero noise
+        d = _solve_mode_noises(lam, R_l, mu0) if K else lam
     return U, pos, lam, d
 
 
@@ -332,13 +347,13 @@ def scnm(P: np.ndarray, R_l: float) -> CompressionOutcome:
     quadratic d^2 + lam*d - mu*lam = 0. The multiplier mu is the rate
     bisection's (_solve_mode_noises), whose rate model starts cold. The
     eigendecomposition, PSD check, support and mode solve are _eigen_solve,
-    which wsinm also runs.
+    which wsinm also runs. A lossless solve (d = 0) reports rate R_l.
     """
     if R_l <= 0:
         raise SolverError("vector-wise compression needs R_l > 0")
     U, pos, lam, d = _eigen_solve(P, R_l, math.nan)
     return CompressionOutcome(Q=_mode_covariance(U, pos, d),
-                              achieved_rate=_mode_rate(lam, d))
+                              achieved_rate=_mode_rate(lam, d) if d.all() else R_l)
 
 
 def weighted_scnm(P: np.ndarray, R_l: float, weights: np.ndarray) -> CompressionOutcome:
@@ -413,5 +428,5 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> Compressi
         prev_obj = obj_w
     # ws is still the last iteration's, the one its modes were solved at
     Q = herm(_mode_covariance(U, pos, d) / ws[:, None] / ws[None, :])
-    return CompressionOutcome(Q=Q, achieved_rate=_mode_rate(lam, d),
+    return CompressionOutcome(Q=Q, achieved_rate=_mode_rate(lam, d) if d.all() else R_l,
                               weights=w, bcd_iters=iters, objective_trace=trace_vals)

@@ -65,14 +65,12 @@ def _load_flapack():
     return module
 
 
-# LAPACK handles, bound once: potrf / potrs as (real, complex) pairs, the
-# divide-and-conquer Hermitian eigensolver zheevd and the real triangular
-# solve dtrtrs
+# LAPACK handles, bound once: potrf / potrs as (real, complex) pairs, and the
+# divide-and-conquer Hermitian eigensolver zheevd
 _FLAPACK = _load_flapack()
 _POTRF = (_FLAPACK.dpotrf, _FLAPACK.zpotrf)
 _POTRS = (_FLAPACK.dpotrs, _FLAPACK.zpotrs)
 _ZHEEVD = _FLAPACK.zheevd
-_DTRTRS = _FLAPACK.dtrtrs
 
 
 def _cholesky(X: np.ndarray, overwrite: bool = False) -> tuple:
@@ -114,17 +112,10 @@ def sample_cn(rng: np.random.Generator, Q: np.ndarray, n: int | None = None) -> 
     return F @ z
 
 
-def cholesky_solve(c: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve S X = B by LAPACK potrs from S's upper Cholesky factor c, as
-    _cholesky returns it (potrs reads c's upper triangle only). B is not
-    overwritten."""
-    return _POTRS[c.dtype.kind == "c" or B.dtype.kind == "c"](c, B)[0]
-
-
 def herm_solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve S X = B for Hermitian PD S by LAPACK potrf + potrs; LinAlgError if
     not PD. Neither S nor B is overwritten."""
     c, ok = _cholesky(S)
     if not ok:
         raise np.linalg.LinAlgError("matrix is not finite and positive definite")
-    return cholesky_solve(c, B)
+    return _POTRS[c.dtype.kind == "c" or B.dtype.kind == "c"](c, B)[0]

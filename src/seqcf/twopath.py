@@ -3,24 +3,16 @@
 # estimates with a global LMMSE combiner.
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import ChainState
-from .linalg import _DTRTRS, _cholesky, cholesky_solve, ensure_psd, herm, herm_solve
+from .linalg import ensure_psd, herm, herm_solve
 
-# condition number above which the fusion Gram matrix gets a diagonal bump;
-# kept above 1e12 so a merely ill-scaled (e.g. one useless path) fusion is
-# still solved exactly
-_COND_LIMIT = 1e14
-_REG_SCALE = 1e-12
-# a Gram whose certified condition number is at most this skips the bump
-# rule: 1e-4 of _COND_LIMIT leaves room for eigvalsh's own rounding, so the
-# rule would not have bumped it either
-_CERT_LIMIT = 1e-4 * _COND_LIMIT
-_EPS = float(np.finfo(float).eps)
+# relative diagonal ridge on the fusion Gram matrix: each fused entry gets an
+# extra noise of _RIDGE times its own power
+_RIDGE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,77 +49,29 @@ def summarize_path(chain: ChainState, p: float) -> PathSummary:
     return PathSummary(G=chain.T, Z=ensure_psd(Z, name="Z"))
 
 
-def _gram(G: np.ndarray, Z: np.ndarray, p: float) -> np.ndarray:
-    """The fusion Gram matrix p G G^H + Z, exactly Hermitian."""
-    return herm(p * (G @ G.conj().T) + Z)
-
-
-def _certified_factor(S: np.ndarray) -> tuple:
-    """(c, bound): the upper Cholesky factor c of Hermitian S (_cholesky) and
-    an upper bound on cond_2(S) read from it in O(n^2), inf when potrf fails
-    or its factor is not finite.
-
-    With S = U^H U, cond_2(S) = lam_max(S) ||U^-1||_2^2, and lam_max(S) <= tr S.
-    The comparison matrix M(U) (|u_ii| on the diagonal, -|u_ij| above it)
-    bounds |U^-1| <= M(U)^-1 entrywise (Higham, Accuracy and Stability of
-    Numerical Algorithms, Thm 8.12), so ||U^-1||_2^2 <= n ||M(U)^-1||_1^2, and
-    M(U)^-1 >= 0 makes ||M(U)^-1||_1 the largest entry of x in M(U)^T x = 1:
-    one real dtrtrs, which reads c's upper triangle only. That bounds the
-    condition number B of the computed U^H U = S + E. potrf keeps ||E||_2
-    within about n (n + 1) eps ||S||_2 (ibid., Thm 10.3), taken here with a
-    factor 4 as delta, which also covers the rounding of B itself; then
-    cond_2(S) <= B / (1 - delta (1 + B)).
-    """
-    c, ok = _cholesky(S)
-    if not ok:
-        return c, math.inf
-    n = len(S)
-    M = -np.abs(c)
-    M.flat[::n + 1] *= -1.0
-    x_max = max(_DTRTRS(M, np.ones(n), trans=1)[0].tolist())
-    # products of floats: an overflow gives inf, where ** would raise
-    bound = sum(S.diagonal().real.tolist()) * n * x_max * x_max
-    delta = 4.0 * (n + 1) ** 2 * _EPS
-    slack = 1.0 - delta * (1.0 + bound)
-    return c, bound / slack if slack > 0.0 else math.inf
-
-
-def _fusion_gram(G: np.ndarray, Z: np.ndarray, p: float) -> np.ndarray:
-    """p G G^H + Z, with a diagonal bump when nearly singular."""
-    n = G.shape[0]
-    S = _gram(G, Z, p)
-    # S is Hermitian: its singular values are the |eigenvalues|, so one
-    # eigvalsh gives the 2-norm condition number before and after the bump
-    ev = np.linalg.eigvalsh(S)
-    w = np.abs(ev)
-    if w.max() > _COND_LIMIT * w.min():
-        bump = _REG_SCALE * np.trace(S).real / n
-        S = S + bump * np.eye(n)
-        w = np.abs(ev + bump)
-        if w.max() > w.min() / np.finfo(float).eps:
-            raise np.linalg.LinAlgError("fusion Gram matrix is singular")
-    return S
-
-
 def fuse(p1: PathSummary, p2: PathSummary, p: float) -> FusedEstimate:
     """Global LMMSE combination of the two path estimates at the CPU.
 
-    The Gram matrix S is factored once. When its certified condition number
-    (_certified_factor) is at most _CERT_LIMIT, _fusion_gram would leave S
-    unbumped, and the solve on that factor is herm_solve(S, G) bit for bit.
-    Otherwise _fusion_gram's eigvalsh rule decides the bump, or rejects S.
+    The Gram matrix S = p G G^H + Z is solved with a relative ridge on its
+    diagonal, S_kk (1 + _RIDGE), by one herm_solve. V is thus the exact LMMSE
+    combiner of an observation whose entries each carry _RIDGE of their own
+    power as extra noise, so its SINR never exceeds the exact one; and as the
+    ridge scales with its row, an ill-scaled path is solved like any other.
+    An entry with S_kk <= 0 gets _RIDGE max_k S_kk instead: a path that
+    forwards nothing gives S_kk = 0 with a zero row and column, which any
+    positive ridge leaves out of the solve. A ridged S that is indefinite
+    beyond round-off, or not finite, raises LinAlgError.
     """
     K = p1.G.shape[1]
     G = np.vstack([p1.G, p2.G])
     Z = np.zeros((2 * K, 2 * K), dtype=complex)
     Z[:K, :K] = p1.Z
     Z[K:, K:] = p2.Z
-    c, bound = _certified_factor(_gram(G, Z, p))
-    if bound <= _CERT_LIMIT:
-        X = cholesky_solve(c, G)
-    else:
-        X = herm_solve(_fusion_gram(G, Z, p), G)
-    return FusedEstimate(G=G, Z=Z, V=p * X.conj().T)
+    S = herm(p * (G @ G.conj().T) + Z)
+    s = S.diagonal().real
+    ridge = _RIDGE * np.where(s > 0.0, s, s.max())
+    S.ravel()[::2 * K + 1] += ridge       # a view of the fresh S's diagonal
+    return FusedEstimate(G=G, Z=Z, V=p * herm_solve(S, G).conj().T)
 
 
 def sinr_fused(fused: FusedEstimate) -> np.ndarray:

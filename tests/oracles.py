@@ -144,16 +144,17 @@ def eigh_mode_covariance(P, noise):
     return w[pos], (Up * noise(w[pos])) @ Up.conj().T
 
 
-def cond_fusion_gram(G, Z, p, cond_limit=1e14, reg_scale=1e-12):
-    """Fusion Gram matrix p G G^H + Z, bumped and checked with np.linalg.cond."""
-    n = G.shape[0]
+def lmmse_sinr(G, Z, p):
+    """Per-user SINR of the LMMSE combiner V = p G^H S^-1 of the observation
+    y = G s + z, z ~ CN(0, Z), with S = p G G^H + Z solved by np.linalg.solve
+    without a ridge, computed term by term."""
     S = p * (G @ G.conj().T) + Z
-    S = 0.5 * (S + S.conj().T)
-    if np.linalg.cond(S) > cond_limit:
-        S = S + (reg_scale * np.trace(S).real / n) * np.eye(n)
-        if np.linalg.cond(S) > 1 / np.finfo(float).eps:
-            raise np.linalg.LinAlgError("fusion Gram matrix is singular")
-    return S
+    V = p * np.linalg.solve(S, G).conj().T
+    T = V @ G
+    abs2 = np.abs(T) ** 2
+    num = p * np.diag(abs2)
+    den = p * (abs2.sum(axis=1) - np.diag(abs2)) + np.real(np.diag(V @ Z @ V.conj().T))
+    return num / den
 
 
 def feasible_q_on_constraint(rng, P, R, jitter=1e-3, tol=1e-11):

@@ -60,10 +60,27 @@ def test_rejects_nonpositive_budget():
         allocation.equal(0.0, 3)
 
 
+@pytest.mark.parametrize("scheme", ["ef", "lf", "log"])
+@pytest.mark.parametrize("R_T", [np.nan, np.inf, -np.inf, -5.0])
+def test_rejects_non_finite_or_negative_budget(scheme, R_T):
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        allocation.schedule(scheme, R_T, 3)
+
+
 class TestTwoPathBudget:
     def test_proportional_to_length(self):
         assert allocation.path_budget(500.0, 12, 6) == pytest.approx(250.0)
         assert allocation.path_budget(500.0, 3, 2) == pytest.approx(1000.0 / 3)
+
+    @pytest.mark.parametrize("R_T", [np.nan, np.inf, 0.0, -5.0])
+    def test_rejects_bad_budget(self, R_T):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            allocation.path_budget(R_T, 4, 2)
+
+    @pytest.mark.parametrize("L_path", [0, 5])
+    def test_rejects_path_outside_the_ring(self, L_path):
+        with pytest.raises(ValueError):
+            allocation.path_budget(500.0, 4, L_path)
 
     def test_equal_allocation_gives_uniform_per_ap_rate(self):
         # EF within each path must match EF over the single path: R_T / L per AP

@@ -296,6 +296,10 @@ class TestRunChain:
         with pytest.raises(ValueError, match="unknown compression strategy"):
             run_chain(1.0, 0.5, [np.ones((2, 2))], "bogus", [0.0])
 
+    def test_empty_chain_rejected(self):
+        with pytest.raises(ValueError, match="chain is empty"):
+            run_chain(1.0, 0.5, [], "eiu", [])
+
     def test_state_is_its_statistics(self, rng):
         st = run_chain(1.0, 0.5, rand_channels(rng, 2, 3, 2), "eiu", [6.0, 0.0])
         assert list(vars(st)) == ["C", "P", "T"]

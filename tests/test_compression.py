@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -465,6 +467,42 @@ class TestEigenSolve:
         monkeypatch.setattr(comp, "_ZHEEVD", lambda P, lower: (np.ones(2), np.eye(2), 1))
         with pytest.raises(np.linalg.LinAlgError, match="zheevd"):
             scnm(np.eye(2, dtype=complex), 4.0)
+
+
+class TestLosslessSolve:
+    # a root more than _LOSSLESS_BINADES below the largest eigenvalue (about
+    # 1000 bits per mode) is not bisected: both designs send every mode
+    # losslessly, Q = 0 at rate R_l, as EIU does at b = inf
+
+    @pytest.mark.parametrize("design", ["scnm", "wsinm"])
+    @pytest.mark.parametrize("b", [1000.0, 1023.0, 1100.0, 1e4, np.inf])
+    def test_beyond_1000_bits_per_mode(self, rng, design, b):
+        K = 5
+        P = rand_psd(rng, K)
+        base = rng.uniform(0.5, 2.0, K)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = scnm(P, K * b) if design == "scnm" else wsinm(P, K * b, base)
+        assert not out.Q.any()
+        assert out.achieved_rate == K * b
+
+    def test_threshold(self, rng, monkeypatch):
+        # the water-filling point 999.5 binades below lam.max() is bisected,
+        # to the rate solve's noises bit for bit; 1000.5 binades below, no
+        # rate solve runs and every noise is 0
+        K = 5
+        P = rand_psd(rng, K)
+        lam = comp._eigen_solve(P, 1.0, np.nan)[2]
+        offset = float(np.log2(lam / lam[-1]).sum())
+        solves = count_calls(monkeypatch, comp, "_solve_mode_noises")
+        R = K * 999.5 + offset
+        d = comp._eigen_solve(P, R, np.nan)[3]
+        assert len(solves) == 1
+        assert np.array_equal(d, comp._solve_mode_noises(lam, R))
+        assert np.all(d > 0.0) and abs(comp._mode_rate(lam, d) - R) <= comp.RATE_TOL_BITS
+        d = comp._eigen_solve(P, K * 1000.5 + offset, np.nan)[3]
+        assert len(solves) == 2               # the reference solve above only
+        assert np.array_equal(d, np.zeros(K))
 
 
 class TestNonFiniteP:

@@ -224,6 +224,20 @@ class TestRunExperiment:
         assert eiu_row.trials == inf_row.trials == 1
         assert eiu_row.mean_sum_se <= inf_row.mean_sum_se * (1 + 1e-9)
 
+    def test_vector_designs_beyond_1000_bits_per_user(self):
+        # at R_T = 250000 linear allocation gives the last APs up to about
+        # 1900 bits per user: their rate solves are lossless, the cells
+        # complete and stay at or below the uncompressed chain
+        spec = ExperimentSpec(base=NetworkConfig(L=12, N=10, K=20), sweep="rate",
+                              values=(250000.0,), trials=1, seed=0,
+                              strategies=(Strategy.parse("sp-lf-scnm"),
+                                          Strategy.parse("tp-lf-wsinm"),
+                                          Strategy.parse("sp-ef-infinite")))
+        scnm_row, wsinm_row, inf_row = run_experiment(spec)
+        assert scnm_row.trials == wsinm_row.trials == inf_row.trials == 1
+        assert scnm_row.mean_sum_se <= inf_row.mean_sum_se * (1 + 1e-9)
+        assert wsinm_row.mean_sum_se <= inf_row.mean_sum_se * (1 + 1e-9)
+
     def test_programming_error_propagates(self, monkeypatch):
         # only typed numerical failures count as failed trials; a bug stops
         # the run even when it hits fewer trials than the failure allowance
