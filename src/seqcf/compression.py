@@ -25,21 +25,21 @@ RANK_TOL = 1e-12
 RATE_TOL_BITS = 1e-9
 RATE_MAX_ITER = 2200
 # the rate model: Newton steps allowed for one root estimate, the fences'
-# distance in bits from R_l, the range of lam in which lam * lam is a normal
-# float (a spectrum whose largest mode lies outside it is scaled into it),
-# and the half-width in ln mu of the model's range of mu, which the spectrum
-# narrows (_root_estimate)
+# distance in bits from R_l, the smallest mode for which lam * lam is a
+# normal float (the rate solve runs on spectra whose largest mode lies in
+# [1/2, 1)), and the half-width in ln mu of the model's range of mu, which
+# the spectrum narrows (_root_estimate)
 _NEWTON_MAX_ITER = 64
 _FENCE_BITS = 1e-7
-_LAM_MIN, _LAM_MAX = 2.0 ** -500, 2.0 ** 500
+_LAM_MIN = 2.0 ** -500
 _LN_MU_SPAN = 1000.0 * LN2
 
-# SCNM and WSINM send every mode losslessly (zero noise, rate R_l) when the
-# rate solve's root lies more than _LOSSLESS_BINADES below lam.max(): the
-# noises are then 0 at double precision relative to P, and up to that depth
-# every lam / d the solve rates is finite. The water-filling point mu_wf,
-# where sum_k log2(lam_k / mu_wf) = R_l, lies below the root (each noise is
-# below mu) and, that deep, within a binade of it; as each lam_k exceeds
+# the rate solve sends every mode losslessly (zero noise, rate R_l) when the
+# water-filling point mu_wf, where sum_k log2(lam_k / mu_wf) = R_l, lies more
+# than _LOSSLESS_BINADES below lam.max(). mu_wf lies below the root (each
+# noise is below mu) and, that deep, within a binade of it: the noises are
+# then 0 at double precision relative to P, and shallower every noise of the
+# scaled spectrum is a normal float. As each mode _eigen_solve passes exceeds
 # RANK_TOL lam.max(), it is that deep only from about 960 bits per mode on
 _LOSSLESS_BINADES = 1000.0
 
@@ -161,9 +161,9 @@ def _rate_slope(lam: list, mu: float) -> tuple:
 def _root_estimate(lam: list, R_l: float, mu0: float):
     """(mu, g): Newton's estimate of the root and the slope -d rate / d ln mu
     there, or None when Newton does not converge inside the model's range
-    of mu (as when the root lies outside). For lam in [_LAM_MIN, _LAM_MAX]
-    that range, 2^-1000 max(1, 1 / lam.min(), lam.max()) to
-    2^1000 min(1, 1 / lam.max()), keeps mu lam, lam / mu and the noises
+    of mu (as when the root lies outside). For lam ascending from at least
+    _LAM_MIN to below 1, as _solve_mode_noises passes it, that range,
+    2^-1000 / lam[0] to 2^1000, keeps mu lam, lam / mu and the noises
     normal floats within a x8 step of it.
 
     Newton runs on t = ln mu in plain floats: at K <= 40 a loop over the modes
@@ -174,9 +174,8 @@ def _root_estimate(lam: list, R_l: float, mu0: float):
     stays left of it and a step from the right lands left of it: no bracket is
     needed.
     """
-    ln_lo, ln_hi = math.log(min(lam)), math.log(max(lam))
-    t_min = max(0.0, -ln_lo, ln_hi) - _LN_MU_SPAN
-    t_max = min(0.0, -ln_hi) + _LN_MU_SPAN
+    t_min = -math.log(lam[0]) - _LN_MU_SPAN
+    t_max = _LN_MU_SPAN
     t = math.log(mu0) if 0.0 < mu0 < math.inf else (
         sum(map(math.log, lam)) - R_l * LN2) / len(lam)
     t = min(max(t, t_min), t_max)
@@ -192,7 +191,8 @@ def _root_estimate(lam: list, R_l: float, mu0: float):
 
 def _rate_model(lam: list, R_l: float, mu0: float):
     """(f_lo, f_hi, est, g, margin), a model of the computed rate that decides
-    the bisection's comparisons, or None when it cannot be certified.
+    the bisection's comparisons, or None when it cannot be certified; lam is
+    an ascending spectrum scaled as _solve_mode_noises scales it.
 
     est is Newton's estimate of the root (_root_estimate, started from mu0)
     and g the slope there; the fences est (1 -+ delta) lie about _FENCE_BITS
@@ -202,8 +202,6 @@ def _rate_model(lam: list, R_l: float, mu0: float):
     R_l - RATE_TOL_BITS: the model is returned only when g times the fences'
     distance in ln mu from est clears RATE_TOL_BITS + margin.
     """
-    if not (_LAM_MIN <= min(lam) and max(lam) <= _LAM_MAX):
-        return None
     est = _root_estimate(lam, R_l, mu0)
     if est is None:
         return None
@@ -230,32 +228,41 @@ def _rate_model(lam: list, R_l: float, mu0: float):
     return f_lo, f_hi, est, g, margin
 
 
-def _solve_mode_noises(lam: np.ndarray, R_l: float, mu0: float = math.nan) -> np.ndarray:
-    """Per-eigenmode noise variances meeting the rate constraint with equality.
+def _solve_mode_noises(lam: np.ndarray, R_l: float, mu0: float = math.nan) -> tuple:
+    """(d, mu, lam_n, d_n): the per-eigenmode noise variances meeting the
+    rate constraint with equality and their multiplier, in lam's units, and
+    the spectrum and noises the solve ran on, from which the caller rates them.
+    lam holds positive eigenvalues in ascending order, as zheevd returns them.
 
-    The rate falls with the multiplier mu. The bisection brackets mu by x8
-    steps from lam.max() and halves the bracket until a midpoint's computed
-    rate is within RATE_TOL_BITS of R_l, raising SolverError when the bracket
-    search or RATE_MAX_ITER midpoints fail. Each comparison it makes (rate
-    above or below R_l in the bracket search; a hit, above or below at a
-    midpoint) is taken from _rate_model, started from the guess mu0, when
-    the model decides it, and otherwise from the rate computed at that mu.
-    Either way the noises, and any SolverError, are the plain bisection's
-    bit for bit, whatever mu0 is.
-
-    The solve is scale-invariant, so a spectrum whose largest eigenvalue
-    lies outside [_LAM_MIN, _LAM_MAX], where lam * lam would overflow or
-    underflow, is solved scaled by a power of two, which is exact.
+    The solve runs on lam_n = lam 2^-e, the power of two that puts its
+    largest mode in [1/2, 1), and scales d = d_n 2^e and mu back (and the
+    guess mu0 in): exact, unless a value leaves the normal floats. It sends
+    every mode losslessly (zeros, mu = 0) when the water-filling point lies
+    more than _LOSSLESS_BINADES below lam.max(), as it does an empty lam.
+    Otherwise the bisection brackets mu by x8 steps from lam_n.max() and
+    halves the bracket until a midpoint's computed rate is within
+    RATE_TOL_BITS of R_l, raising SolverError when the bracket search or
+    RATE_MAX_ITER midpoints fail. Each comparison it makes (rate above or
+    below R_l in the bracket search; a hit, above or below at a midpoint) is
+    taken from _rate_model, started from the guess, when the model decides
+    it, and otherwise from the rate computed at that mu. Either way the
+    noises, and any SolverError, are the plain bisection's on lam_n bit for
+    bit, whatever mu0 is.
     """
     R_l = float(R_l)
+    K = lam.size
+    lam_max, e = math.frexp(lam[-1] if K else 0.0)
+    lam = np.ldexp(lam, -e)
     lams = lam.tolist()
-    lam_max = max(lams)
-    if not _LAM_MIN <= lam_max <= _LAM_MAX:
-        e = math.frexp(lam_max)[1]     # 0 for a zero or non-finite lam_max
-        if e:
-            d = _solve_mode_noises(np.ldexp(lam, -e), R_l, math.ldexp(mu0, -e))
-            return np.ldexp(d, e)
-    model = _rate_model(lams, R_l, mu0)
+    lam_min = lams[0] if K else 1.0
+    # the water-filling depth below lam.max() exceeds _LOSSLESS_BINADES only
+    # if R_l > K (_LOSSLESS_BINADES + log2 lam_min), as lam_max < 1
+    if R_l > K * (_LOSSLESS_BINADES + math.log2(lam_min)) and (
+            R_l - float(np.log2(lam / lam_max).sum()) > K * _LOSSLESS_BINADES):
+        d = np.zeros(K)
+        return d, 0.0, lam, d
+    # the model needs every lam * lam to be a normal float
+    model = _rate_model(lams, R_l, math.ldexp(mu0, -e)) if lam_min >= _LAM_MIN else None
     # no model: no mu lies outside the fences, and every comparison is rated
     f_lo, f_hi, est, g, margin = model or (0.0, math.inf, 0.0, 0.0, 0.0)
 
@@ -293,22 +300,25 @@ def _solve_mode_noises(lam: np.ndarray, R_l: float, mu0: float = math.nan) -> np
         else:
             r = gap(mu, True)
             if abs(r) <= RATE_TOL_BITS:
-                return _mode_noise(lam, mu)
+                d = _mode_noise(lam, mu)
+                return np.ldexp(d, e), math.ldexp(mu, e), lam, d
             if r > 0.0:
                 mu_lo = mu
             else:
                 mu_hi = mu
-    raise SolverError(f"rate bisection did not converge: R={R_l}, mu=[{mu_lo},{mu_hi}]")
+    raise SolverError(f"rate bisection did not converge: R={R_l}, "
+                      f"mu=[{math.ldexp(mu_lo, e)},{math.ldexp(mu_hi, e)}]")
 
 
 def _eigen_solve(P: np.ndarray, R_l: float, mu0: float) -> tuple:
-    """(U, pos, lam, d) of the SCNM solve on Hermitian P.
+    """(U, pos, d, mu, lam_n, d_n) of the SCNM solve on Hermitian P.
 
     LAPACK zheevd reads P's lower triangle only. U is P's eigenbasis; pos
-    selects the modes whose eigenvalue lam exceeds RANK_TOL of the largest
-    (all of them, as a slice, when the smallest does), and d holds their
-    noises (_solve_mode_noises, guessing mu0), all 0 when the root lies
-    more than _LOSSLESS_BINADES below lam.max(). Modes outside pos, including
+    selects the modes whose eigenvalue exceeds RANK_TOL of the largest (all
+    of them, as a slice, when the smallest does), and the rest is the rate
+    solve on those eigenvalues (_solve_mode_noises, guessing mu0): their
+    noises d and the multiplier mu in P's units, and the scaled eigenvalues
+    lam_n and noises d_n that rate them. Modes outside pos, including
     round-off-level negative eigenvalues, get no noise. Raises PsdError on a
     genuinely negative or a non-finite eigenvalue, LinAlgError when zheevd fails.
     """
@@ -317,19 +327,8 @@ def _eigen_solve(P: np.ndarray, R_l: float, mu0: float) -> tuple:
         raise np.linalg.LinAlgError(f"zheevd failed to converge (info {info})")
     check_psd_spectrum(w, name="P")
     tol = RANK_TOL * max(float(w[-1]), 0.0)
-    if w[0] > tol:
-        pos, lam = slice(None), w
-    else:
-        pos = w > tol
-        lam = w[pos]
-    K = lam.size
-    if K and R_l > K * (_LOSSLESS_BINADES + math.log2(RANK_TOL)) and (
-            R_l - float(np.log2(lam / lam[-1]).sum()) > K * _LOSSLESS_BINADES):
-        d = np.zeros(K)            # mu_wf, below the root, is that deep
-    else:
-        # nothing to forward: zero estimate costs zero rate and zero noise
-        d = _solve_mode_noises(lam, R_l, mu0) if K else lam
-    return U, pos, lam, d
+    pos = slice(None) if w[0] > tol else w > tol
+    return (U, pos) + _solve_mode_noises(w[pos], R_l, mu0)
 
 
 def _mode_covariance(U: np.ndarray, pos, d: np.ndarray) -> np.ndarray:
@@ -351,9 +350,9 @@ def scnm(P: np.ndarray, R_l: float) -> CompressionOutcome:
     """
     if R_l <= 0:
         raise SolverError("vector-wise compression needs R_l > 0")
-    U, pos, lam, d = _eigen_solve(P, R_l, math.nan)
+    U, pos, d, _, lam, dn = _eigen_solve(P, R_l, math.nan)
     return CompressionOutcome(Q=_mode_covariance(U, pos, d),
-                              achieved_rate=_mode_rate(lam, d) if d.all() else R_l)
+                              achieved_rate=_mode_rate(lam, dn) if dn.all() else R_l)
 
 
 def weighted_scnm(P: np.ndarray, R_l: float, weights: np.ndarray) -> CompressionOutcome:
@@ -407,11 +406,7 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> Compressi
     for it in range(BCD_MAX_ITER):
         iters = it + 1
         ws = np.sqrt(w)
-        U, pos, lam, d = _eigen_solve(P * (ws[:, None] * ws), R_l, mu)
-        if d.size:
-            # every mode gives back its multiplier: d^2 + lam d = mu lam
-            d_top, lam_top = float(d[-1]), float(lam[-1])
-            mu = d_top * (d_top + lam_top) / lam_top
+        U, pos, d, mu, lam, dn = _eigen_solve(P * (ws[:, None] * ws), R_l, mu)
         Up = U[:, pos]
         A = Up.real ** 2                     # |U_kj|^2 on the support
         A += Up.imag ** 2
@@ -428,5 +423,5 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> Compressi
         prev_obj = obj_w
     # ws is still the last iteration's, the one its modes were solved at
     Q = herm(_mode_covariance(U, pos, d) / ws[:, None] / ws[None, :])
-    return CompressionOutcome(Q=Q, achieved_rate=_mode_rate(lam, d) if d.all() else R_l,
+    return CompressionOutcome(Q=Q, achieved_rate=_mode_rate(lam, dn) if dn.all() else R_l,
                               weights=w, bcd_iters=iters, objective_trace=trace_vals)

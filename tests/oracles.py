@@ -2,6 +2,8 @@
 # the per-AP channel draw, batch (centralized) LMMSE, the expansion form of a
 # sequential chain, grid-search compression design, and random
 # problem-instance generators.
+import math
+
 import numpy as np
 
 
@@ -110,26 +112,35 @@ def rate_bracket(lam, R):
 
 
 def bisect_mode_noises(lam, R):
-    """SCNM per-mode noises by the plain scalar rate bisection.
+    """SCNM per-mode noises by the plain scalar rate bisection, run on the
+    spectrum scaled by the power of two 2^-e that puts lam.max() in [1/2, 1).
 
-    The multiplier mu is bracketed by rate_bracket and bisected until a
-    midpoint's rate is within RATE_TOL_BITS of R, after at most RATE_MAX_ITER
-    midpoints. The package's solver must return exactly these noises (and
-    raise exactly these errors).
+    Every noise is 0 when the water-filling point, where
+    sum_k log2(lam_k / mu) = R, lies more than _LOSSLESS_BINADES below
+    lam.max(). Otherwise the multiplier mu of the scaled spectrum is
+    bracketed by rate_bracket and bisected until a midpoint's rate is within
+    RATE_TOL_BITS of R, after at most RATE_MAX_ITER midpoints. The noises,
+    and the bracket an error reports, are scaled back by 2^e. The package's
+    solver must return exactly these noises (and raise exactly these errors).
     """
     from seqcf import compression as comp
 
+    top, e = math.frexp(lam.max())
+    lam = np.ldexp(lam, -e)
+    if R - np.log2(lam / top).sum() > lam.size * comp._LOSSLESS_BINADES:
+        return np.zeros(lam.size)
     mu_lo, mu_hi = rate_bracket(lam, R)
     for _ in range(comp.RATE_MAX_ITER):
         mu = 0.5 * (mu_lo + mu_hi)
         r = _bisect_rate(lam, mu)
         if abs(r - R) <= comp.RATE_TOL_BITS:
-            return _bisect_noise(lam, mu)
+            return np.ldexp(_bisect_noise(lam, mu), e)
         if r > R:
             mu_lo = mu
         else:
             mu_hi = mu
-    raise comp.SolverError(f"rate bisection did not converge: R={R}, mu=[{mu_lo},{mu_hi}]")
+    raise comp.SolverError(f"rate bisection did not converge: R={R}, "
+                           f"mu=[{math.ldexp(mu_lo, e)},{math.ldexp(mu_hi, e)}]")
 
 
 def eigh_mode_covariance(P, noise):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -219,12 +220,13 @@ def count_calls(monkeypatch, module, name):
 
 
 def assert_same_solve(lam, R, mu0=np.nan, rated=(), oracle_rated=()):
-    """Check the solve of (lam, R, mu0) against the bisection oracle; return
-    the number of calls the lists rated and oracle_rated gained during each."""
-    lam = np.asarray(lam, dtype=float)
+    """Check the solve of (lam, R, mu0) against the bisection oracle, with lam
+    in the ascending order the solve takes; return the number of calls the
+    lists rated and oracle_rated gained during each."""
+    lam = np.sort(np.asarray(lam, dtype=float))
     with np.errstate(all="ignore"):
         n = len(rated)
-        got = solve_outcome(lambda l, r: comp._solve_mode_noises(l, r, mu0), lam, R)
+        got = solve_outcome(lambda l, r: comp._solve_mode_noises(l, r, mu0)[0], lam, R)
         n, m = len(rated) - n, len(oracle_rated)
         ref = solve_outcome(bisect_mode_noises, lam, R)
     if isinstance(ref, str):
@@ -300,16 +302,22 @@ class TestRateSolve:
 
     @pytest.mark.parametrize("K, R", [(1, 2000.0), (3, 1500.0), (1, 150.0), (20, 1900.0)])
     def test_huge_rate(self, K, R):
-        lam = np.geomspace(1.0, 1e-3, K)
+        # one mode at 2000 bits: its water-filling point lies 2000 binades
+        # below it, so it is sent losslessly; the other roots are bisected
+        lam = np.geomspace(1.0, 1e-3, K)[::-1]
         assert_same_solve(lam, R)
+        d, mu, _, dn = comp._solve_mode_noises(lam, R)
+        lossless = (K, R) == (1, 2000.0)
+        assert (not d.any() and not dn.any() and mu == 0.0) == lossless
+        assert np.all(dn > 0.0) != lossless
 
     @pytest.mark.parametrize("K, R", [(1, 180.0), (3, 1500.0)])
     def test_beyond_200_midpoints_solves(self, K, R):
         # halving [8^-60, 1] down to a single mode's root at 180 bits, or
         # three modes' at 1500 bits, takes more than 200 midpoints
-        lam = np.geomspace(1.0, 1e-3, K)
+        lam = np.geomspace(1.0, 1e-3, K)[::-1]
         with np.errstate(all="ignore"):
-            d = comp._solve_mode_noises(lam, R)
+            d = comp._solve_mode_noises(lam, R)[0]
         assert abs(comp._mode_rate(lam, d) - R) <= comp.RATE_TOL_BITS
         assert_same_solve(lam, R)
 
@@ -326,18 +334,21 @@ class TestRateSolve:
 
     @pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
     def test_power_of_two_scaling_is_exact(self, e):
-        # the solve is scale-invariant: a spectrum beyond the range in which
-        # lam * lam is a normal float is solved scaled back, exactly
-        lam = np.geomspace(1.0, 1e-3, 5)
+        # the solve is scale-free: a spectrum beyond the range in which
+        # lam * lam is a normal float gives the noises and multiplier scaled
+        # by the same power of two, exactly, and the same scaled modes
+        lam = np.geomspace(1e-3, 1.0, 5)
         for R in (0.3, 20.0):
-            got = comp._solve_mode_noises(np.ldexp(lam, e), R, np.ldexp(0.01, e))
-            assert np.array_equal(got, np.ldexp(comp._solve_mode_noises(lam, R), e))
+            d, mu, lam_n, dn = comp._solve_mode_noises(np.ldexp(lam, e), R, np.ldexp(0.01, e))
+            ref = comp._solve_mode_noises(lam, R)
+            assert np.array_equal(d, np.ldexp(ref[0], e)) and mu == np.ldexp(ref[1], e)
+            assert np.array_equal(lam_n, ref[2]) and np.array_equal(dn, ref[3])
 
     @pytest.mark.parametrize("R", [1e-3, 0.7, 6.0, 80.0])
     def test_equal_modes(self, R):
         lam = np.full(5, 0.7)
         assert_same_solve(lam, R)
-        d = comp._solve_mode_noises(lam, R)
+        d = comp._solve_mode_noises(lam, R)[0]
         assert np.all(d == d[0])
         assert 5 * np.log2(1.0 + 0.7 / d[0]) == pytest.approx(R, abs=1e-9)
 
@@ -391,11 +402,20 @@ class TestRateSolve:
             assert_same_solve(lam, R)
             assert 1 <= len(rated) - before < 10
 
-    def test_iteration_limit_raises(self, monkeypatch):
+    @pytest.mark.parametrize("scale", [0, -40, 700])
+    def test_iteration_limit_raises(self, monkeypatch, scale):
+        # the error gives the bracket the bisection stopped in, in lam's
+        # units: scaled back by 2^-scale with lam, its ends' rates lie
+        # either side of R
         monkeypatch.setattr(comp, "RATE_MAX_ITER", 3)
-        lam = np.array([1.0, 0.3, 0.01])
-        with pytest.raises(SolverError, match="did not converge"):
+        lam = np.ldexp([0.01, 0.3, 1.0], scale)
+        with pytest.raises(SolverError, match="did not converge") as err:
             comp._solve_mode_noises(lam, 5.0)
+        bracket = re.search(r"mu=\[(.*),(.*)\]", str(err.value)).groups()
+        lam1 = np.ldexp(lam, -scale)
+        rate = [comp._mode_rate(lam1, comp._mode_noise(lam1, np.ldexp(float(mu), -scale)))
+                for mu in bracket]
+        assert rate[0] > 5.0 > rate[1]
         assert_same_solve(lam, 5.0)
 
     def test_few_rate_evaluations_per_solve(self, monkeypatch):
@@ -421,11 +441,17 @@ class TestRateSolve:
         assert sum(n > 0 for n in per_solve) < 0.1 * len(per_solve)
 
 
-def smooth_noise(lam, R_l=None, mu0=None):
+def smooth_noise(lam):
     # a nonlinear, 1-Lipschitz function of the eigenvalues in place of the
     # rate solve, so that Q compares the eigensolvers alone
     top = lam.max(initial=0.0)
     return lam * top / (lam + top)
+
+
+def smooth_solve(lam, R_l, mu0):
+    # smooth_noise as the rate solve returns it, with lam as its own modes
+    d = smooth_noise(lam)
+    return d, np.nan, lam, d
 
 
 class TestEigenSolve:
@@ -444,8 +470,8 @@ class TestEigenSolve:
         P = herm(10.0 ** log_scale * ((U * w) @ U.conj().T))
         lam_ref, Q_ref = eigh_mode_covariance(P, smooth_noise)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(comp, "_solve_mode_noises", smooth_noise)
-            U_got, pos, lam, d = comp._eigen_solve(P, 1.0, np.nan)
+            mp.setattr(comp, "_solve_mode_noises", smooth_solve)
+            U_got, pos, d, _, lam, _ = comp._eigen_solve(P, 1.0, np.nan)
         assert lam.shape == lam_ref.shape
         if lam.size:
             assert np.abs(lam - lam_ref).max() <= 1e-12 * lam_ref[-1]
@@ -488,21 +514,59 @@ class TestLosslessSolve:
 
     def test_threshold(self, rng, monkeypatch):
         # the water-filling point 999.5 binades below lam.max() is bisected,
-        # to the rate solve's noises bit for bit; 1000.5 binades below, no
-        # rate solve runs and every noise is 0
+        # to the plain bisection's noises bit for bit; 1000.5 binades below,
+        # no rate model or bisection runs and every noise is 0
         K = 5
         P = rand_psd(rng, K)
-        lam = comp._eigen_solve(P, 1.0, np.nan)[2]
+        lam = comp._eigen_solve(P, 1.0, np.nan)[4]
         offset = float(np.log2(lam / lam[-1]).sum())
-        solves = count_calls(monkeypatch, comp, "_solve_mode_noises")
+        models = count_calls(monkeypatch, comp, "_rate_model")
         R = K * 999.5 + offset
-        d = comp._eigen_solve(P, R, np.nan)[3]
-        assert len(solves) == 1
-        assert np.array_equal(d, comp._solve_mode_noises(lam, R))
-        assert np.all(d > 0.0) and abs(comp._mode_rate(lam, d) - R) <= comp.RATE_TOL_BITS
-        d = comp._eigen_solve(P, K * 1000.5 + offset, np.nan)[3]
-        assert len(solves) == 2               # the reference solve above only
-        assert np.array_equal(d, np.zeros(K))
+        dn = comp._eigen_solve(P, R, np.nan)[5]
+        assert len(models) == 1
+        assert np.array_equal(dn, bisect_mode_noises(lam, R))
+        assert np.all(dn > 0.0) and abs(comp._mode_rate(lam, dn) - R) <= comp.RATE_TOL_BITS
+        d, mu, _, dn = comp._eigen_solve(P, K * 1000.5 + offset, np.nan)[2:]
+        assert len(models) == 1
+        assert np.array_equal(d, np.zeros(K)) and np.array_equal(dn, np.zeros(K)) and mu == 0.0
+
+
+class TestScaleFreeSolve:
+    # the rate solve runs on the spectrum scaled to lam.max() in [1/2, 1):
+    # its roots stay normal floats down to the lossless depth, whatever the
+    # unit of power, so no solve raises or warns near 1000 bits per mode
+
+    BITS = (900.0, 950.0, 970.0, 980.0, 990.0, 995.0, 999.0, 1005.0, 1100.0)
+
+    def test_random_spectra_near_the_lossless_depth(self):
+        # 300 spectra: K 1-5, lam.max() 2^-60 to 2^60, up to 40 binades wide
+        rng = np.random.default_rng(2026)
+        for _ in range(300):
+            K = int(rng.integers(1, 6))
+            lam = 2.0 ** (rng.uniform(-60.0, 60.0) - np.r_[0.0, rng.uniform(0.0, 40.0, K - 1)])
+            U = oracles.rand_unitary(rng, K)
+            P = herm((U * lam) @ U.conj().T)
+            base = lam.max() * rng.uniform(0.5, 2.0, K)
+            for b in self.BITS:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    outs = scnm(P, K * b), wsinm(P, K * b, base)
+                for out in outs:
+                    assert abs(out.achieved_rate - K * b) <= 1e-6
+
+    @pytest.mark.parametrize("e", [-33, -22, -10, 0, 40])
+    def test_single_mode_from_900_to_1200_bits(self, e):
+        # one mode at 2^e: its water-filling point lies b binades below it,
+        # so every b above 1000 is lossless and every b up to it is bisected
+        lam = np.array([np.ldexp(1.0, e)])
+        for b in np.linspace(900.0, 1200.0, 401):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                d, mu, lam_n, dn = comp._solve_mode_noises(lam, b)
+            if b > comp._LOSSLESS_BINADES:
+                assert not d.any() and not dn.any() and mu == 0.0
+            else:
+                assert dn[0] > 0.0 and abs(comp._mode_rate(lam_n, dn) - b) <= comp.RATE_TOL_BITS
 
 
 class TestNonFiniteP:

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from seqcf import (ExperimentSpec, NetworkConfig, Strategy, emit_csv,
+from seqcf import (ExperimentSpec, NetworkConfig, Strategy, dbm_to_watt, emit_csv,
                    parse_config_file, parse_csv, run_experiment)
 from seqcf.cli import main
 from seqcf.compression import SolverError
@@ -257,6 +257,21 @@ class TestRunExperiment:
         with pytest.raises(TypeError):
             exp.run_experiment(small_spec(["sp-ef-eiu"], trials=3, values=(2,)))
 
+
+    def test_power_unit_changes_nothing(self):
+        # the same network with p and sigma2 both 90 dB lower has the same
+        # SNR: every per-trial sum SE matches the default units' to 1e-12,
+        # also where the SCNM solves meet roots near 1000 bits per mode
+        strategies = ("sp-ef-eiu", "sp-ef-scnm", "sp-lf-scnm", "sp-ef-infinite")
+        cfg = NetworkConfig()
+        rows = [run_experiment(ExperimentSpec(
+            base=base, sweep="rate", values=(500.0, 237600.0, 250000.0),
+            strategies=tuple(Strategy.parse(s) for s in strategies), trials=2, seed=1))
+            for base in (cfg, cfg.replace(p=dbm_to_watt(-70.0), sigma2=dbm_to_watt(-175.0)))]
+        assert len(rows[0]) == len(rows[1]) == 12
+        for ref, got in zip(*rows):
+            assert (got.sweep_value, got.strategy) == (ref.sweep_value, ref.strategy)
+            assert np.allclose(got.per_trial, ref.per_trial, rtol=1e-12, atol=0.0)
 
 class TestCsv:
     def test_empty_rows_header_only(self, tmp_path):
