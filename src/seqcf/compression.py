@@ -25,23 +25,18 @@ RANK_TOL = 1e-12
 RATE_TOL_BITS = 1e-9
 RATE_MAX_ITER = 2200
 # the rate model: Newton steps allowed for one root estimate, the fences'
-# distance in bits from R_l, the smallest mode for which lam * lam is a
-# normal float (the rate solve runs on spectra whose largest mode lies in
-# [1/2, 1)), and the half-width in ln mu of the model's range of mu, which
-# the spectrum narrows (_root_estimate)
+# distance in bits from R_l, and its range of mu on a spectrum scaled to
+# lam.max() in [1/2, 1), 2^-_SPAN_BINADES / lam.min() to 2^_SPAN_BINADES
+# (_root_estimate). The floor is also the lossless rule: the rate solve sends
+# every mode losslessly (zero noise, rate R_l) when the water-filling point
+# mu_wf, where sum_k log2(lam_k / mu_wf) = R_l, lies below it. mu_wf lies
+# below the root (each noise is below mu) and, that deep, within a hair of it:
+# as every mode _eigen_solve passes exceeds RANK_TOL lam.max() > 2^-41, each
+# noise would lie below 2^-917 of its mode, 0 at double precision relative to
+# P. It lies that deep only from about 918 bits per mode on (998 for one mode)
 _NEWTON_MAX_ITER = 64
 _FENCE_BITS = 1e-7
-_LAM_MIN = 2.0 ** -500
-_LN_MU_SPAN = 1000.0 * LN2
-
-# the rate solve sends every mode losslessly (zero noise, rate R_l) when the
-# water-filling point mu_wf, where sum_k log2(lam_k / mu_wf) = R_l, lies more
-# than _LOSSLESS_BINADES below lam.max(). mu_wf lies below the root (each
-# noise is below mu) and, that deep, within a binade of it: the noises are
-# then 0 at double precision relative to P, and shallower every noise of the
-# scaled spectrum is a normal float. As each mode _eigen_solve passes exceeds
-# RANK_TOL lam.max(), it is that deep only from about 960 bits per mode on
-_LOSSLESS_BINADES = 1000.0
+_SPAN_BINADES = 1000.0
 
 # WSINM block coordinate descent: stops when the objective moves by at most
 # BCD_REL_TOL relative, or after BCD_MAX_ITER iterations
@@ -161,10 +156,9 @@ def _rate_slope(lam: list, mu: float) -> tuple:
 def _root_estimate(lam: list, R_l: float, mu0: float):
     """(mu, g): Newton's estimate of the root and the slope -d rate / d ln mu
     there, or None when Newton does not converge inside the model's range
-    of mu (as when the root lies outside). For lam ascending from at least
-    _LAM_MIN to below 1, as _solve_mode_noises passes it, that range,
-    2^-1000 / lam[0] to 2^1000, keeps mu lam, lam / mu and the noises
-    normal floats within a x8 step of it.
+    of mu (as when the root lies outside). For lam as _solve_mode_noises
+    passes it, that range, 2^-_SPAN_BINADES / lam[0] to 2^_SPAN_BINADES,
+    keeps mu lam, lam / mu and the noises normal floats within a x8 step of it.
 
     Newton runs on t = ln mu in plain floats: at K <= 40 a loop over the modes
     costs less than numpy's per-call overhead. It starts from mu0 when that is
@@ -174,8 +168,8 @@ def _root_estimate(lam: list, R_l: float, mu0: float):
     stays left of it and a step from the right lands left of it: no bracket is
     needed.
     """
-    t_min = -math.log(lam[0]) - _LN_MU_SPAN
-    t_max = _LN_MU_SPAN
+    t_max = _SPAN_BINADES * LN2
+    t_min = -math.log(lam[0]) - t_max
     t = math.log(mu0) if 0.0 < mu0 < math.inf else (
         sum(map(math.log, lam)) - R_l * LN2) / len(lam)
     t = min(max(t, t_min), t_max)
@@ -232,17 +226,19 @@ def _solve_mode_noises(lam: np.ndarray, R_l: float, mu0: float = math.nan) -> tu
     """(d, mu, lam_n, d_n): the per-eigenmode noise variances meeting the
     rate constraint with equality and their multiplier, in lam's units, and
     the spectrum and noises the solve ran on, from which the caller rates them.
-    lam holds positive eigenvalues in ascending order, as zheevd returns them.
+    lam holds positive eigenvalues in ascending order, as zheevd returns them,
+    less than 500 binades wide (so that lam_n * lam_n is a normal float), as
+    every spectrum _eigen_solve passes is.
 
     The solve runs on lam_n = lam 2^-e, the power of two that puts its
     largest mode in [1/2, 1), and scales d = d_n 2^e and mu back (and the
     guess mu0 in): exact, unless a value leaves the normal floats. It sends
     every mode losslessly (zeros, mu = 0) when the water-filling point lies
-    more than _LOSSLESS_BINADES below lam.max(), as it does an empty lam.
-    Otherwise the bisection brackets mu by x8 steps from lam_n.max() and
-    halves the bracket until a midpoint's computed rate is within
-    RATE_TOL_BITS of R_l, raising SolverError when the bracket search or
-    RATE_MAX_ITER midpoints fail. Each comparison it makes (rate above or
+    below the rate model's floor 2^-_SPAN_BINADES / lam_n.min(), as it does
+    an empty lam. Otherwise the bisection brackets mu by x8 steps from
+    lam_n.max() and halves the bracket until a midpoint's computed rate is
+    within RATE_TOL_BITS of R_l, raising SolverError when the bracket search
+    or RATE_MAX_ITER midpoints fail. Each comparison it makes (rate above or
     below R_l in the bracket search; a hit, above or below at a midpoint) is
     taken from _rate_model, started from the guess, when the model decides
     it, and otherwise from the rate computed at that mu. Either way the
@@ -254,15 +250,15 @@ def _solve_mode_noises(lam: np.ndarray, R_l: float, mu0: float = math.nan) -> tu
     lam_max, e = math.frexp(lam[-1] if K else 0.0)
     lam = np.ldexp(lam, -e)
     lams = lam.tolist()
-    lam_min = lams[0] if K else 1.0
-    # the water-filling depth below lam.max() exceeds _LOSSLESS_BINADES only
-    # if R_l > K (_LOSSLESS_BINADES + log2 lam_min), as lam_max < 1
-    if R_l > K * (_LOSSLESS_BINADES + math.log2(lam_min)) and (
-            R_l - float(np.log2(lam / lam_max).sum()) > K * _LOSSLESS_BINADES):
+    log_min = math.log2(lams[0]) if K else 0.0
+    # lossless iff R_l - sum_k log2 lam_k > floor; as each log2 lam_k lies in
+    # [log2 lam_min, 0), that needs R_l > floor + K log2 lam_min, which the cheap
+    # first test checks with K log2 lam_min more room for the sum's rounding
+    floor = K * (_SPAN_BINADES + log_min)
+    if R_l > floor + 2.0 * K * log_min and R_l - float(np.log2(lam).sum()) > floor:
         d = np.zeros(K)
         return d, 0.0, lam, d
-    # the model needs every lam * lam to be a normal float
-    model = _rate_model(lams, R_l, math.ldexp(mu0, -e)) if lam_min >= _LAM_MIN else None
+    model = _rate_model(lams, R_l, math.ldexp(mu0, -e))
     # no model: no mu lies outside the fences, and every comparison is rated
     f_lo, f_hi, est, g, margin = model or (0.0, math.inf, 0.0, 0.0, 0.0)
 

@@ -57,10 +57,11 @@ def fuse(p1: PathSummary, p2: PathSummary, p: float) -> FusedEstimate:
     combiner of an observation whose entries each carry _RIDGE of their own
     power as extra noise, so its SINR never exceeds the exact one; and as the
     ridge scales with its row, an ill-scaled path is solved like any other.
-    An entry with S_kk <= 0 gets _RIDGE max_k S_kk instead: a path that
-    forwards nothing gives S_kk = 0 with a zero row and column, which any
-    positive ridge leaves out of the solve. A ridged S that is indefinite
-    beyond round-off, or not finite, raises LinAlgError.
+    An entry with S_kk <= 0 gets _RIDGE p instead: a path that forwards
+    nothing gives S_kk = 0 with a zero row and column, which any positive
+    ridge leaves out of the solve, so where no path forwards anything every
+    SINR is 0. A ridged S that is indefinite beyond round-off, or not
+    finite, raises LinAlgError.
     """
     K = p1.G.shape[1]
     G = np.vstack([p1.G, p2.G])
@@ -69,7 +70,7 @@ def fuse(p1: PathSummary, p2: PathSummary, p: float) -> FusedEstimate:
     Z[K:, K:] = p2.Z
     S = herm(p * (G @ G.conj().T) + Z)
     s = S.diagonal().real
-    ridge = _RIDGE * np.where(s > 0.0, s, s.max())
+    ridge = _RIDGE * np.where(s > 0.0, s, p)
     S.ravel()[::2 * K + 1] += ridge       # a view of the fresh S's diagonal
     return FusedEstimate(G=G, Z=Z, V=p * herm_solve(S, G).conj().T)
 

@@ -115,9 +115,9 @@ def bisect_mode_noises(lam, R):
     """SCNM per-mode noises by the plain scalar rate bisection, run on the
     spectrum scaled by the power of two 2^-e that puts lam.max() in [1/2, 1).
 
-    Every noise is 0 when the water-filling point, where
-    sum_k log2(lam_k / mu) = R, lies more than _LOSSLESS_BINADES below
-    lam.max(). Otherwise the multiplier mu of the scaled spectrum is
+    Every noise is 0 when the water-filling point of the scaled spectrum,
+    where sum_k log2(lam_k / mu) = R, lies below 2^-_SPAN_BINADES / lam.min(),
+    the floor of the rate model's range. Otherwise the multiplier mu of the scaled spectrum is
     bracketed by rate_bracket and bisected until a midpoint's rate is within
     RATE_TOL_BITS of R, after at most RATE_MAX_ITER midpoints. The noises,
     and the bracket an error reports, are scaled back by 2^e. The package's
@@ -125,9 +125,9 @@ def bisect_mode_noises(lam, R):
     """
     from seqcf import compression as comp
 
-    top, e = math.frexp(lam.max())
+    e = math.frexp(lam.max())[1]
     lam = np.ldexp(lam, -e)
-    if R - np.log2(lam / top).sum() > lam.size * comp._LOSSLESS_BINADES:
+    if R - np.log2(lam).sum() > lam.size * (comp._SPAN_BINADES + math.log2(lam.min())):
         return np.zeros(lam.size)
     mu_lo, mu_hi = rate_bracket(lam, R)
     for _ in range(comp.RATE_MAX_ITER):

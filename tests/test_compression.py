@@ -244,6 +244,22 @@ def rated_per_solve(monkeypatch, solves):
     return [assert_same_solve(lam, R, mu0, rated, oracle_rated) for lam, R, mu0 in solves]
 
 
+def rated_per_call(monkeypatch):
+    """Wrap _solve_mode_noises so that each call appends the number of mu it
+    rated (_mode_rate calls) to the returned list."""
+    rated = count_calls(monkeypatch, comp, "_mode_rate")
+    per_solve, real = [], comp._solve_mode_noises
+
+    def solve(*a):
+        before = len(rated)
+        out = real(*a)
+        per_solve.append(len(rated) - before)
+        return out
+
+    monkeypatch.setattr(comp, "_solve_mode_noises", solve)
+    return per_solve
+
+
 def random_solves(seed, n=30):
     rng = np.random.default_rng(seed)
     return [(10.0 ** rng.uniform(-6.0, 3.0, int(rng.integers(1, 30))),
@@ -421,17 +437,7 @@ class TestRateSolve:
     def test_few_rate_evaluations_per_solve(self, monkeypatch):
         # on an L=12, N=10, K=20 WSINM chain a solve rates at most 2 mu and
         # fewer than one in ten rate any; the plain bisection rates ~40
-        rated = count_calls(monkeypatch, comp, "_mode_rate")
-        per_solve = []
-        real = comp._solve_mode_noises
-
-        def solve(*a):
-            before = len(rated)
-            out = real(*a)
-            per_solve.append(len(rated) - before)
-            return out
-
-        monkeypatch.setattr(comp, "_solve_mode_noises", solve)
+        per_solve = rated_per_call(monkeypatch)
         cfg = NetworkConfig(L=12, N=10, K=20)
         rng = np.random.default_rng(7)
         H = draw_channels(cfg, place_network(cfg, rng), rng).H
@@ -496,9 +502,10 @@ class TestEigenSolve:
 
 
 class TestLosslessSolve:
-    # a root more than _LOSSLESS_BINADES below the largest eigenvalue (about
-    # 1000 bits per mode) is not bisected: both designs send every mode
-    # losslessly, Q = 0 at rate R_l, as EIU does at b = inf
+    # a water-filling point below the rate model's floor, 2^-_SPAN_BINADES /
+    # lam.min() on the scaled spectrum (about 1000 bits per mode), is not
+    # bisected: both designs send every mode losslessly, Q = 0 at rate R_l,
+    # as EIU does at b = inf
 
     @pytest.mark.parametrize("design", ["scnm", "wsinm"])
     @pytest.mark.parametrize("b", [1000.0, 1023.0, 1100.0, 1e4, np.inf])
@@ -513,22 +520,25 @@ class TestLosslessSolve:
         assert out.achieved_rate == K * b
 
     def test_threshold(self, rng, monkeypatch):
-        # the water-filling point 999.5 binades below lam.max() is bisected,
-        # to the plain bisection's noises bit for bit; 1000.5 binades below,
-        # no rate model or bisection runs and every noise is 0
+        # the water-filling point half a binade above the floor is bisected,
+        # to the plain bisection's noises bit for bit; half a binade below it,
+        # no rate model or bisection runs and every noise is 0, as the
+        # oracle's. The floor lies at R = sum_k log2 lam_k + K (1000 + log2 lam_min)
         K = 5
         P = rand_psd(rng, K)
         lam = comp._eigen_solve(P, 1.0, np.nan)[4]
-        offset = float(np.log2(lam / lam[-1]).sum())
+        offset = float(np.log2(lam).sum()) + K * float(np.log2(lam[0]))
         models = count_calls(monkeypatch, comp, "_rate_model")
         R = K * 999.5 + offset
         dn = comp._eigen_solve(P, R, np.nan)[5]
         assert len(models) == 1
         assert np.array_equal(dn, bisect_mode_noises(lam, R))
         assert np.all(dn > 0.0) and abs(comp._mode_rate(lam, dn) - R) <= comp.RATE_TOL_BITS
-        d, mu, _, dn = comp._eigen_solve(P, K * 1000.5 + offset, np.nan)[2:]
+        R = K * 1000.5 + offset
+        d, mu, _, dn = comp._eigen_solve(P, R, np.nan)[2:]
         assert len(models) == 1
         assert np.array_equal(d, np.zeros(K)) and np.array_equal(dn, np.zeros(K)) and mu == 0.0
+        assert np.array_equal(dn, bisect_mode_noises(lam, R))
 
 
 class TestScaleFreeSolve:
@@ -538,8 +548,10 @@ class TestScaleFreeSolve:
 
     BITS = (900.0, 950.0, 970.0, 980.0, 990.0, 995.0, 999.0, 1005.0, 1100.0)
 
-    def test_random_spectra_near_the_lossless_depth(self):
-        # 300 spectra: K 1-5, lam.max() 2^-60 to 2^60, up to 40 binades wide
+    @staticmethod
+    def stress_family():
+        # 300 spectra: K 1-5, lam.max() 2^-60 to 2^60, up to 40 binades wide;
+        # yields (P, base, R) for each at every b in BITS
         rng = np.random.default_rng(2026)
         for _ in range(300):
             K = int(rng.integers(1, 6))
@@ -547,26 +559,42 @@ class TestScaleFreeSolve:
             U = oracles.rand_unitary(rng, K)
             P = herm((U * lam) @ U.conj().T)
             base = lam.max() * rng.uniform(0.5, 2.0, K)
-            for b in self.BITS:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    outs = scnm(P, K * b), wsinm(P, K * b, base)
-                for out in outs:
-                    assert abs(out.achieved_rate - K * b) <= 1e-6
+            for b in TestScaleFreeSolve.BITS:
+                yield P, base, K * b
+
+    def test_random_spectra_near_the_lossless_depth(self):
+        for P, base, R in self.stress_family():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                outs = scnm(P, R), wsinm(P, R, base)
+            for out in outs:
+                assert abs(out.achieved_rate - R) <= 1e-6
+
+    def test_no_solve_rates_more_than_two_mu(self, monkeypatch):
+        # every root the solve bisects lies inside the rate model's range, so
+        # no solve of the stress family rates mu by mu
+        per_solve = rated_per_call(monkeypatch)
+        for P, base, R in self.stress_family():
+            scnm(P, R), wsinm(P, R, base)
+        assert len(per_solve) > 2 * 300 * len(self.BITS)
+        assert max(per_solve) <= 2
 
     @pytest.mark.parametrize("e", [-33, -22, -10, 0, 40])
     def test_single_mode_from_900_to_1200_bits(self, e):
-        # one mode at 2^e: its water-filling point lies b binades below it,
-        # so every b above 1000 is lossless and every b up to it is bisected
+        # one mode at 2^e, 1/2 once scaled: its water-filling point 2^-(b + 1)
+        # lies below the floor 2^-999 iff b > 998, so every such b is lossless
+        # and every b up to it is bisected; the oracle agrees from 990 bits on
         lam = np.array([np.ldexp(1.0, e)])
         for b in np.linspace(900.0, 1200.0, 401):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 d, mu, lam_n, dn = comp._solve_mode_noises(lam, b)
-            if b > comp._LOSSLESS_BINADES:
+            if b > 998.0:
                 assert not d.any() and not dn.any() and mu == 0.0
             else:
                 assert dn[0] > 0.0 and abs(comp._mode_rate(lam_n, dn) - b) <= comp.RATE_TOL_BITS
+            if b >= 990.0:
+                assert np.array_equal(d, bisect_mode_noises(lam, b))
 
 
 class TestNonFiniteP:

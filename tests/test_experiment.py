@@ -238,6 +238,18 @@ class TestRunExperiment:
         assert scnm_row.mean_sum_se <= inf_row.mean_sum_se * (1 + 1e-9)
         assert wsinm_row.mean_sum_se <= inf_row.mean_sum_se * (1 + 1e-9)
 
+    def test_two_path_when_no_path_forwards_anything(self):
+        # at R_T = 1e-13 and 5e-12 every link is dead (rate <= ZERO_RATE_TOL),
+        # so neither path forwards anything and the fusion Gram is all zero:
+        # every Two-Path trial reads 0, as Single-Path's does
+        strategies = ("sp-ef-eiu", "tp-ef-eiu", "tp-lf-scnm", "tp-log-wsinm")
+        rows = run_experiment(ExperimentSpec(
+            base=NetworkConfig(), sweep="rate", values=(1e-13, 5e-12),
+            strategies=tuple(Strategy.parse(s) for s in strategies), trials=1, seed=1))
+        assert len(rows) == 8
+        for row in rows:
+            assert row.trials == 1 and np.array_equal(row.per_trial, [0.0])
+
     def test_programming_error_propagates(self, monkeypatch):
         # only typed numerical failures count as failed trials; a bug stops
         # the run even when it hits fewer trials than the failure allowance

@@ -167,6 +167,14 @@ class TestRidgedFusion:
         ref = lmmse_sinr(useful.G, useful.Z, p)
         assert np.allclose(got, ref, rtol=1e-10, atol=0.0)
 
+    @pytest.mark.parametrize("K", [1, 3, 20])
+    def test_no_path_forwards_anything(self, K):
+        # both paths at their prior: the Gram is all zero, each entry gets the
+        # ridge 1e-12 p instead of a share of max_k S_kk = 0, and every SINR is 0
+        p = 1.3
+        nothing = summarize_path(initial_state(K, p), p)
+        assert np.array_equal(sinr_fused(fuse(nothing, nothing, p)), np.zeros(K))
+
     @pytest.mark.parametrize("scale", [1e-100, 1e100])
     def test_row_scaling_leaves_the_sinr(self, rng, scale):
         # scaling one path's observation by c scales its G by c and its Z by c^2
