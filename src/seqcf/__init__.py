@@ -9,7 +9,7 @@ from .config import ConfigError, NetworkConfig, dbm_to_watt, parse_config_file
 from .experiment import ExperimentSpec, ResultRow, Strategy, emit_csv, parse_csv, run_experiment, simulate_trial
 from .geometry import ChannelRealization, Layout, draw_channels, pathloss_db, place_network
 from .metrics import SeReport, interference_context, se_from_sinr, sinr_chain
-from .twopath import FusedEstimate, PathSummary, fuse, sinr_fused, split_paths, summarize_path
+from .twopath import PathSummary, fuse, sinr_fused, split_paths, summarize_path
 
 __all__ = [n for n in dir() if not n.startswith("_")]
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ import numpy as np
 
 from . import compression as comp
 from . import metrics
+from .config import _check_positive
 from .linalg import ensure_psd, herm, herm_solve
 
 # rates at or below this are treated as a dead link: the next AP restarts
@@ -32,8 +33,7 @@ def initial_state(K: int, p: float) -> ChainState:
 
 def gain(C_prev: np.ndarray, H_l: np.ndarray, sigma2: float) -> np.ndarray:
     """LMMSE combining matrix C H^H (H C H^H + sigma2 I)^-1, via a PD solve."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be strictly positive")
+    _check_positive(sigma2=sigma2)
     HC = H_l @ C_prev
     S = herm(HC @ H_l.conj().T)
     S.ravel()[::len(S) + 1] += sigma2       # a view of the fresh S's diagonal
@@ -107,6 +107,7 @@ def centralized(p: float, sigma2: float, H: list) -> ChainState:
     An EIU chain at infinite rates, whose noise is exactly 0, is the per-AP
     recursion it equals; P is left at 0.
     """
+    _check_positive(p=p, sigma2=sigma2)
     Hs = np.concatenate(H)
     K = Hs.shape[1]
     J = (Hs.conj().T @ Hs) / sigma2
@@ -134,6 +135,7 @@ def run_chain(p: float, sigma2: float, H: list, strategy: str, rates) -> ChainSt
     forwarded estimate are tracked, so the result is a deterministic function
     of the channels; no per-AP compression outcome is kept.
     """
+    _check_positive(p=p, sigma2=sigma2)
     if strategy not in ("eiu", "scnm", "wsinm"):
         raise ValueError(f"unknown compression strategy {strategy!r}")
     if not len(H):
@@ -143,6 +145,8 @@ def run_chain(p: float, sigma2: float, H: list, strategy: str, rates) -> ChainSt
     rates = np.asarray(rates, dtype=float)
     if len(rates) != len(H):
         raise ValueError("H and rates must have one entry per chain AP")
+    if np.isnan(rates).any():
+        raise ValueError("a chain rate is NaN")
     # the last live AP's compression noise, a zero diagonal before the first
     # one and after a dead link; EIU's is diagonal and carried as its diagonal
     zero_q = np.zeros(K)

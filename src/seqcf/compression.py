@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _ZHEEVD, PsdError, check_psd_spectrum, herm
+from .linalg import _ZHEEVD, PSD_REL_TOL, PsdError, check_psd_spectrum, herm
 
 LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
@@ -119,8 +119,8 @@ def eiu(P: np.ndarray, R_l: float) -> CompressionOutcome:
     if not np.isfinite(P).all():
         raise PsdError("P is not finite")
     pdiag = P.diagonal().real
-    if np.minimum.reduce(pdiag) < -RANK_TOL * max(np.maximum.reduce(pdiag), 1.0):
-        raise SolverError("P has a negative diagonal entry")
+    if np.minimum.reduce(pdiag) < -PSD_REL_TOL * max(np.maximum.reduce(pdiag), 1e-300):
+        raise PsdError("P has a negative diagonal entry")
     q = np.maximum(pdiag, 0.0)
     if b < 1024.0:
         q /= 2.0 ** b - 1.0

@@ -26,6 +26,13 @@ def as_integer(name: str, value) -> int:
     return int(value)
 
 
+def _check_positive(**values: float) -> None:
+    """ConfigError, a ValueError, unless every value is finite and > 0."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{name} must be finite and strictly positive, got {value!r}")
+
+
 def dbm_to_watt(x_dbm: float) -> float:
     return 10.0 ** ((x_dbm - 30.0) / 10.0)
 
@@ -62,10 +69,7 @@ class NetworkConfig:
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.L < 1 or self.N < 1 or self.K < 1:
             raise ConfigError("L, N and K must be positive integers")
-        for name in _POSITIVE_REALS:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and strictly positive, got {value!r}")
+        _check_positive(**{name: getattr(self, name) for name in _POSITIVE_REALS})
         if self.tau_u <= 0:
             raise ConfigError("tau_c must exceed tau_p = K")
 

@@ -64,10 +64,13 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.sweep not in ("users", "rate"):
             raise ConfigError(f"sweep axis must be 'users' or 'rate', got {self.sweep!r}")
-        if not self.values:
-            raise ConfigError("sweep values must be non-empty")
-        if not self.strategies:
-            raise ConfigError("strategy list must be non-empty")
+        labels = [s.label() for s in self.strategies]
+        for kind, items in (("sweep value", self.values), ("strategy", labels)):
+            if not len(items):
+                raise ConfigError(f"the {kind} list must be non-empty")
+            for i, x in enumerate(items):     # a repeat would run its trials twice
+                if x in items[:i]:
+                    raise ConfigError(f"{kind} {x!r} is given twice")
         for name in ("trials", "seed"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.trials < 1:
@@ -131,7 +134,7 @@ def simulate_trial(cfg: NetworkConfig, strategy: Strategy, H: list) -> float:
         sinr = metrics.sinr_chain(states[0].T, states[0].C, cfg.p)
     else:
         paths = [twopath.summarize_path(st, cfg.p) for st in states]
-        sinr = twopath.sinr_fused(twopath.fuse(*paths, cfg.p))
+        sinr = twopath.sinr_fused(*twopath.fuse(paths, cfg.p))
     return metrics.se_from_sinr(sinr, cfg.tau_u, cfg.tau_c).sum_se
 
 

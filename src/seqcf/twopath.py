@@ -21,13 +21,6 @@ class PathSummary:
     Z: np.ndarray         # (K,K) effective noise covariance
 
 
-@dataclass(frozen=True)
-class FusedEstimate:
-    G: np.ndarray         # (2K,K)
-    Z: np.ndarray         # (2K,2K) block-diagonal
-    V: np.ndarray         # (K,2K) global LMMSE combiner
-
-
 def split_paths(L: int) -> tuple[list, list]:
     """Two contiguous arcs of the AP ring, each ending adjacent to the CPU.
 
@@ -49,10 +42,14 @@ def summarize_path(chain: ChainState, p: float) -> PathSummary:
     return PathSummary(G=chain.T, Z=ensure_psd(Z, name="Z"))
 
 
-def fuse(p1: PathSummary, p2: PathSummary, p: float) -> FusedEstimate:
-    """Global LMMSE combination of the two path estimates at the CPU.
+def fuse(paths: list, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Global LMMSE combination of the path estimates at the CPU.
 
-    The Gram matrix S = p G G^H + Z is solved with a relative ridge on its
+    paths is a sequence of PathSummary; returns the (K, nK) combiner V and
+    the stacked channel G. The paths' noises are independent, so the Gram
+    matrix is p G G^H with each path's Z added onto its own diagonal block.
+
+    The Gram matrix S is solved with a relative ridge on its
     diagonal, S_kk (1 + _RIDGE), by one herm_solve. V is thus the exact LMMSE
     combiner of an observation whose entries each carry _RIDGE of their own
     power as extra noise, so its SINR never exceeds the exact one; and as the
@@ -63,26 +60,26 @@ def fuse(p1: PathSummary, p2: PathSummary, p: float) -> FusedEstimate:
     SINR is 0. A ridged S that is indefinite beyond round-off, or not
     finite, raises LinAlgError.
     """
-    K = p1.G.shape[1]
-    G = np.vstack([p1.G, p2.G])
-    Z = np.zeros((2 * K, 2 * K), dtype=complex)
-    Z[:K, :K] = p1.Z
-    Z[K:, K:] = p2.Z
-    S = herm(p * (G @ G.conj().T) + Z)
+    G = np.vstack([path.G for path in paths])
+    S = p * (G @ G.conj().T)
+    K = G.shape[1]
+    for i, path in enumerate(paths):
+        S[i * K:(i + 1) * K, i * K:(i + 1) * K] += path.Z
+    S = herm(S)
     s = S.diagonal().real
     ridge = _RIDGE * np.where(s > 0.0, s, p)
-    S.ravel()[::2 * K + 1] += ridge       # a view of the fresh S's diagonal
-    return FusedEstimate(G=G, Z=Z, V=p * herm_solve(S, G).conj().T)
+    S.ravel()[::len(S) + 1] += ridge      # a view of the fresh S's diagonal
+    return p * herm_solve(S, G).conj().T, G
 
 
-def sinr_fused(fused: FusedEstimate) -> np.ndarray:
-    """Per-user LMMSE SINR of the stacked two-path observation model.
+def sinr_fused(V: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Per-user LMMSE SINR from fuse's combiner V and stacked channel G.
 
     Computed from u_k = (V G)_kk = p g_k^H S^-1 g_k with S the full Gram
     matrix: by a rank-one identity the SINR excluding user k's own column is
     u/(1 - u), which avoids solving one deflated (possibly singular) system
     per user.
     """
-    u = np.real(np.sum(fused.V.T * fused.G, axis=0))
+    u = np.real(np.sum(V.T * G, axis=0))
     u = np.clip(u, 0.0, 1.0 - np.finfo(float).eps)
     return u / (1.0 - u)

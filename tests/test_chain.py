@@ -296,6 +296,25 @@ class TestRunChain:
         with pytest.raises(ValueError, match="unknown compression strategy"):
             run_chain(1.0, 0.5, [np.ones((2, 2))], "bogus", [0.0])
 
+    @pytest.mark.parametrize("p, sigma2, rate", [
+        (-1.0, 0.5, 6.0), (0.0, 0.5, 6.0), (np.nan, 0.5, 6.0), (np.inf, 0.5, 6.0),
+        (1.0, 0.0, 6.0), (1.0, -0.5, 6.0), (1.0, np.nan, 6.0), (1.0, np.inf, 6.0),
+        (1.0, 0.5, np.nan)])
+    def test_bad_input_rejected_at_entry(self, p, sigma2, rate):
+        # not a numerical failure later on: p and sigma2 must be finite and > 0,
+        # and a rate must not be NaN (<= ZERO_RATE_TOL is a dead link, inf lossless)
+        H = [np.ones((2, 2), dtype=complex)]
+        for strategy in ("eiu", "scnm", "wsinm"):
+            with pytest.raises(ValueError, match="sigma2|p must|NaN"):
+                run_chain(p, sigma2, H, strategy, [rate])
+        if np.isnan(rate):
+            return
+        with pytest.raises(ValueError, match="sigma2|p must"):
+            centralized(p, sigma2, H)
+        if not 0.0 < sigma2 < np.inf:
+            with pytest.raises(ValueError, match="sigma2"):
+                gain(np.eye(2, dtype=complex), H[0], sigma2)
+
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError, match="chain is empty"):
             run_chain(1.0, 0.5, [], "eiu", [])

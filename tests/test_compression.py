@@ -43,6 +43,17 @@ class TestEiu:
         with pytest.raises(SolverError):
             eiu(rand_psd(rng, 2), 0.0)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-10])
+    def test_negative_diagonal_judged_in_p_units(self, scale):
+        # the package's PSD rule, relative to max P_kk: a -0.1% entry raises
+        # and a -5e-11 relative one passes, in any power unit, as in scnm
+        bad = scale * np.diag([1e-10, -1e-13]).astype(complex)
+        ok = scale * np.diag([0.1, -5e-12]).astype(complex)
+        for design in (eiu, scnm):
+            with pytest.raises(PsdError):
+                design(bad, 8.0)
+            assert np.all(np.diag(design(ok, 8.0).Q).real >= 0.0)
+
     def test_reported_rate_matches_general_form(self, rng):
         # the diagonal-Q rate equals log2 det(P Q^-1 + I) on Q's support,
         # also when a user with a zero P entry leaves that support; by

@@ -71,6 +71,8 @@ class TestSpecValidation:
         ("rate", (30.0, float("nan")), "sweep value nan: R_T must be finite"),
         ("rate", (30.0, -5.0), "sweep value -5.0: R_T must be finite"),
         ("rate", (30.0, float("inf")), "sweep value inf: R_T must be finite"),
+        ("users", (2, 3, 2), "sweep value 2 is given twice"),
+        ("rate", (30.0, 30), "sweep value 30 is given twice"),
     ])
     def test_every_sweep_point_checked(self, sweep, values, message):
         # a bad point is rejected when the spec is built, before any trial
@@ -434,6 +436,8 @@ class TestCli:
          "got L=3"),
         (["--strategies", "tp-ef-eiu"], "L = 1\n",
          "error: tp-ef-eiu: Two-Path mode needs at least 2 APs, got L=1"),
+        (["--strategies", "sp-ef-eiu,tp-ef-eiu,SP-EF-EIU"], "",
+         "error: strategy 'sp-ef-eiu' is given twice"),
     ])
     def test_bad_spec_exits_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                              extra, config, message):
@@ -453,6 +457,8 @@ class TestCli:
         ("sweep-users", "2,50", "error: sweep value 50: tau_c must exceed tau_p = K"),
         ("sweep-rate", "100,nan", "error: sweep value nan: R_T must be finite and "
                                   "strictly positive, got nan"),
+        ("sweep-users", "2,3,2", "error: sweep value 2 is given twice"),
+        ("sweep-rate", "500,500", "error: sweep value 500.0 is given twice"),
     ])
     def test_bad_sweep_point_exits_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                     command, values, message):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqcf import (NetworkConfig, Strategy, draw_channels, fuse, gain, initial_state,
                    place_network, run_chain, sinr_fused, split_paths, summarize_path)
 from seqcf.experiment import _chains
-from seqcf.linalg import PsdError
+from seqcf.linalg import PsdError, herm, herm_solve
 from seqcf.twopath import PathSummary
 
 from oracles import (centralized_combiner, centralized_sinr, complex_randn, lmmse_sinr,
@@ -20,6 +21,27 @@ def run_path(H, p, s2, strategy="eiu", rates=None):
         rates = np.full(len(H), 6.0)
     st, ex, _ = run_and_expand(p, s2, H, strategy, rates)
     return summarize_path(st, p), ex
+
+
+def stacked(paths):
+    """The fused observation model written out: the stacked G and the
+    block-diagonal noise covariance of independent paths."""
+    return (np.vstack([path.G for path in paths]),
+            scipy.linalg.block_diag(*[path.Z for path in paths]))
+
+
+def network_paths(label, arcs=None, K=20, seed=2026):
+    """Path summaries of one strategy on a Fig-2 network drop (L=12, N=10,
+    R_T=500), over its own chains or over the given arcs at R_T/L per AP."""
+    cfg = NetworkConfig(L=12, N=10, K=K)
+    rng = np.random.default_rng(seed)
+    H = draw_channels(cfg, place_network(cfg, rng), rng).H
+    strategy = Strategy.parse(label)
+    chains = (_chains(cfg, strategy) if arcs is None else
+              [(idx, np.full(len(idx), cfg.R_T / cfg.L)) for idx in arcs])
+    return [summarize_path(run_chain(cfg.p, cfg.sigma2, [H[i] for i in idx],
+                                     strategy.compression, rates), cfg.p)
+            for idx, rates in chains], cfg.p
 
 
 class TestSplitPaths:
@@ -98,31 +120,47 @@ class TestFuse:
             summs.append(summ)
         return H, summs
 
-    def test_blkdiag_structure_exact(self, rng):
-        _, (s1, s2_) = self.two_path_setup(rng)
-        f = fuse(s1, s2_, 1.0)
-        K = 2
-        assert np.array_equal(f.Z[:K, K:], np.zeros((K, K)))
-        assert np.array_equal(f.Z[K:, :K], np.zeros((K, K)))
-        assert np.array_equal(f.Z[:K, :K], s1.Z)
-        assert np.array_equal(f.Z[K:, K:], s2_.Z)
+    @pytest.mark.parametrize("label, K", [("tp-ef-wsinm", 20), ("tp-lf-eiu", 5)])
+    def test_matches_explicit_block_diagonal_gram(self, label, K):
+        # the in-place Gram is p G G^H + blkdiag(Z1, Z2) written out, herm'd and
+        # ridged by 1e-12 S_kk (1e-12 p where S_kk <= 0), bit for bit; at K=5
+        # the product p G G^H is not exactly Hermitian, so the herm shows
+        paths, p = network_paths(label, K=K)
+        G, Z = stacked(paths)
+        S = herm(p * (G @ G.conj().T) + Z)
+        s = S.diagonal().real
+        S[np.diag_indices_from(S)] += 1e-12 * np.where(s > 0.0, s, p)
+        V, G_fused = fuse(paths, p)
+        assert np.array_equal(G_fused, G)
+        assert np.array_equal(V, p * herm_solve(S, G).conj().T)
+
+    @pytest.mark.parametrize("arcs", [[list(range(12))],
+                                      [[3, 2, 1, 0], [4, 5, 6, 7], [8, 9, 10, 11]]],
+                             ids=["one-path", "three-paths"])
+    def test_any_number_of_paths_matches_lmmse(self, arcs):
+        # the fusion of n paths is the LMMSE of their stacked observation with
+        # block-diagonal noise, up to the ridge
+        paths, p = network_paths("sp-ef-eiu", arcs)
+        got = sinr_fused(*fuse(paths, p))
+        ref = lmmse_sinr(*stacked(paths), p)
+        assert np.allclose(got, ref, rtol=1e-10, atol=0.0)
+        assert np.all(got <= ref)
 
     def test_useless_path_reduces_to_single_path(self, rng):
         p = 1.0
         _, (s1, s2_) = self.two_path_setup(rng)
         huge = PathSummary(G=s2_.G, Z=1e12 * np.eye(2, dtype=complex))
-        sinr = sinr_fused(fuse(s1, huge, p))
-        f1 = fuse(s1, PathSummary(G=np.zeros((2, 2)), Z=np.eye(2, dtype=complex)), p)
-        assert np.allclose(sinr, sinr_fused(f1), rtol=1e-6)
+        sinr = sinr_fused(*fuse([s1, huge], p))
+        f1 = fuse([s1, PathSummary(G=np.zeros((2, 2)), Z=np.eye(2, dtype=complex))], p)
+        assert np.allclose(sinr, sinr_fused(*f1), rtol=1e-6)
 
     def test_fusion_never_hurts_either_path(self, rng):
         # LMMSE on both paths dominates LMMSE on each alone, in PSD order
         p = 1.0
         _, (s1, s2_) = self.two_path_setup(rng, rates=np.full(4, 6.0))
-        f = fuse(s1, s2_, p)
+        V, G = fuse([s1, s2_], p)
         K = 2
-        S = p * f.G @ f.G.conj().T + f.Z
-        C_fused = p * np.eye(K) - p * p * f.G.conj().T @ np.linalg.solve(S, f.G)
+        C_fused = p * (np.eye(K) - V @ G)      # p I - p^2 G^H S^-1 G
         for summ in (s1, s2_):
             Sr = p * summ.G @ summ.G.conj().T + summ.Z
             C_r = p * np.eye(K) - p * p * summ.G.conj().T @ np.linalg.solve(Sr, summ.G)
@@ -133,10 +171,10 @@ class TestFuse:
     def test_no_compression_full_coverage_matches_centralized(self, rng):
         p, s2 = 1.0, 0.5
         # the fused combiner sees the same effective channel as V_cen
-        H, (p1, p2) = self.two_path_setup(rng)
-        f = fuse(p1, p2, p)
+        H, paths = self.two_path_setup(rng)
+        V, G = fuse(paths, p)
         T_cen = centralized_combiner(H, p, s2) @ np.vstack(H)
-        assert np.linalg.norm(f.V @ f.G - T_cen) / np.linalg.norm(T_cen) < 1e-8
+        assert np.linalg.norm(V @ G - T_cen) / np.linalg.norm(T_cen) < 1e-8
 
 
 class TestRidgedFusion:
@@ -163,7 +201,7 @@ class TestRidgedFusion:
                    PathSummary(G=np.zeros((K, K), dtype=complex),
                                Z=10.0 ** log_noise * np.eye(K, dtype=complex)))
         paths = (useful, useless) if first else (useless, useful)
-        got = sinr_fused(fuse(*paths, p))
+        got = sinr_fused(*fuse(paths, p))
         ref = lmmse_sinr(useful.G, useful.Z, p)
         assert np.allclose(got, ref, rtol=1e-10, atol=0.0)
 
@@ -173,17 +211,17 @@ class TestRidgedFusion:
         # ridge 1e-12 p instead of a share of max_k S_kk = 0, and every SINR is 0
         p = 1.3
         nothing = summarize_path(initial_state(K, p), p)
-        assert np.array_equal(sinr_fused(fuse(nothing, nothing, p)), np.zeros(K))
+        assert np.array_equal(sinr_fused(*fuse([nothing, nothing], p)), np.zeros(K))
 
     @pytest.mark.parametrize("scale", [1e-100, 1e100])
     def test_row_scaling_leaves_the_sinr(self, rng, scale):
         # scaling one path's observation by c scales its G by c and its Z by c^2
         p = 1.0
         H, (s1, s2_) = TestFuse().two_path_setup(rng, rates=np.full(4, 6.0), K=3)
-        ref = sinr_fused(fuse(s1, s2_, p))
+        ref = sinr_fused(*fuse([s1, s2_], p))
         scaled = PathSummary(G=scale * s2_.G, Z=scale * scale * s2_.Z)
-        assert np.allclose(sinr_fused(fuse(s1, scaled, p)), ref, rtol=1e-10, atol=0.0)
-        assert np.allclose(sinr_fused(fuse(scaled, s1, p)), ref, rtol=1e-10, atol=0.0)
+        assert np.allclose(sinr_fused(*fuse([s1, scaled], p)), ref, rtol=1e-10, atol=0.0)
+        assert np.allclose(sinr_fused(*fuse([scaled, s1], p)), ref, rtol=1e-10, atol=0.0)
 
     def test_indefinite_gram_raises(self):
         # Z_22 = -1e-6 is far beyond the ridge of 1e-12 max_k S_kk
@@ -191,7 +229,7 @@ class TestRidgedFusion:
         paths = (PathSummary(G=zero, Z=np.ones((1, 1), dtype=complex)),
                  PathSummary(G=zero, Z=np.full((1, 1), -1e-6, dtype=complex)))
         with pytest.raises(np.linalg.LinAlgError):
-            fuse(*paths, 1.0)
+            fuse(paths, 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_gram_raises(self, rng, bad):
@@ -199,23 +237,15 @@ class TestRidgedFusion:
         Z = s2_.Z.copy()
         Z[1, 1] = bad
         with pytest.raises(np.linalg.LinAlgError):
-            fuse(s1, PathSummary(G=s2_.G, Z=Z), 1.0)
+            fuse([s1, PathSummary(G=s2_.G, Z=Z)], 1.0)
 
     @pytest.mark.parametrize("K", [5, 20, 40])
     def test_network_fusions_match_unridged_lmmse(self, K):
         # on L=12 drops the ridge moves no SINR by more than 1e-10 relative,
         # and as extra noise it never raises one
-        cfg = NetworkConfig(L=12, N=10, K=K)
-        p = cfg.p
-        rng = np.random.default_rng(K)
-        H = draw_channels(cfg, place_network(cfg, rng), rng).H
         for label in ("tp-ef-scnm", "tp-lf-eiu", "tp-lf-wsinm"):
-            strategy = Strategy.parse(label)
-            paths = [summarize_path(run_chain(p, cfg.sigma2, [H[i] for i in idx],
-                                              strategy.compression, rates), p)
-                     for idx, rates in _chains(cfg, strategy)]
-            f = fuse(*paths, p)
-            got, ref = sinr_fused(f), lmmse_sinr(f.G, f.Z, p)
+            paths, p = network_paths(label, K=K, seed=K)
+            got, ref = sinr_fused(*fuse(paths, p)), lmmse_sinr(*stacked(paths), p)
             assert np.allclose(got, ref, rtol=1e-10, atol=0.0)
             assert np.all(got <= ref)
 
@@ -225,16 +255,16 @@ class TestSinrFused:
         p = 1.0
         g = complex_randn(rng, (2, 1))
         Z = np.diag([0.3, 0.8]).astype(complex)
-        f = fuse(PathSummary(g[:1], Z[:1, :1]), PathSummary(g[1:], Z[1:, 1:]), p)
+        f = fuse([PathSummary(g[:1], Z[:1, :1]), PathSummary(g[1:], Z[1:, 1:])], p)
         expected = p * np.real(g[:, 0].conj() @ np.linalg.solve(Z, g[:, 0]))
-        assert sinr_fused(f)[0] == pytest.approx(expected, rel=1e-10)
+        assert sinr_fused(*f)[0] == pytest.approx(expected, rel=1e-10)
 
     def test_matches_centralized_sinr(self, rng):
         p, s2 = 1.0, 0.5
         helper = TestFuse()
-        H, (p1, p2) = helper.two_path_setup(rng)
-        f = fuse(p1, p2, p)
-        assert np.allclose(sinr_fused(f), centralized_sinr(H, p, s2), rtol=1e-8)
+        H, paths = helper.two_path_setup(rng)
+        assert np.allclose(sinr_fused(*fuse(paths, p)), centralized_sinr(H, p, s2),
+                           rtol=1e-8)
 
     def test_matches_centralized_sinr_experiment_size(self):
         # a geometry drop at the experiments' size, without compression
@@ -246,5 +276,5 @@ class TestSinrFused:
         for idx in split_paths(cfg.L):
             st = run_chain(p, s2, [H[i] for i in idx], "eiu", np.full(len(idx), np.inf))
             summs.append(summarize_path(st, p))
-        f = fuse(summs[0], summs[1], p)
-        assert np.allclose(sinr_fused(f), centralized_sinr(H, p, s2), rtol=1e-8)
+        assert np.allclose(sinr_fused(*fuse(summs, p)), centralized_sinr(H, p, s2),
+                           rtol=1e-8)
