@@ -2,6 +2,15 @@
 capacity-limited fronthaul chain: per-AP LMMSE refinement, fronthaul
 compression-noise design, capacity allocation and Two-Path fusion."""
 
+import os as _os
+import sys as _sys
+
+# one BLAS thread unless the caller chose otherwise, where seqcf is the first
+# numpy import: the matrices are small, and more threads than idle cores slow them
+if "numpy" not in _sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        _os.environ.setdefault(_var, "1")
+
 from .allocation import equal, linear, logarithmic, path_budget, schedule
 from .chain import ChainState, centralized, gain, initial_state, propagate_combiners, refine, run_chain, update_error_cov, update_pre_compression_corr
 from .compression import CompressionOutcome, SolverError, achieved_rate_bits, eiu, scnm, weighted_scnm, wsinm

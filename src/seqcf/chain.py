@@ -108,6 +108,8 @@ def centralized(p: float, sigma2: float, H: list) -> ChainState:
     recursion it equals; P is left at 0.
     """
     _check_positive(p=p, sigma2=sigma2)
+    if not len(H):
+        raise ValueError("the chain is empty: H has no AP")
     Hs = np.concatenate(H)
     K = Hs.shape[1]
     J = (Hs.conj().T @ Hs) / sigma2
@@ -145,8 +147,8 @@ def run_chain(p: float, sigma2: float, H: list, strategy: str, rates) -> ChainSt
     rates = np.asarray(rates, dtype=float)
     if len(rates) != len(H):
         raise ValueError("H and rates must have one entry per chain AP")
-    if np.isnan(rates).any():
-        raise ValueError("a chain rate is NaN")
+    if not (rates >= 0.0).all():      # NaN fails too; 0 is a dead link, inf lossless
+        raise ValueError("a chain rate is NaN or negative")
     # the last live AP's compression noise, a zero diagonal before the first
     # one and after a dead link; EIU's is diagonal and carried as its diagonal
     zero_q = np.zeros(K)

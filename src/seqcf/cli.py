@@ -46,7 +46,7 @@ def parse_list(option: str, text: str, parse) -> tuple:
         raise ConfigError(f"{option}: {exc}") from exc
 
 
-def check_out(path: str, option: str = "--out") -> None:
+def check_out(path: str, option: str) -> None:
     """Reject an output path the CSV cannot be written to, before any trial
     runs; the file itself is not opened, so an existing one is kept."""
     target = os.path.abspath(path)
@@ -56,6 +56,24 @@ def check_out(path: str, option: str = "--out") -> None:
     if os.path.isdir(target) or not os.access(
             target if os.path.exists(target) else folder, os.W_OK):
         raise ConfigError(f"{option}: {path!r} is not a writable file")
+
+
+def run_sweeps(build, option: str = "--out") -> int:
+    """The run path of every front end: build() reads every input into {out
+    path: spec}; each path is checked before the first trial, then each spec
+    runs. ConfigError or ExperimentError: one `error:` line, exit status 1."""
+    try:
+        runs = build()
+        for out in runs:
+            check_out(out, option)
+        for out, spec in runs.items():
+            rows = run_experiment(spec)
+            emit_csv(rows, out)
+            print(f"wrote {len(rows)} rows to {out}")
+    except (ConfigError, ExperimentError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def main(argv=None) -> int:
@@ -75,21 +93,13 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    try:
-        if args.command == "selftest":
-            if args.seed < 0:
-                raise ConfigError(f"seed must be non-negative, got {args.seed}")
-            from .selftest import run_selftest
-            return 0 if run_selftest(args.seed) else 1
-        spec = _build_spec(args)
-        check_out(args.out)
-        rows = run_experiment(spec)
-        emit_csv(rows, args.out)
-    except (ConfigError, ExperimentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    if args.command == "selftest":
+        if args.seed < 0:
+            print(f"error: seed must be non-negative, got {args.seed}", file=sys.stderr)
+            return 1
+        from .selftest import run_selftest
+        return 0 if run_selftest(args.seed) else 1
+    return run_sweeps(lambda: {args.out: _build_spec(args)})
 
 
 if __name__ == "__main__":

@@ -114,7 +114,7 @@ def eiu(P: np.ndarray, R_l: float) -> CompressionOutcome:
     """
     K = P.shape[0]
     b = R_l / K
-    if b <= 0:
+    if not b > 0:             # NaN fails too
         raise SolverError("EIU needs a strictly positive per-user bit budget")
     if not np.isfinite(P).all():
         raise PsdError("P is not finite")
@@ -344,7 +344,7 @@ def scnm(P: np.ndarray, R_l: float) -> CompressionOutcome:
     eigendecomposition, PSD check, support and mode solve are _eigen_solve,
     which wsinm also runs. A lossless solve (d = 0) reports rate R_l.
     """
-    if R_l <= 0:
+    if not R_l > 0:           # NaN fails too
         raise SolverError("vector-wise compression needs R_l > 0")
     U, pos, d, _, lam, dn = _eigen_solve(P, R_l, math.nan)
     return CompressionOutcome(Q=_mode_covariance(U, pos, d),
@@ -387,7 +387,7 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> Compressi
     comparisons are rated: every solve is still the plain bisection's bit
     for bit. The weights need no check: w = 1 / (ln2 X) with X >= base > 0.
     """
-    if R_l <= 0:
+    if not R_l > 0:           # NaN fails too
         raise SolverError("vector-wise compression needs R_l > 0")
     base = np.asarray(interference_base, dtype=float)
     if not np.all((base > 0) & (base < math.inf)):

@@ -85,27 +85,34 @@ _DBM_KEYS = {"p_dbm": "p", "sigma2_dbm": "sigma2"}
 
 
 def parse_config_file(path: str) -> NetworkConfig:
-    """Parse a flat ``key = value`` text file into a NetworkConfig.
+    """Parse a flat ``key = value`` UTF-8 text file into a NetworkConfig.
 
-    Unknown keys are rejected. Lines starting with '#' and blank lines
-    are ignored.
+    Unknown and repeated keys are rejected. Lines starting with '#' and
+    blank lines are ignored.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise ConfigError(f"{path}: cannot read config file: {reason}") from exc
     kw = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _INT_KEYS | _FLOAT_KEYS | _DBM_KEYS.keys():
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                num = int(val) if key in _INT_KEYS else float(val)
-                kw[_DBM_KEYS.get(key, key)] = dbm_to_watt(num) if key in _DBM_KEYS else num
-            except (ValueError, OverflowError) as exc:
-                kind = "integer" if key in _INT_KEYS else "number"
-                raise ConfigError(f"{path}:{lineno}: {key} = {val!r} is not a valid {kind}"
-                                  ) from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in _INT_KEYS | _FLOAT_KEYS | _DBM_KEYS.keys():
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if _DBM_KEYS.get(key, key) in kw:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is given twice")
+        try:
+            num = int(val) if key in _INT_KEYS else float(val)
+            kw[_DBM_KEYS.get(key, key)] = dbm_to_watt(num) if key in _DBM_KEYS else num
+        except (ValueError, OverflowError) as exc:
+            kind = "integer" if key in _INT_KEYS else "number"
+            raise ConfigError(f"{path}:{lineno}: {key} = {val!r} is not a valid {kind}"
+                              ) from exc
     return NetworkConfig(**kw)

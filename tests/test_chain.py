@@ -299,15 +299,16 @@ class TestRunChain:
     @pytest.mark.parametrize("p, sigma2, rate", [
         (-1.0, 0.5, 6.0), (0.0, 0.5, 6.0), (np.nan, 0.5, 6.0), (np.inf, 0.5, 6.0),
         (1.0, 0.0, 6.0), (1.0, -0.5, 6.0), (1.0, np.nan, 6.0), (1.0, np.inf, 6.0),
-        (1.0, 0.5, np.nan)])
+        (1.0, 0.5, np.nan), (1.0, 0.5, -1.0), (1.0, 0.5, -1e-300), (1.0, 0.5, -np.inf)])
     def test_bad_input_rejected_at_entry(self, p, sigma2, rate):
         # not a numerical failure later on: p and sigma2 must be finite and > 0,
-        # and a rate must not be NaN (<= ZERO_RATE_TOL is a dead link, inf lossless)
+        # and a rate must be neither NaN nor negative (<= ZERO_RATE_TOL is a
+        # dead link, inf lossless)
         H = [np.ones((2, 2), dtype=complex)]
         for strategy in ("eiu", "scnm", "wsinm"):
-            with pytest.raises(ValueError, match="sigma2|p must|NaN"):
+            with pytest.raises(ValueError, match="sigma2|p must|NaN or negative"):
                 run_chain(p, sigma2, H, strategy, [rate])
-        if np.isnan(rate):
+        if not rate >= 0.0:
             return
         with pytest.raises(ValueError, match="sigma2|p must"):
             centralized(p, sigma2, H)
@@ -318,6 +319,8 @@ class TestRunChain:
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError, match="chain is empty"):
             run_chain(1.0, 0.5, [], "eiu", [])
+        with pytest.raises(ValueError, match="chain is empty"):
+            centralized(1.0, 0.5, [])
 
     def test_state_is_its_statistics(self, rng):
         st = run_chain(1.0, 0.5, rand_channels(rng, 2, 3, 2), "eiu", [6.0, 0.0])

@@ -39,9 +39,10 @@ class TestEiu:
         out = eiu(rand_psd(rng, 3), 9.0)
         assert np.allclose(out.Q, np.diag(np.diag(out.Q)))
 
-    def test_zero_bits_rejected(self, rng):
-        with pytest.raises(SolverError):
-            eiu(rand_psd(rng, 2), 0.0)
+    @pytest.mark.parametrize("R", [0.0, -1.0, -np.inf, np.nan])
+    def test_nonpositive_bits_rejected(self, rng, R):
+        with pytest.raises(SolverError, match="strictly positive per-user bit budget"):
+            eiu(rand_psd(rng, 2), R)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-10])
     def test_negative_diagonal_judged_in_p_units(self, scale):
@@ -201,9 +202,11 @@ class TestScnm:
         assert np.linalg.norm(out.Q @ null) < 1e-12
         assert out.achieved_rate == pytest.approx(4.0, abs=1e-6)
 
-    def test_nonpositive_rate_rejected(self, rng):
-        with pytest.raises(SolverError):
-            scnm(rand_psd(rng, 2), 0.0)
+    @pytest.mark.parametrize("R", [0.0, -1.0, -np.inf, np.nan])
+    def test_nonpositive_rate_rejected(self, rng, R):
+        # before any rate solve: a NaN rate would rate every midpoint
+        with pytest.raises(SolverError, match="needs R_l > 0"):
+            scnm(rand_psd(rng, 2), R)
 
     def test_rejects_genuinely_indefinite(self):
         with pytest.raises(PsdError):
@@ -702,6 +705,11 @@ class TestWsinm:
         for bad in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(SolverError):
                 wsinm(rand_psd(rng, 2), 5.0, np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("R", [0.0, -1.0, -np.inf, np.nan])
+    def test_nonpositive_rate_rejected(self, rng, R):
+        with pytest.raises(SolverError, match="needs R_l > 0"):
+            wsinm(rand_psd(rng, 2), R, np.ones(2))
 
     def test_reports_iterations(self, rng):
         out = wsinm(rand_psd(rng, 2, jitter=0.01), 5.0, np.array([0.5, 0.9]))

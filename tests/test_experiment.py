@@ -372,6 +372,17 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="finite and strictly positive"):
             parse_config_file(str(f))
 
+    @pytest.mark.parametrize("text, key", [("K = 5\nK = 10\n", "K"),
+                                           ("p_dbm = 20\nL = 4\np_dbm = 10\n", "p_dbm")])
+    def test_repeated_key_rejected_with_line(self, tmp_path, text, key):
+        # the last value would silently win
+        f = tmp_path / "net.cfg"
+        f.write_text(text)
+        lineno = text.count("\n")
+        with pytest.raises(ConfigError, match=f"^{f}:{lineno}: config key '{key}' "
+                                              f"is given twice$"):
+            parse_config_file(str(f))
+
     @pytest.mark.parametrize("key", ["trials", "rng_seed"])
     def test_experiment_keys_rejected(self, tmp_path, key):
         # trials and seed belong to the experiment (--trials, --seed)
@@ -428,6 +439,23 @@ class TestCli:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert f"error: {cfg}:2: L = '3.5' is not a valid integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make, reason", [
+        (lambda path: None, "No such file or directory"),
+        (lambda path: path.mkdir(), "Is a directory"),
+        (lambda path: path.write_bytes(b"K = 5 # \xe9t\xe9\n"), "not UTF-8 text"),
+    ])
+    def test_unreadable_config_exits_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                      make, reason):
+        import seqcf.cli as cli
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: pytest.fail("ran"))
+        cfg = tmp_path / "net.cfg"
+        make(cfg)
+        out = tmp_path / "x.csv"
+        rc = main(["sweep-rate", "--config", str(cfg), "--values", "100", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {cfg}: cannot read config file: {reason}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra, config, message", [
         (["--seed", "-1"], "", "error: seed must be non-negative, got -1"),

@@ -1,19 +1,22 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import seqcf.cli as cli
 from seqcf import parse_csv
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 @pytest.fixture
-def load_script(monkeypatch):
-    """Import scripts/<name>.py as a module; its BLAS thread defaults are undone."""
+def load_script():
+    """Import scripts/<name>.py as a module."""
     def load(name):
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
         spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
@@ -22,7 +25,57 @@ def load_script(monkeypatch):
 
 
 def no_trials(monkeypatch, script):
-    monkeypatch.setattr(script, "run_experiment", lambda spec: pytest.fail("ran"))
+    # every front end runs its specs through the one run path in seqcf.cli
+    monkeypatch.setattr(cli, "run_experiment", lambda spec: pytest.fail("ran"))
+
+
+class TestOneRunPath:
+    def test_rate_script_writes_the_cli_csv(self, load_script, capsys, tmp_path):
+        script = load_script("sum_se_vs_rate")
+        ours, theirs = tmp_path / "script.csv", tmp_path / "cli.csv"
+        assert script.main(["--trials", "1", "--budgets", "200", "--out", str(ours)]) == 0
+        assert cli.main(["sweep-rate", "--values", "200", "--strategies",
+                         ",".join(script.STRATEGIES), "--seed", "42", "--trials", "1",
+                         "--out", str(theirs)]) == 0
+        assert ours.read_bytes() == theirs.read_bytes()
+        n = len(script.STRATEGIES)
+        assert capsys.readouterr().out.splitlines() == [f"wrote {n} rows to {ours}",
+                                                        f"wrote {n} rows to {theirs}"]
+
+    def test_users_script_writes_the_cli_csv(self, load_script, capsys, tmp_path):
+        script = load_script("sum_se_vs_users")
+        cfg = tmp_path / "net.cfg"
+        cfg.write_text("R_T = 500\n")
+        ours, theirs = tmp_path / "users_RT500.csv", tmp_path / "cli.csv"
+        assert script.main(["--trials", "1", "--users", "2,3", "--budgets", "500",
+                            "--out-prefix", str(tmp_path / "users")]) == 0
+        assert cli.main(["sweep-users", "--values", "2,3", "--config", str(cfg),
+                         "--strategies", ",".join(script.STRATEGIES), "--seed", "42",
+                         "--trials", "1", "--out", str(theirs)]) == 0
+        assert ours.read_bytes() == theirs.read_bytes()
+        n = 2 * len(script.STRATEGIES)
+        assert capsys.readouterr().out.splitlines() == [f"wrote {n} rows to {ours}",
+                                                        f"wrote {n} rows to {theirs}"]
+
+    @pytest.mark.parametrize("preset, code, expected", [
+        (None, "import seqcf", "1 1"),
+        ("3", "import seqcf", "3 1"),
+        (None, "import numpy, seqcf", "None None"),
+    ])
+    def test_blas_thread_default(self, preset, code, expected):
+        # in a fresh interpreter: seqcf sets one thread only where it is the
+        # first numpy import, and keeps a value the caller set
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        read = ("import os; print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+                "os.environ.get('OMP_NUM_THREADS'))")
+        done = subprocess.run([sys.executable, "-c", f"{code}; {read}"], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == expected
 
 
 class TestSumSeVsRate:
