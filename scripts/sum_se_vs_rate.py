@@ -24,7 +24,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     return run_sweeps(lambda: {args.out: ExperimentSpec(
-        base=NetworkConfig(L=12, N=10, K=20, tau_c=200), sweep="rate",
+        base=NetworkConfig(), sweep="rate",
         values=parse_list("--budgets", args.budgets, float),
         strategies=tuple(Strategy.parse(s) for s in STRATEGIES),
         trials=args.trials, seed=args.seed)})

@@ -7,10 +7,9 @@ the infinite-capacity baseline.
 import argparse
 
 from seqcf import ConfigError, ExperimentSpec, NetworkConfig, Strategy
-from seqcf.cli import parse_list, run_sweeps
+from seqcf.cli import DEFAULT_STRATEGIES, parse_list, run_sweeps
 
-STRATEGIES = ["sp-ef-wsinm", "sp-lf-wsinm", "tp-ef-wsinm", "tp-lf-wsinm",
-              "sp-ef-infinite"]
+STRATEGIES = DEFAULT_STRATEGIES.split(",")
 
 
 def out_path(prefix: str, R_T: float) -> str:
@@ -33,7 +32,10 @@ def main(argv=None) -> int:
         strategies = tuple(Strategy.parse(s) for s in STRATEGIES)
         specs = {}                # output path -> the spec of its budget
         for R_T in parse_list("--budgets", args.budgets, float):
-            base = NetworkConfig(L=12, N=10, K=max(users), R_T=R_T, tau_c=200)
+            try:
+                base = NetworkConfig(R_T=R_T)
+            except ConfigError as exc:
+                raise ConfigError(f"--budgets: budget {R_T:g}: {exc}") from exc
             out = out_path(args.out_prefix, R_T)
             if out in specs:
                 raise ConfigError(f"--budgets: budget {R_T:g} is given twice")

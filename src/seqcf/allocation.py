@@ -2,11 +2,9 @@
 # returns the rates in bits per uplink sample, one entry per chain position.
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-SCHEMES = ("ef", "lf", "log")
+from .config import _check_positive
 
 
 def equal(R_T: float, L_chain: int) -> np.ndarray:
@@ -31,14 +29,14 @@ def logarithmic(R_T: float, L_chain: int) -> np.ndarray:
     return R_T * logs / logs.sum()
 
 
+# each allocation scheme's name and its split of R_T over a chain
+SCHEMES = {"ef": equal, "lf": linear, "log": logarithmic}
+
+
 def schedule(scheme: str, R_T: float, L_chain: int) -> np.ndarray:
-    if scheme == "ef":
-        return equal(R_T, L_chain)
-    if scheme == "lf":
-        return linear(R_T, L_chain)
-    if scheme == "log":
-        return logarithmic(R_T, L_chain)
-    raise ValueError(f"unknown allocation scheme {scheme!r}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown allocation scheme {scheme!r}")
+    return SCHEMES[scheme](R_T, L_chain)
 
 
 def path_budget(R_T: float, L_total: int, L_path: int) -> float:
@@ -54,7 +52,6 @@ def path_budget(R_T: float, L_total: int, L_path: int) -> float:
 
 
 def _check(R_T: float, L_chain: int) -> None:
-    if not (0.0 < R_T < math.inf):          # NaN fails both comparisons
-        raise ValueError(f"R_T must be finite and strictly positive, got {R_T!r}")
+    _check_positive(R_T=R_T)
     if L_chain < 1:
         raise ValueError("chain must contain at least one AP")

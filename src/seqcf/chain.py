@@ -12,6 +12,9 @@ from . import metrics
 from .config import _check_positive
 from .linalg import ensure_psd, herm, herm_solve
 
+# the compression designs a chain can run, each a function of seqcf.compression
+DESIGNS = ("eiu", "scnm", "wsinm")
+
 # rates at or below this are treated as a dead link: the next AP restarts
 # the chain from the prior (zero bits convey zero information)
 ZERO_RATE_TOL = 1e-12
@@ -138,7 +141,7 @@ def run_chain(p: float, sigma2: float, H: list, strategy: str, rates) -> ChainSt
     of the channels; no per-AP compression outcome is kept.
     """
     _check_positive(p=p, sigma2=sigma2)
-    if strategy not in ("eiu", "scnm", "wsinm"):
+    if strategy not in DESIGNS:
         raise ValueError(f"unknown compression strategy {strategy!r}")
     if not len(H):
         raise ValueError("the chain is empty: H has no AP")

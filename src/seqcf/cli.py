@@ -6,7 +6,7 @@ import os
 import sys
 
 from .config import ConfigError, NetworkConfig, parse_config_file
-from .experiment import (ExperimentError, ExperimentSpec, Strategy, emit_csv,
+from .experiment import (SWEEPS, ExperimentError, ExperimentSpec, Strategy, emit_csv,
                          run_experiment)
 
 DEFAULT_STRATEGIES = "sp-ef-wsinm,sp-lf-wsinm,tp-ef-wsinm,tp-lf-wsinm,sp-ef-infinite"
@@ -30,9 +30,12 @@ def _add_common(sub: argparse.ArgumentParser, axis: str) -> None:
 
 
 def _build_spec(args) -> ExperimentSpec:
-    base = parse_config_file(args.config) if args.config else NetworkConfig()
+    name, kind = SWEEPS[args.sweep]
+    values = parse_list("--values", args.values, kind)
+    # the file's network is checked with the swept field at the first sweep value
+    base = (parse_config_file(args.config, swept={name: values[0]}) if args.config
+            else NetworkConfig())
     strategies = tuple(Strategy.parse(s) for s in args.strategies.split(","))
-    values = parse_list("--values", args.values, int if args.sweep == "users" else float)
     return ExperimentSpec(base=base, sweep=args.sweep, values=values,
                           strategies=strategies, trials=args.trials, seed=args.seed)
 

@@ -7,14 +7,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import allocation, metrics, twopath
-from .chain import centralized, run_chain
+from .chain import DESIGNS, centralized, run_chain
 from .compression import SolverError
 from .config import ConfigError, NetworkConfig, as_integer
 from .geometry import draw_channels, place_network
 from .linalg import PsdError
 
 PATH_MODES = ("sp", "tp")
-COMPRESSIONS = ("eiu", "scnm", "wsinm", "infinite")
+COMPRESSIONS = DESIGNS + ("infinite",)
+# each sweep axis: the NetworkConfig field it sets and the type of its values
+SWEEPS = {"users": ("K", int), "rate": ("R_T", float)}
 
 # share of a cell's trials that may fail numerically before the run stops
 MAX_FAILURE_FRAC = 0.01
@@ -62,7 +64,7 @@ class ExperimentSpec:
     seed: int
 
     def __post_init__(self):
-        if self.sweep not in ("users", "rate"):
+        if self.sweep not in SWEEPS:
             raise ConfigError(f"sweep axis must be 'users' or 'rate', got {self.sweep!r}")
         labels = [s.label() for s in self.strategies]
         for kind, items in (("sweep value", self.values), ("strategy", labels)):
@@ -86,12 +88,11 @@ class ExperimentSpec:
 
     def point_config(self, val) -> NetworkConfig:
         """The network of sweep point val: base with K or R_T set to val."""
+        name, kind = SWEEPS[self.sweep]
         try:
-            if self.sweep == "rate":
-                return self.base.replace(R_T=float(val))
-            if int(val) != val:
+            if kind is int and int(val) != val:
                 raise ConfigError("the user count must be a whole number")
-            return self.base.replace(K=int(val))
+            return self.base.replace(**{name: kind(val)})
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"sweep value {val!r}: {exc}") from exc
 

@@ -61,7 +61,7 @@ def test_rejects_nonpositive_budget():
 
 
 @pytest.mark.parametrize("scheme", ["ef", "lf", "log"])
-@pytest.mark.parametrize("R_T", [np.nan, np.inf, -np.inf, -5.0])
+@pytest.mark.parametrize("R_T", [np.nan, np.inf, -np.inf, -5.0, True])
 def test_rejects_non_finite_or_negative_budget(scheme, R_T):
     with pytest.raises(ValueError, match="finite and strictly positive"):
         allocation.schedule(scheme, R_T, 3)
@@ -72,7 +72,7 @@ class TestTwoPathBudget:
         assert allocation.path_budget(500.0, 12, 6) == pytest.approx(250.0)
         assert allocation.path_budget(500.0, 3, 2) == pytest.approx(1000.0 / 3)
 
-    @pytest.mark.parametrize("R_T", [np.nan, np.inf, 0.0, -5.0])
+    @pytest.mark.parametrize("R_T", [np.nan, np.inf, 0.0, -5.0, True])
     def test_rejects_bad_budget(self, R_T):
         with pytest.raises(ValueError, match="finite and strictly positive"):
             allocation.path_budget(R_T, 4, 2)

@@ -299,7 +299,8 @@ class TestRunChain:
     @pytest.mark.parametrize("p, sigma2, rate", [
         (-1.0, 0.5, 6.0), (0.0, 0.5, 6.0), (np.nan, 0.5, 6.0), (np.inf, 0.5, 6.0),
         (1.0, 0.0, 6.0), (1.0, -0.5, 6.0), (1.0, np.nan, 6.0), (1.0, np.inf, 6.0),
-        (1.0, 0.5, np.nan), (1.0, 0.5, -1.0), (1.0, 0.5, -1e-300), (1.0, 0.5, -np.inf)])
+        (1.0, 0.5, np.nan), (1.0, 0.5, -1.0), (1.0, 0.5, -1e-300), (1.0, 0.5, -np.inf),
+        (True, 0.5, 6.0)])
     def test_bad_input_rejected_at_entry(self, p, sigma2, rate):
         # not a numerical failure later on: p and sigma2 must be finite and > 0,
         # and a rate must be neither NaN nor negative (<= ZERO_RATE_TOL is a

@@ -368,8 +368,9 @@ class TestConfigFile:
                                       "sigma2_dbm = -inf", "ap_ring_radius = 0"])
     def test_bad_value_rejected(self, tmp_path, line):
         f = tmp_path / "net.cfg"
-        f.write_text(f"{line}\n")
-        with pytest.raises(ConfigError, match="finite and strictly positive"):
+        f.write_text(f"L = 4\n{line}\n")
+        with pytest.raises(ConfigError,
+                           match=f"^{re.escape(str(f))}: .* finite and strictly positive"):
             parse_config_file(str(f))
 
     @pytest.mark.parametrize("text, key", [("K = 5\nK = 10\n", "K"),
@@ -430,6 +431,24 @@ class TestCli:
                    "--trials", "1", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_users_sweep_checks_the_config_at_its_first_value(self, tmp_path, capsys):
+        # the file's K, or the default K = 20 if it gives none, is not swept
+        outs = []
+        for text in ("tau_c = 15\n", "tau_c = 15\nK = 2\n"):
+            cfg, out = tmp_path / f"net{len(outs)}.cfg", tmp_path / f"res{len(outs)}.csv"
+            cfg.write_text(text)
+            assert main(["sweep-users", "--config", str(cfg), "--values", "2,5",
+                         "--strategies", "sp-ef-eiu", "--trials", "1",
+                         "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert main(["sweep-users", "--config", str(cfg), "--values", "15,2",
+                     "--strategies", "sp-ef-eiu", "--trials", "1",
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg} with K = 15: tau_c must exceed tau_p = K\n")
         assert not (tmp_path / "x.csv").exists()
 
     def test_bad_config_line_exits_nonzero(self, tmp_path, capsys):

@@ -141,7 +141,9 @@ class TestConfig:
                                     dict(L=12.5), dict(N=2.5), dict(K=3.0),
                                     dict(L=True), dict(tau_c=100.5),
                                     dict(K=np.float64(5.0)), dict(N=np.bool_(True)),
-                                    dict(K=np.uint8(20), tau_c=np.uint8(10))])
+                                    dict(K=np.uint8(20), tau_c=np.uint8(10)),
+                                    dict(p=True), dict(R_T=True), dict(R_T="500"),
+                                    dict(sigma2=1j)])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ConfigError):
             cfg(**kw)

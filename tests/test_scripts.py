@@ -106,10 +106,11 @@ class TestSumSeVsRate:
 class TestSumSeVsUsers:
     @pytest.mark.parametrize("argv, message", [
         (["--budgets", "500,abc"], "error: --budgets: could not convert string to float: 'abc'"),
-        (["--budgets", "500,-3"], "error: R_T must be finite and strictly positive, got -3.0"),
+        (["--budgets", "500,-3"],
+         "error: --budgets: budget -3: R_T must be finite and strictly positive, got -3.0"),
         (["--budgets", "500,500.0"], "error: --budgets: budget 500 is given twice"),
         (["--users", "5,2.5"], "error: --users: invalid literal for int() with base 10: '2.5'"),
-        (["--users", "250"], "error: tau_c must exceed tau_p = K"),
+        (["--users", "250"], "error: sweep value 250: tau_c must exceed tau_p = K"),
         (["--trials", "0"], "error: trials must be positive"),
     ])
     def test_bad_input_exits_before_any_trial(self, load_script, monkeypatch, capsys,
