@@ -24,10 +24,10 @@ RANK_TOL = 1e-12
 # binades below it takes about k + 40, and doubles span about 2100 binades
 RATE_TOL_BITS = 1e-9
 RATE_MAX_ITER = 2200
-# the rate model: Newton steps allowed for one root estimate, the fences'
-# distance in bits from R_l, and its range of mu on a spectrum scaled to
-# lam.max() in [1/2, 1), 2^-_SPAN_BINADES / lam.min() to 2^_SPAN_BINADES
-# (_root_estimate). The floor is also the lossless rule: the rate solve sends
+# the rate model (_rate_model, four thresholds in mu about Newton's last
+# point): Newton steps allowed for that point, and its range of mu on a
+# spectrum scaled to lam.max() in [1/2, 1), 2^-_SPAN_BINADES / lam.min() to
+# 2^_SPAN_BINADES. The floor is also the lossless rule: the rate solve sends
 # every mode losslessly (zero noise, rate R_l) when the water-filling point
 # mu_wf, where sum_k log2(lam_k / mu_wf) = R_l, lies below it. mu_wf lies
 # below the root (each noise is below mu) and, that deep, within a hair of it:
@@ -35,7 +35,6 @@ RATE_MAX_ITER = 2200
 # noise would lie below 2^-917 of its mode, 0 at double precision relative to
 # P. It lies that deep only from about 918 bits per mode on (998 for one mode)
 _NEWTON_MAX_ITER = 64
-_FENCE_BITS = 1e-7
 _SPAN_BINADES = 1000.0
 
 # WSINM block coordinate descent: stops when the objective moves by at most
@@ -153,12 +152,13 @@ def _rate_slope(lam: list, mu: float) -> tuple:
     return r / LN2, g / LN2
 
 
-def _root_estimate(lam: list, R_l: float, mu0: float):
-    """(mu, g): Newton's estimate of the root and the slope -d rate / d ln mu
-    there, or None when Newton does not converge inside the model's range
-    of mu (as when the root lies outside). For lam as _solve_mode_noises
-    passes it, that range, 2^-_SPAN_BINADES / lam[0] to 2^_SPAN_BINADES,
-    keeps mu lam, lam / mu and the noises normal floats within a x8 step of it.
+def _rate_model(lam: list, R_l: float, mu0: float):
+    """(lo, hit_lo, hit_hi, hi), four multipliers that decide the bisection's
+    comparisons, or None when no model can be certified; lam is an ascending
+    spectrum scaled as _solve_mode_noises scales it. Every computed rate at a
+    mu < lo exceeds R_l + RATE_TOL_BITS, every one at a mu > hi lies below
+    R_l - RATE_TOL_BITS, and every one at a hit_lo < mu < hit_hi lies within
+    RATE_TOL_BITS of R_l (no mu does when hit_lo >= hit_hi).
 
     Newton runs on t = ln mu in plain floats: at K <= 40 a loop over the modes
     costs less than numpy's per-call overhead. It starts from mu0 when that is
@@ -166,7 +166,39 @@ def _root_estimate(lam: list, R_l: float, mu0: float):
     sum_k log2(lam_k / mu) = R_l, whose rate exceeds R_l because d_k < mu. The
     rate is convex and decreasing in t, so a step from the left of the root
     stays left of it and a step from the right lands left of it: no bracket is
-    needed.
+    needed. Newton stays in the model's range of mu, 2^-_SPAN_BINADES / lam[0]
+    to 2^_SPAN_BINADES, which keeps mu lam, lam / mu and the noises normal
+    floats within a factor 2 of it, and stops at the first mu_c whose rate r
+    and slope g = -d rate / d ln mu (_rate_slope) have err = r - R_l with
+    err^2 <= RATE_TOL_BITS g / 10; there is no model when it does not within
+    _NEWTON_MAX_ITER steps, as when the root lies outside the range.
+
+    The model is the tangent r - g x at mu = mu_c e^x, certified so:
+    - Rounding. Within a factor 2 of mu_c every intermediate of a computed
+      rate is a normal float, each mode's rate is within about 12 u + 4 u r_k
+      of the exact one (u = eps / 2, most of it numpy's log2) and the sum adds
+      (K - 1) u r, so bound = 64 eps K (r + 1 + K) covers the rounding of r
+      (and of g |x|), and separately that of any computed rate there.
+    - Curvature. The exact rate is convex in t, so it lies on or above the
+      tangent. As 0 <= d^2 rate / dt^2 <= g / 2 and g grows at most by
+      e^(|x| / 2) leftwards, over |x| <= x_m <= ln 2 it lies at most
+      c = 0.36 g x_m^2 > (sqrt(2) / 4) g x_m^2 above it. x_m = (|err| +
+      2 (RATE_TOL_BITS + 2 bound)) / g reaches every threshold, and there is
+      no model when x_m > ln 2 or c > RATE_TOL_BITS. So every computed rate
+      within x_m of mu_c lies above the tangent less 2 bound and below the
+      tangent plus 2 bound + c.
+    - Thresholds. With tol = RATE_TOL_BITS and m = 2 bound, the tangent is
+      R_l + tol + m at lo, R_l + tol - m - c at hit_lo, R_l - tol + m at
+      hit_hi and R_l - tol - m - c at hi: at lo the computed rate exceeds
+      R_l + tol, at hi it lies below R_l - tol, and between the inner two it
+      is within tol of R_l (the band is empty when 2 m + c >= 2 tol). The exp
+      and the products that place a threshold round it by a few ulps of mu,
+      which moves the rate by a few eps g <= 3 eps K bits, far less than the
+      slack in bound.
+    - Monotonicity. Beyond lo and hi the exact rate keeps growing leftwards
+      and falling rightwards, by far more than a computed rate's rounding
+      grows (a rate is infinite where a noise underflows to 0, and 0 where
+      lam / d does), so every computed rate there stays on its side.
     """
     t_max = _SPAN_BINADES * LN2
     t_min = -math.log(lam[0]) - t_max
@@ -174,52 +206,23 @@ def _root_estimate(lam: list, R_l: float, mu0: float):
         sum(map(math.log, lam)) - R_l * LN2) / len(lam)
     t = min(max(t, t_min), t_max)
     for _ in range(_NEWTON_MAX_ITER):
-        r, g = _rate_slope(lam, math.exp(t))
+        mu = math.exp(t)
+        r, g = _rate_slope(lam, mu)
         err = r - R_l
-        # |d^2 rate / dt^2| <= g / 2, so the step lands within err^2 / (4 g) of R_l
         if err * err <= 0.1 * RATE_TOL_BITS * g:
-            return math.exp(t + err / g), g
+            break
         t = min(max(t + err / g, t_min), t_max)
-    return None
-
-
-def _rate_model(lam: list, R_l: float, mu0: float):
-    """(f_lo, f_hi, est, g, margin), a model of the computed rate that decides
-    the bisection's comparisons, or None when it cannot be certified; lam is
-    an ascending spectrum scaled as _solve_mode_noises scales it.
-
-    est is Newton's estimate of the root (_root_estimate, started from mu0)
-    and g the slope there; the fences est (1 -+ delta) lie about _FENCE_BITS
-    either side of R_l. Every computed rate at a mu between the fences is
-    within margin of R_l - g ln(mu / est), and every one left of the lower
-    fence lies above R_l + RATE_TOL_BITS and right of the upper one below
-    R_l - RATE_TOL_BITS: the model is returned only when g times the fences'
-    distance in ln mu from est clears RATE_TOL_BITS + margin.
-    """
-    est = _root_estimate(lam, R_l, mu0)
-    if est is None:
+    else:
         return None
-    est, g = est
-    delta = min(_FENCE_BITS / g, 0.5)
-    f_lo, f_hi = est * (1.0 - delta), est * (1.0 + delta)
-    # with lam and est in range (_root_estimate) every intermediate of a
-    # computed rate r at any mu the bisection visits (within a x8 step of the
-    # fences, or between them and lam.max()) is a normal float: each mode's
-    # rate is within about 12 u + 4 u r_k of the exact one (u = eps / 2, most
-    # of it numpy's log2) and the sum adds (K - 1) u r, so 64 eps K (r + K)
-    # bounds the error of two computed rates near r
-    r_est, g = _rate_slope(lam, est)
     K = len(lam)
-    bound = 64.0 * _EPS * K * (r_est + 1.0 + K)
-    # the exact rate at mu = est e^x is r(est) - g x within g x^2 / 2 for
-    # |x| <= ln 2, since |d^2 rate / dt^2| <= g / 2 and g grows at most by
-    # e^(|x| / 2) leftwards; every mu between the fences has |x| <= x_m. One
-    # bound covers r_est's rounding (and that of g |x|), one a computed rate
-    x_m = -math.log1p(-delta)
-    margin = abs(r_est - R_l) + 2.0 * bound + 0.5 * g * x_m * x_m
-    if g * min(math.log(est / f_lo), math.log(f_hi / est)) <= RATE_TOL_BITS + margin:
+    bound = 64.0 * _EPS * K * (r + 1.0 + K)
+    x_m = (abs(err) + 2.0 * (RATE_TOL_BITS + 2.0 * bound)) / g
+    c = 0.36 * g * x_m * x_m
+    if x_m > LN2 or c > RATE_TOL_BITS:
         return None
-    return f_lo, f_hi, est, g, margin
+    tol, m = RATE_TOL_BITS, 2.0 * bound
+    return tuple(mu * math.exp((err + s) / g)
+                 for s in (-tol - m, m + c - tol, tol - m, tol + m + c))
 
 
 def _solve_mode_noises(lam: np.ndarray, R_l: float, mu0: float = math.nan) -> tuple:
@@ -239,9 +242,9 @@ def _solve_mode_noises(lam: np.ndarray, R_l: float, mu0: float = math.nan) -> tu
     lam_n.max() and halves the bracket until a midpoint's computed rate is
     within RATE_TOL_BITS of R_l, raising SolverError when the bracket search
     or RATE_MAX_ITER midpoints fail. Each comparison it makes (rate above or
-    below R_l in the bracket search; a hit, above or below at a midpoint) is
-    taken from _rate_model, started from the guess, when the model decides
-    it, and otherwise from the rate computed at that mu. Either way the
+    below R_l in the bracket search; a hit, above or below at a midpoint)
+    compares mu with _rate_model's four thresholds, the model started from the
+    guess, and rates mu only where none of them decides. Either way the
     noises, and any SolverError, are the plain bisection's on lam_n bit for
     bit, whatever mu0 is.
     """
@@ -258,50 +261,39 @@ def _solve_mode_noises(lam: np.ndarray, R_l: float, mu0: float = math.nan) -> tu
     if R_l > floor + 2.0 * K * log_min and R_l - float(np.log2(lam).sum()) > floor:
         d = np.zeros(K)
         return d, 0.0, lam, d
-    model = _rate_model(lams, R_l, math.ldexp(mu0, -e))
-    # no model: no mu lies outside the fences, and every comparison is rated
-    f_lo, f_hi, est, g, margin = model or (0.0, math.inf, 0.0, 0.0, 0.0)
+    # no model: no threshold decides, and every comparison is rated
+    lo, hit_lo, hit_hi, hi = (_rate_model(lams, R_l, math.ldexp(mu0, -e))
+                              or (0.0, math.inf, math.inf, math.inf))
 
-    def gap(mu: float, hit: bool) -> float:
-        # r - R_l at mu between the fences as the bisection compares it:
-        # +-inf where the model puts r beyond R_l +- RATE_TOL_BITS, 0.0 where
-        # it puts r within RATE_TOL_BITS of R_l (if a hit decides), else computed
-        if model:
-            off = g * math.log(est / mu)       # the model's r - R_l
-            if abs(off) > RATE_TOL_BITS + margin:
-                return math.copysign(math.inf, off)
-            if hit and abs(off) < RATE_TOL_BITS - margin:
-                return 0.0
-        return _mode_rate(lam, _mode_noise(lam, mu)) - R_l
+    def rate(mu: float) -> float:
+        return _mode_rate(lam, _mode_noise(lam, mu))
 
     mu_hi = lam_max
     grow = 0
-    while mu_hi < f_lo or mu_hi <= f_hi and gap(mu_hi, False) > 0.0:
+    while mu_hi < lo or mu_hi <= hi and rate(mu_hi) > R_l:
         mu_hi *= 8.0
         grow += 1
         if grow > 600:
             raise SolverError("failed to bracket the rate constraint from above")
     mu_lo = mu_hi
-    while mu_lo > f_hi or mu_lo >= f_lo and gap(mu_lo, False) < 0.0:
+    while mu_lo > hi or mu_lo >= lo and rate(mu_lo) < R_l:
         mu_lo /= 8.0
         grow += 1
         if grow > 1200:
             raise SolverError("failed to bracket the rate constraint from below")
     for _ in range(RATE_MAX_ITER):
         mu = 0.5 * (mu_lo + mu_hi)
-        if mu < f_lo:
+        if mu < lo:
             mu_lo = mu
-        elif mu > f_hi:
+        elif mu > hi:
             mu_hi = mu
+        elif hit_lo < mu < hit_hi or abs((r := rate(mu)) - R_l) <= RATE_TOL_BITS:
+            d = _mode_noise(lam, mu)
+            return np.ldexp(d, e), math.ldexp(mu, e), lam, d
+        elif r > R_l:
+            mu_lo = mu
         else:
-            r = gap(mu, True)
-            if abs(r) <= RATE_TOL_BITS:
-                d = _mode_noise(lam, mu)
-                return np.ldexp(d, e), math.ldexp(mu, e), lam, d
-            if r > 0.0:
-                mu_lo = mu
-            else:
-                mu_hi = mu
+            mu_hi = mu
     raise SolverError(f"rate bisection did not converge: R={R_l}, "
                       f"mu=[{math.ldexp(mu_lo, e)},{math.ldexp(mu_hi, e)}]")
 
@@ -351,17 +343,24 @@ def scnm(P: np.ndarray, R_l: float) -> CompressionOutcome:
                               achieved_rate=_mode_rate(lam, dn) if dn.all() else R_l)
 
 
+def _per_user(values, K: int, name: str) -> np.ndarray:
+    """values as floats; SolverError unless they hold one finite, strictly
+    positive value per user."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (K,) or not np.all((v > 0) & (v < math.inf)):
+        raise SolverError(f"{name} must hold one finite, strictly positive value per user")
+    return v
+
+
 def weighted_scnm(P: np.ndarray, R_l: float, weights: np.ndarray) -> CompressionOutcome:
     """Minimize sum_k w_k Q[k,k] under the same rate constraint.
 
     Solved by the congruence transform P -> W^1/2 P W^1/2, which leaves the
     log-det constraint invariant, then undoing the transform on Q. wsinm
-    runs the same transform inside its loop without calling this.
+    runs the same transform inside its loop without calling this. The
+    weights must hold one finite, positive value per user.
     """
-    w = np.asarray(weights, dtype=float)
-    if np.any(w <= 0):
-        raise SolverError("weights must be strictly positive")
-    ws = np.sqrt(w)
+    ws = np.sqrt(_per_user(weights, P.shape[0], "weights"))
     # exactly Hermitian, as herm(P) is: entry (j, i) is the conjugate of (i, j)
     Pbar = herm(P) * (ws[:, None] * ws)
     inner = scnm(Pbar, R_l)
@@ -375,24 +374,23 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> Compressi
     Alternates (i) weighted trace minimization at the current weights and
     (ii) the closed-form weight update w_k = 1/(ln2 * X_k), where
     X_k = interference_base[k] + Q[k,k] is user k's interference-plus-noise.
-    interference_base must exclude the current AP's own Q[k,k] term. P is
+    interference_base holds one finite, positive value per user and must
+    exclude the current AP's own Q[k,k] term. P is
     Hermitian, as ensure_psd leaves it, so every P * outer(ws, ws) is too;
     zheevd reads the lower triangle of each.
 
     Step (i) is weighted_scnm's congruence transform with one zheevd per
     iteration. The weight update reads only diag Q, so an iteration forms
     just that; the full Q and its rate are formed once, from the last
-    iteration's modes. Each rate solve starts its model's Newton estimate
-    from the previous iteration's multiplier, which changes only which
+    iteration's modes. Each rate solve starts its rate model's Newton from
+    the previous iteration's multiplier, which changes only which
     comparisons are rated: every solve is still the plain bisection's bit
     for bit. The weights need no check: w = 1 / (ln2 X) with X >= base > 0.
     """
     if not R_l > 0:           # NaN fails too
         raise SolverError("vector-wise compression needs R_l > 0")
-    base = np.asarray(interference_base, dtype=float)
-    if not np.all((base > 0) & (base < math.inf)):
-        raise SolverError("interference-plus-noise base must be finite and strictly positive")
     K = P.shape[0]
+    base = _per_user(interference_base, K, "interference-plus-noise base")
     w = np.ones(K)
     mu = math.nan
     log_w = 0.0                  # sum_k log2 w_k

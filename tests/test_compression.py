@@ -286,12 +286,13 @@ class TestRateSolve:
 
     @settings(max_examples=400, deadline=None)
     @given(log_lam=st.lists(st.floats(-10.0, 6.0), min_size=1, max_size=40),
-           log_R=st.floats(-3.0, np.log10(2000.0)),
+           log_R=st.floats(-12.0, np.log10(2000.0)),
            guess=st.one_of(st.sampled_from(["none", "lo", "hi", "zero", "inf"]),
                            st.floats(-3.0, 4.0)))
     def test_matches_scalar_bisection(self, log_lam, log_R, guess):
-        # the guess only starts the root estimate: none (scnm's solve), inside
-        # the bracket, at its ends or outside it, the solve is the bisection's
+        # the guess only starts the model's Newton: none (scnm's solve), inside
+        # the bracket, at its ends or outside it, the solve is the bisection's;
+        # rates below about 1e-8 bits leave no model, and every mu is rated
         lam, R = 10.0 ** np.array(log_lam), 10.0 ** log_R
         with np.errstate(all="ignore"):
             try:
@@ -318,9 +319,9 @@ class TestRateSolve:
     @pytest.mark.parametrize("guess", [1.0, 0.25, 4.0])
     def test_root_on_a_grid_point(self, monkeypatch, j, guess):
         # R is within RATE_TOL_BITS / 2 of the rate of the grid point
-        # lam.max() 8^j, which then lies between the fences: a hit there
-        # does not decide the bracket search, which must rate it; mu0 at,
-        # below and above the root changes nothing
+        # lam.max() 8^j, which then lies between the model's outer
+        # thresholds: a hit there does not decide the bracket search, which
+        # must rate it; mu0 at, below and above the root changes nothing
         solves = []
         for lam in (np.array([2.5]), np.geomspace(3.0, 1e-3, 7), np.full(4, 0.7)):
             root = float(np.ldexp(lam.max(), 3 * j))
@@ -386,44 +387,62 @@ class TestRateSolve:
     def test_single_mode(self, R):
         assert_same_solve(np.array([2.5]), R)
 
-    @pytest.mark.parametrize("estimate", ["low", "high", "geometric", "narrow"])
-    def test_poor_estimate_changes_nothing(self, monkeypatch, estimate):
-        # a poor root estimate leaves a fence that cannot clear R_l: an
-        # estimate a factor 8 off the root, the bracket's geometric mean, or
-        # fences placed far inside the rate tolerance. There is then no
-        # model, and every solve rates each mu the bisection rates
-        real = comp._root_estimate
-
-        def poor(lam, R_l, mu0):
-            mu, g = real(lam, R_l, mu0)
-            mu_lo, mu_hi = rate_bracket(np.array(lam), R_l)
-            return {"low": (mu / 8.0, g), "high": (mu * 8.0, g),
-                    "geometric": (float(np.sqrt(mu_lo * mu_hi)), g),
-                    "narrow": (mu, g * 1e6)}[estimate]
-
-        monkeypatch.setattr(comp, "_root_estimate", poor)
+    def test_no_model_rates_every_mu(self, monkeypatch):
+        # with no rate model nothing decides a comparison: every solve rates
+        # each mu the bisection rates, and returns the bisection's result
+        monkeypatch.setattr(comp, "_rate_model", lambda lam, R_l, mu0: None)
         for got, ref in rated_per_solve(monkeypatch, random_solves(3)):
             assert got == ref
 
-    @pytest.mark.parametrize("sign", [-1.0, 1.0])
-    def test_estimate_off_inside_the_fences(self, monkeypatch, sign):
-        # an estimate 2e-8 bits off the root still clears the fences, but its
-        # margin no longer certifies a hit: each solve rates the midpoints
-        # near the root, and returns the bisection's result
-        real = comp._root_estimate
+    def test_shrunk_model_rates_more(self, monkeypatch):
+        # the model's outer thresholds moved out x8 and its hit band emptied
+        # decide fewer comparisons: each solve rates at least the mu it rates
+        # with the real model, some rate more, and all return the bisection's
+        # result
+        solves = random_solves(4)
+        with_model = [got for got, _ in rated_per_solve(monkeypatch, solves)]
+        real = comp._rate_model
 
-        def off(lam, R_l, mu0):
-            mu, g = real(lam, R_l, mu0)
-            return mu * np.exp(sign * 2e-8 / g), g
+        def shrunk(lam, R_l, mu0):
+            lo, _, _, hi = real(lam, R_l, mu0)
+            return lo / 8.0, np.inf, 0.0, hi * 8.0
 
-        monkeypatch.setattr(comp, "_root_estimate", off)
-        for got, ref in rated_per_solve(monkeypatch, random_solves(4)):
-            assert 1 <= got < min(ref, 10)
+        monkeypatch.setattr(comp, "_rate_model", shrunk)
+        shrunk_rated = [got for got, _ in rated_per_solve(monkeypatch, solves)]
+        assert all(a >= b for a, b in zip(shrunk_rated, with_model))
+        assert sum(shrunk_rated) > sum(with_model)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_lam=st.lists(st.floats(-10.0, 6.0), min_size=1, max_size=40),
+           log_R=st.floats(-8.0, np.log10(800.0)), log_guess=st.floats(-3.0, 3.0))
+    def test_thresholds_hold_at_their_edges(self, log_lam, log_R, log_guess):
+        # the computed rate just outside lo and hi, and just inside the hit
+        # band, is on the side the model claims; a guess off the root leaves
+        # Newton's last point off it too, where the curvature term counts.
+        # Below 890 bits no spectrum 54 binades wide is sent losslessly
+        lam = np.sort(10.0 ** np.array(log_lam))
+        lam = np.ldexp(lam, -np.frexp(lam[-1])[1])
+        R, tol = 10.0 ** log_R, comp.RATE_TOL_BITS
+        mu0 = float(lam[-1] * 10.0 ** log_guess)
+        model = comp._rate_model(lam.tolist(), R, mu0)
+        if model is None:
+            return
+        lo, hit_lo, hit_hi, hi = model
+
+        def rate(mu):
+            return comp._mode_rate(lam, comp._mode_noise(lam, mu))
+
+        assert rate(np.nextafter(lo, 0.0)) > R + tol
+        assert rate(np.nextafter(hi, np.inf)) < R - tol
+        if hit_lo < hit_hi:
+            assert abs(rate(np.nextafter(hit_lo, np.inf)) - R) <= tol
+            assert abs(rate(np.nextafter(hit_hi, 0.0)) - R) <= tol
 
     def test_uncertain_midpoints_are_rated(self, monkeypatch):
-        # with the rounding bound inflated to half of RATE_TOL_BITS the fences
-        # still clear, but no midpoint near the root is certified a hit: each
-        # solve rates a few mu near the root, and returns the bisection's result
+        # with the rounding bound inflated to half of RATE_TOL_BITS the model
+        # still decides every mu far from the root, but its hit band is empty:
+        # each solve rates a few mu near the root, and returns the bisection's
+        # result
         rated = count_calls(monkeypatch, comp, "_mode_rate")
         for lam, R, _ in random_solves(6, 40):
             K = lam.size
@@ -450,8 +469,10 @@ class TestRateSolve:
 
     def test_few_rate_evaluations_per_solve(self, monkeypatch):
         # on an L=12, N=10, K=20 WSINM chain a solve rates at most 2 mu and
-        # fewer than one in ten rate any; the plain bisection rates ~40
+        # fewer than one in ten rate any, where the plain bisection rates ~40;
+        # the rate model evaluates the rate and its slope fewer than 3 times
         per_solve = rated_per_call(monkeypatch)
+        slopes = count_calls(monkeypatch, comp, "_rate_slope")
         cfg = NetworkConfig(L=12, N=10, K=20)
         rng = np.random.default_rng(7)
         H = draw_channels(cfg, place_network(cfg, rng), rng).H
@@ -459,6 +480,7 @@ class TestRateSolve:
         assert len(per_solve) > cfg.L
         assert max(per_solve) <= 2
         assert sum(n > 0 for n in per_solve) < 0.1 * len(per_solve)
+        assert len(slopes) < 3 * len(per_solve)
 
 
 def smooth_noise(lam):
@@ -663,6 +685,15 @@ class TestWeightedScnm:
         with pytest.raises(SolverError):
             weighted_scnm(rand_psd(rng, 2), 5.0, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("w", [[np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0], [-np.inf, 1.0, 1.0],
+                                   [1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], 2.0],
+                             ids=["nan", "inf", "-inf", "two", "four", "row", "scalar"])
+    def test_bad_weights_rejected_at_entry(self, w):
+        # a non-finite weight would reach zheevd, and a weight per user too
+        # few or too many numpy's broadcasting: each is the design's own error
+        with pytest.raises(SolverError, match="one finite, strictly positive value per user"):
+            weighted_scnm(np.diag([1.0, 2.0, 3.0]).astype(complex), 3.0, np.array(w))
+
 
 class TestWsinm:
     def test_symmetric_fixed_point(self):
@@ -701,10 +732,14 @@ class TestWsinm:
 
     def test_zero_interference_rejected(self, rng):
         # also a negative or non-finite base: the weights are 1 / (ln2 X) with
-        # X >= base, so the base is what keeps them positive and finite
+        # X >= base, so the base is what keeps them positive and finite; and a
+        # base that is not one value per user, which numpy would broadcast
         for bad in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(SolverError):
                 wsinm(rand_psd(rng, 2), 5.0, np.array([bad, 1.0]))
+        for base in (0.4, np.ones(1), np.ones(2), np.ones(4), np.ones((1, 3))):
+            with pytest.raises(SolverError, match="one finite, strictly positive value per user"):
+                wsinm(rand_psd(rng, 3), 3.0, base)
 
     @pytest.mark.parametrize("R", [0.0, -1.0, -np.inf, np.nan])
     def test_nonpositive_rate_rejected(self, rng, R):
