@@ -387,6 +387,48 @@ class TestRateSolve:
     def test_single_mode(self, R):
         assert_same_solve(np.array([2.5]), R)
 
+    @pytest.mark.parametrize("estimate", ["low", "high", "geometric", "narrow"])
+    def test_poor_estimate_changes_nothing(self, monkeypatch, estimate):
+        # a poor guess only starts the model's Newton, which still ends near
+        # the root: a guess a factor 8 below the root (low) or above it
+        # (high), the bracket's geometric mean, or 1010 binades below
+        # lam.max() (narrow), under the floor of the model's range of mu, to
+        # which Newton's start is pinned. Every solve returns the bisection's
+        # result and rates the mu it rates from no guess
+        solves = random_solves(4)
+        guesses = []
+        with np.errstate(all="ignore"):
+            for lam, R, _ in solves:
+                root = comp._solve_mode_noises(np.sort(lam), R)[1]
+                mu_lo, mu_hi = rate_bracket(lam, R)
+                guesses.append({"low": root / 8.0, "high": root * 8.0,
+                                "geometric": float(np.sqrt(mu_lo * mu_hi)),
+                                "narrow": float(np.ldexp(lam.max(), -1010))}[estimate])
+        from_none = rated_per_solve(monkeypatch, solves)
+        poor = rated_per_solve(monkeypatch, [(lam, R, mu0) for (lam, R, _), mu0
+                                             in zip(solves, guesses)])
+        assert poor == from_none
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_estimate_off_inside_the_fences(self, monkeypatch, sign):
+        # a guess 2e-8 bits off the root passes Newton's stopping test, so
+        # the model is placed about it with one rate and slope evaluation;
+        # its thresholds still decide as the root's do: every solve returns
+        # the bisection's result and rates the mu it rates from no guess
+        solves = random_solves(4)
+        guesses = []
+        with np.errstate(all="ignore"):
+            for lam, R, _ in solves:
+                root = comp._solve_mode_noises(np.sort(lam), R)[1]
+                g = comp._rate_slope(np.sort(lam).tolist(), root)[1]
+                guesses.append(root * np.exp(sign * 2e-8 / g))
+        from_none = rated_per_solve(monkeypatch, solves)
+        slopes = count_calls(monkeypatch, comp, "_rate_slope")
+        off = rated_per_solve(monkeypatch, [(lam, R, mu0) for (lam, R, _), mu0
+                                            in zip(solves, guesses)])
+        assert off == from_none
+        assert len(slopes) == len(solves)
+
     def test_no_model_rates_every_mu(self, monkeypatch):
         # with no rate model nothing decides a comparison: every solve rates
         # each mu the bisection rates, and returns the bisection's result
