@@ -38,7 +38,7 @@ def gain(C_prev: np.ndarray, H_l: np.ndarray, sigma2: float) -> np.ndarray:
     """LMMSE combining matrix C H^H (H C H^H + sigma2 I)^-1, via a PD solve."""
     _check_positive(sigma2=sigma2)
     HC = H_l @ C_prev
-    S = herm(HC @ H_l.conj().T)
+    S = HC @ H_l.conj().T        # only factored: herm_solve reads its upper triangle
     S.ravel()[::len(S) + 1] += sigma2       # a view of the fresh S's diagonal
     # (S^-1 H C)^H = C H^H S^-1 for Hermitian C
     return herm_solve(S, HC).conj().T
@@ -70,22 +70,22 @@ def update_error_cov(C_pre: np.ndarray, Q_l: np.ndarray) -> np.ndarray:
 
 def update_pre_compression_corr(P_prev: np.ndarray, Q_prev: np.ndarray,
                                 GH: np.ndarray, GHC: np.ndarray) -> np.ndarray:
-    """Correlation of the refined estimate before compression.
-
-    GH = Gamma H and GHC = Gamma H C_{l-1} are the chain step's products.
-    Q_prev, the previous AP's compression noise, may be a diagonal one given
-    as its diagonal (K,): the products with it then scale the rows and columns
-    of GH, to the same bits as the matrix products.
+    """Correlation of the refined estimate before compression, the paper's
+    P_prev + Q_prev + GHC - Q_prev GH^H - GH Q_prev, with GH = Gamma H and
+    GHC = Gamma H C_{l-1} the chain step's products. As Q_prev, the previous
+    AP's noise, is Hermitian, Q_prev GH^H = (GH Q_prev)^H. Q_prev may be
+    diagonal, given as its diagonal (K,): it is then added to P's diagonal
+    and GHQ scales GH's columns, to the same bits as the matrix forms.
     """
     if Q_prev.ndim == 2:
-        P = P_prev + Q_prev + GHC - Q_prev @ GH.conj().T - GH @ Q_prev
+        P, GHQ = P_prev + Q_prev, GH @ Q_prev
     else:
         P = P_prev.copy()
         P.ravel()[::len(Q_prev) + 1] += Q_prev       # a view of the copy's diagonal
-        P += GHC
-        GHQ = GH * Q_prev             # GH Q_prev, and (GH Q_prev)^H = Q_prev GH^H
-        P -= GHQ.conj().T
-        P -= GHQ
+        GHQ = GH * Q_prev
+    P += GHC
+    P -= GHQ.conj().T
+    P -= GHQ
     return ensure_psd(P, name="P")
 
 

@@ -74,10 +74,7 @@ class _EiuOutcome(CompressionOutcome):
 
     @cached_property
     def Q(self) -> np.ndarray:
-        K = len(self.q)
-        Q = np.zeros((K, K), dtype=complex)
-        Q.ravel()[::K + 1] = self.q
-        return Q
+        return np.diag(self.q).astype(complex)
 
     @cached_property
     def achieved_rate(self) -> float:
@@ -319,8 +316,10 @@ def _eigen_solve(P: np.ndarray, R_l: float, mu0: float) -> tuple:
     return (U, pos) + _solve_mode_noises(w[pos], R_l, mu0)
 
 
-def _mode_covariance(U: np.ndarray, pos, d: np.ndarray) -> np.ndarray:
-    """U diag(d on pos, 0 elsewhere) U^H."""
+def _mode_covariance(U: np.ndarray, pos, d: np.ndarray, ws=None) -> np.ndarray:
+    """U diag(d on pos, 0 elsewhere) U^H, symmetrized once; with ws, the modes
+    are first divided by it row-wise (W^-1/2 U for W^1/2 = diag(ws))."""
+    U = U if ws is None else U / ws[:, None]
     dfull = np.zeros(U.shape[1])
     dfull[pos] = d
     return herm((U * dfull) @ U.conj().T)
@@ -334,7 +333,7 @@ def scnm(P: np.ndarray, R_l: float) -> CompressionOutcome:
     quadratic d^2 + lam*d - mu*lam = 0. The multiplier mu is the rate
     bisection's (_solve_mode_noises), whose rate model starts cold. The
     eigendecomposition, PSD check, support and mode solve are _eigen_solve,
-    which wsinm also runs. A lossless solve (d = 0) reports rate R_l.
+    which weighted_scnm and wsinm also run. A lossless solve (d = 0) reports rate R_l.
     """
     if not R_l > 0:           # NaN fails too
         raise SolverError("vector-wise compression needs R_l > 0")
@@ -356,16 +355,16 @@ def weighted_scnm(P: np.ndarray, R_l: float, weights: np.ndarray) -> Compression
     """Minimize sum_k w_k Q[k,k] under the same rate constraint.
 
     Solved by the congruence transform P -> W^1/2 P W^1/2, which leaves the
-    log-det constraint invariant, then undoing the transform on Q. wsinm
-    runs the same transform inside its loop without calling this. The
-    weights must hold one finite, positive value per user.
+    log-det constraint invariant, undone on Q's modes, as wsinm does in its
+    loop without calling this. The weights must hold one finite, positive value per user.
     """
     ws = np.sqrt(_per_user(weights, P.shape[0], "weights"))
+    if not R_l > 0:           # NaN fails too
+        raise SolverError("vector-wise compression needs R_l > 0")
     # exactly Hermitian, as herm(P) is: entry (j, i) is the conjugate of (i, j)
-    Pbar = herm(P) * (ws[:, None] * ws)
-    inner = scnm(Pbar, R_l)
-    Q = herm(inner.Q / ws[:, None] / ws[None, :])
-    return CompressionOutcome(Q=Q, achieved_rate=inner.achieved_rate)
+    U, pos, d, _, lam, dn = _eigen_solve(herm(P) * (ws[:, None] * ws), R_l, math.nan)
+    return CompressionOutcome(Q=_mode_covariance(U, pos, d, ws),
+                              achieved_rate=_mode_rate(lam, dn) if dn.all() else R_l)
 
 
 def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> CompressionOutcome:
@@ -381,9 +380,9 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> Compressi
 
     Step (i) is weighted_scnm's congruence transform with one zheevd per
     iteration. The weight update reads only diag Q, so an iteration forms
-    just that; the full Q and its rate are formed once, from the last
-    iteration's modes. Each rate solve starts its rate model's Newton from
-    the previous iteration's multiplier, which changes only which
+    just that; the full Q (symmetrized once) and its rate are formed once,
+    from the last iteration's modes. Each rate solve starts its rate model's
+    Newton from the previous iteration's multiplier, which changes only which
     comparisons are rated: every solve is still the plain bisection's bit
     for bit. The weights need no check: w = 1 / (ln2 X) with X >= base > 0.
     """
@@ -416,6 +415,6 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> Compressi
             break
         prev_obj = obj_w
     # ws is still the last iteration's, the one its modes were solved at
-    Q = herm(_mode_covariance(U, pos, d) / ws[:, None] / ws[None, :])
-    return CompressionOutcome(Q=Q, achieved_rate=_mode_rate(lam, dn) if dn.all() else R_l,
+    return CompressionOutcome(Q=_mode_covariance(U, pos, d, ws),
+                              achieved_rate=_mode_rate(lam, dn) if dn.all() else R_l,
                               weights=w, bcd_iters=iters, objective_trace=trace_vals)

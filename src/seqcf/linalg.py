@@ -113,8 +113,8 @@ def sample_cn(rng: np.random.Generator, Q: np.ndarray, n: int | None = None) -> 
 
 
 def herm_solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve S X = B for Hermitian PD S by LAPACK potrf + potrs; LinAlgError if
-    not PD. Neither S nor B is overwritten."""
+    """Solve S X = B for Hermitian PD S by LAPACK potrf + potrs, which read S's
+    upper triangle only; LinAlgError if not PD. Neither S nor B is overwritten."""
     c, ok = _cholesky(S)
     if not ok:
         raise np.linalg.LinAlgError("matrix is not finite and positive definite")

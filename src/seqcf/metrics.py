@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .compression import LN2
+
 
 @dataclass(frozen=True)
 class SeReport:
@@ -47,5 +49,5 @@ def se_from_sinr(sinr: np.ndarray, tau_u: int, tau_c: int) -> SeReport:
     if np.any(sinr < 0):
         raise ValueError("SINR must be non-negative")
     prelog = tau_u / tau_c
-    se = prelog * np.log2(1.0 + sinr)
+    se = prelog * np.log1p(sinr) / LN2      # log2(1 + sinr), not 0 below eps
     return SeReport(sinr=sinr, se=se, sum_se=float(se.sum()), prelog=prelog)

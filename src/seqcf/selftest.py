@@ -46,10 +46,10 @@ def _check_rate_equality(rng) -> tuple[bool, str]:
     P = herm(X @ X.conj().T + 0.1 * np.eye(K))      # the designs take a Hermitian P
     worst = 0.0
     for R in (2.0, 7.5, 20.0):
-        out = compression.scnm(P, R)
-        worst = max(worst, abs(compression.achieved_rate_bits(P, out.Q) - R))
-        out = compression.wsinm(P, R, np.full(K, 0.4))
-        worst = max(worst, abs(compression.achieved_rate_bits(P, out.Q) - R))
+        for out in (compression.scnm(P, R), compression.wsinm(P, R, np.full(K, 0.4))):
+            # log2 det(P Q^-1 + I): every Q here is full rank
+            rate = np.linalg.slogdet(P @ np.linalg.inv(out.Q) + np.eye(K))[1] / compression.LN2
+            worst = max(worst, abs(rate - R))
     return worst < 1e-6, f"worst rate-constraint error {worst:.2e} bits"
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainState
-from .linalg import ensure_psd, herm, herm_solve
+from .linalg import ensure_psd, herm_solve
 
 # relative diagonal ridge on the fusion Gram matrix: each fused entry gets an
 # extra noise of _RIDGE times its own power
@@ -49,7 +49,7 @@ def fuse(paths: list, p: float) -> tuple[np.ndarray, np.ndarray]:
     the stacked channel G. The paths' noises are independent, so the Gram
     matrix is p G G^H with each path's Z added onto its own diagonal block.
 
-    The Gram matrix S is solved with a relative ridge on its
+    The Gram matrix S, not symmetrized, is solved with a relative ridge on its
     diagonal, S_kk (1 + _RIDGE), by one herm_solve. V is thus the exact LMMSE
     combiner of an observation whose entries each carry _RIDGE of their own
     power as extra noise, so its SINR never exceeds the exact one; and as the
@@ -65,7 +65,6 @@ def fuse(paths: list, p: float) -> tuple[np.ndarray, np.ndarray]:
     K = G.shape[1]
     for i, path in enumerate(paths):
         S[i * K:(i + 1) * K, i * K:(i + 1) * K] += path.Z
-    S = herm(S)
     s = S.diagonal().real
     ridge = _RIDGE * np.where(s > 0.0, s, p)
     S.ravel()[::len(S) + 1] += ridge      # a view of the fresh S's diagonal

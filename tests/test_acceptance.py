@@ -82,32 +82,34 @@ def _rel(emp, model):
     return np.linalg.norm(emp - model) / np.linalg.norm(model)
 
 
-def test_covariance_fidelity_monte_carlo():
-    rng = np.random.default_rng(31)
-    p, sigma2, K, N, L, T = 1.0, 0.5, 2, 2, 3, 100_000
-    H = rand_channels(rng, L, N, K)
-    R_l = 6.0
-
-    # deterministic pass: Gamma_l, Q_l, C_l, P_l, T_l at every step
+def _eiu_chain_pass(p, sigma2, H, R_l):
+    """The deterministic pass of an EIU chain at R_l bits per AP, step by step
+    with the package's helpers: per AP, (Gamma_l, Q_l, C_pre,l, C_l, P_l, T_l)."""
+    K = H[0].shape[1]
     C = p * np.eye(K, dtype=complex)
     P = np.zeros((K, K), dtype=complex)
     T_eff = np.zeros((K, K), dtype=complex)
     Q_prev = np.zeros((K, K), dtype=complex)
-    gammas, Qs, Cs, Ps, Ts = [], [], [], [], []
+    steps = []
     for Hl in H:
         G = gain(C, Hl, sigma2)
         GH = G @ Hl
         GHC = GH @ C
         T_eff = propagate_combiners(T_eff, GH)
-        Ts.append(T_eff)
         P = update_pre_compression_corr(P, Q_prev, GH, GHC)
         Q = eiu(P, R_l).Q
-        C = update_error_cov(C - GHC, Q)
-        gammas.append(G)
-        Qs.append(Q)
-        Cs.append(C)
-        Ps.append(P)
+        C_pre = C - GHC
+        C = update_error_cov(C_pre, Q)     # a dense Q leaves C_pre as it is
+        steps.append((G, Q, C_pre, C, P, T_eff))
         Q_prev = Q
+    return steps
+
+
+def test_covariance_fidelity_monte_carlo():
+    rng = np.random.default_rng(31)
+    p, sigma2, K, N, L, T = 1.0, 0.5, 2, 2, 3, 100_000
+    H = rand_channels(rng, L, N, K)
+    gammas, Qs, _, Cs, Ps, Ts = zip(*_eiu_chain_pass(p, sigma2, H, 6.0))
 
     # vectorized Monte-Carlo re-simulation of the same chain
     worst_P, worst_C, worst_T = 0.0, 0.0, 0.0
@@ -123,6 +125,28 @@ def test_covariance_fidelity_monte_carlo():
     assert worst_T < 0.03
     print(f"\n[PASS] covariance-fidelity: worst Frobenius err P {worst_P:.3f}, "
           f"C {worst_C:.3f}, T {worst_T:.3f} at {T} realizations (tol 0.03)")
+
+
+def test_exact_pre_compression_corr_monte_carlo():
+    # the refined estimate s_hat_l = T_l s + z_l has the moment
+    # E[s_hat s_hat^H] = C_pre,l - p I + p (T_l + T_l^H), from the chain's own
+    # C_pre and T, at every AP; the paper's P, which the chain carries, drifts
+    # from it from the third AP on and is only printed (ROADMAP item 1)
+    rng = np.random.default_rng(46)
+    p, sigma2, K, N, L, n = 1.0, 0.5, 4, 3, 6, 100_000
+    H = rand_channels(rng, L, N, K)
+    gammas, Qs, C_pres, _, Ps, Ts = zip(*_eiu_chain_pass(p, sigma2, H, 6.0))
+    err_exact, err_paper = [], []
+    draws = _chain_realizations(rng, p, sigma2, H, gammas, Qs, n)
+    for (_, s_hat, _), C_pre, P_l, T_l in zip(draws, C_pres, Ps, Ts):
+        emp = s_hat @ s_hat.conj().T / n
+        exact = C_pre - p * np.eye(K) + p * (T_l + T_l.conj().T)
+        err_exact.append(_rel(emp, exact))
+        err_paper.append(_rel(emp, P_l))
+    print("\n[INFO] paper P error per AP: " + ", ".join(f"{e:.3f}" for e in err_paper))
+    assert max(err_exact) < 0.03
+    print("[PASS] exact-P fidelity: Frobenius err per AP "
+          + ", ".join(f"{e:.3f}" for e in err_exact) + f" at {n} realizations (tol 0.03)")
 
 
 @pytest.mark.parametrize("strategy", ["eiu", "scnm", "wsinm"])

@@ -91,6 +91,16 @@ class TestHermSolve:
         X = herm_solve(S, B)
         assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    def test_reads_upper_triangle_only(self, rng):
+        # chain.gain and twopath.fuse pass Grams that are not symmetrized:
+        # the strict lower triangle and the diagonal's imaginary parts are
+        # never read, so junk there leaves the solution bit for bit
+        S = herm(rand_psd(rng, 6) + 6.0 * np.eye(6))
+        B = complex_randn(rng, (6, 3))
+        junk = S + np.tril(complex_randn(rng, (6, 6)), -1)
+        junk[np.diag_indices(6)] += 1j * rng.standard_normal(6)
+        assert np.array_equal(herm_solve(junk, B), herm_solve(S, B))
+
 
 class TestSampling:
     def test_complex_normal_unit_variance(self, rng):

@@ -120,6 +120,13 @@ class TestSeFromSinr:
         assert np.all(rep.se == 0.0)
         assert rep.sum_se == 0.0
 
+    def test_sinr_below_eps_keeps_its_se(self):
+        # 1 + 1e-20 rounds to 1, so log2(1 + sinr) would read 0; log1p keeps it
+        rep = se_from_sinr(np.array([1e-20, 1e-300]), 180, 200)
+        assert rep.se == pytest.approx(0.9 * np.array([1e-20, 1e-300]) / np.log(2.0),
+                                       rel=1e-15, abs=0.0)
+        assert rep.sum_se > 0.0
+
     def test_unit_sinr(self):
         rep = se_from_sinr(np.array([1.0]), 180, 200)
         assert rep.se[0] == pytest.approx(0.9)

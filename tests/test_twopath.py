@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from seqcf import (NetworkConfig, Strategy, draw_channels, fuse, gain, initial_state,
                    place_network, run_chain, sinr_fused, split_paths, summarize_path)
 from seqcf.experiment import _chains
-from seqcf.linalg import PsdError, herm, herm_solve
+from seqcf.linalg import PsdError, herm_solve
 from seqcf.twopath import PathSummary
 
 from oracles import (centralized_combiner, centralized_sinr, complex_randn, lmmse_sinr,
@@ -122,12 +122,12 @@ class TestFuse:
 
     @pytest.mark.parametrize("label, K", [("tp-ef-wsinm", 20), ("tp-lf-eiu", 5)])
     def test_matches_explicit_block_diagonal_gram(self, label, K):
-        # the in-place Gram is p G G^H + blkdiag(Z1, Z2) written out, herm'd and
-        # ridged by 1e-12 S_kk (1e-12 p where S_kk <= 0), bit for bit; at K=5
-        # the product p G G^H is not exactly Hermitian, so the herm shows
+        # the in-place Gram is p G G^H + blkdiag(Z1, Z2) written out and
+        # ridged by 1e-12 S_kk (1e-12 p where S_kk <= 0), bit for bit; it is
+        # not symmetrized, as herm_solve reads only its upper triangle
         paths, p = network_paths(label, K=K)
         G, Z = stacked(paths)
-        S = herm(p * (G @ G.conj().T) + Z)
+        S = p * (G @ G.conj().T) + Z
         s = S.diagonal().real
         S[np.diag_indices_from(S)] += 1e-12 * np.where(s > 0.0, s, p)
         V, G_fused = fuse(paths, p)
