@@ -13,9 +13,11 @@ STRATEGIES = DEFAULT_STRATEGIES.split(",")
 
 
 def out_path(prefix: str, R_T: float) -> str:
-    """The CSV of budget R_T: a whole budget by its integer, any other by
-    its shortest repr, so distinct budgets never share a file."""
-    return f"{prefix}_RT{int(R_T) if R_T.is_integer() else repr(R_T)}.csv"
+    """The CSV of budget R_T: a whole budget below 2^53, where every integer
+    is exact, by its integer, any other by its shortest repr (1e+300 rather
+    than 301 digits), so distinct budgets never share a file."""
+    whole = R_T.is_integer() and R_T < 2.0 ** 53
+    return f"{prefix}_RT{int(R_T) if whole else repr(R_T)}.csv"
 
 
 def main(argv=None) -> int:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 
 from .config import ConfigError, NetworkConfig, parse_config_file
@@ -30,8 +31,8 @@ def _add_common(sub: argparse.ArgumentParser, axis: str) -> None:
 
 
 def _build_spec(args) -> ExperimentSpec:
-    name, kind = SWEEPS[args.sweep]
-    values = parse_list("--values", args.values, kind)
+    name = SWEEPS[args.sweep]
+    values = parse_list("--values", args.values, NetworkConfig.__annotations__[name])
     # the file's network is checked with the swept field at the first sweep value
     base = (parse_config_file(args.config, swept={name: values[0]}) if args.config
             else NetworkConfig())
@@ -56,8 +57,13 @@ def check_out(path: str, option: str) -> None:
     folder = os.path.dirname(target)
     if not os.path.isdir(folder):
         raise ConfigError(f"{option}: directory {folder} does not exist")
-    if os.path.isdir(target) or not os.access(
-            target if os.path.exists(target) else folder, os.W_OK):
+    try:
+        writable = not stat.S_ISDIR(os.stat(target).st_mode) and os.access(target, os.W_OK)
+    except FileNotFoundError:
+        writable = os.access(folder, os.W_OK)
+    except OSError:           # as a name too long for its folder
+        writable = False
+    if not writable:
         raise ConfigError(f"{option}: {path!r} is not a writable file")
 
 

@@ -295,19 +295,22 @@ def _solve_mode_noises(lam: np.ndarray, R_l: float, mu0: float = math.nan) -> tu
                       f"mu=[{math.ldexp(mu_lo, e)},{math.ldexp(mu_hi, e)}]")
 
 
-def _eigen_solve(P: np.ndarray, R_l: float, mu0: float) -> tuple:
-    """(U, pos, d, mu, lam_n, d_n) of the SCNM solve on Hermitian P.
+def _eigen_solve(P: np.ndarray, R_l: float, mu0: float, ws=None) -> tuple:
+    """(U, pos, d, mu, lam_n, d_n) of the SCNM solve on Hermitian P or, given
+    the weights' square roots ws, on P * outer(ws, ws), exactly Hermitian too.
 
-    LAPACK zheevd reads P's lower triangle only. U is P's eigenbasis; pos
-    selects the modes whose eigenvalue exceeds RANK_TOL of the largest (all
-    of them, as a slice, when the smallest does), and the rest is the rate
-    solve on those eigenvalues (_solve_mode_noises, guessing mu0): their
-    noises d and the multiplier mu in P's units, and the scaled eigenvalues
-    lam_n and noises d_n that rate them. Modes outside pos, including
-    round-off-level negative eigenvalues, get no noise. Raises PsdError on a
-    genuinely negative or a non-finite eigenvalue, LinAlgError when zheevd fails.
+    SolverError unless R_l > 0. LAPACK zheevd reads the lower triangle only.
+    U is the eigenbasis; pos selects the modes whose eigenvalue exceeds
+    RANK_TOL of the largest (all, as a slice, when the smallest does), and the
+    rest is the rate solve on those (_solve_mode_noises, guessing mu0): their
+    noises d and multiplier mu in P's units, and the scaled modes lam_n and
+    noises d_n that rate them. Other modes, round-off-level negative ones
+    included, get no noise. PsdError on a genuinely negative or a non-finite
+    eigenvalue, LinAlgError when zheevd fails.
     """
-    w, U, info = _ZHEEVD(P, lower=1)
+    if not R_l > 0:           # NaN fails too
+        raise SolverError("vector-wise compression needs R_l > 0")
+    w, U, info = _ZHEEVD(P if ws is None else P * (ws[:, None] * ws), lower=1)
     if info:
         raise np.linalg.LinAlgError(f"zheevd failed to converge (info {info})")
     check_psd_spectrum(w, name="P")
@@ -316,30 +319,28 @@ def _eigen_solve(P: np.ndarray, R_l: float, mu0: float) -> tuple:
     return (U, pos) + _solve_mode_noises(w[pos], R_l, mu0)
 
 
-def _mode_covariance(U: np.ndarray, pos, d: np.ndarray, ws=None) -> np.ndarray:
-    """U diag(d on pos, 0 elsewhere) U^H, symmetrized once; with ws, the modes
-    are first divided by it row-wise (W^-1/2 U for W^1/2 = diag(ws))."""
+def _outcome(R_l: float, solve: tuple, ws=None, **extra) -> CompressionOutcome:
+    """The outcome of _eigen_solve's solve at R_l and ws: Q = U diag(d on pos,
+    0 elsewhere) U^H, its modes first divided by ws row-wise (W^-1/2 U for
+    W^1/2 = diag(ws)), symmetrized once, and its rate from the scaled modes,
+    or R_l for a lossless solve (d = 0)."""
+    U, pos, d, _, lam, dn = solve
     U = U if ws is None else U / ws[:, None]
     dfull = np.zeros(U.shape[1])
     dfull[pos] = d
-    return herm((U * dfull) @ U.conj().T)
+    return CompressionOutcome(Q=herm((U * dfull) @ U.conj().T),
+                              achieved_rate=_mode_rate(lam, dn) if dn.all() else R_l, **extra)
 
 
 def scnm(P: np.ndarray, R_l: float) -> CompressionOutcome:
     """Minimize trace(Q) s.t. log2 det(P Q^-1 + I) = R_l, Q >= 0.
 
-    P is Hermitian, as ensure_psd leaves it; zheevd reads its lower triangle
-    only. Q shares the eigenbasis of P; each mode's noise solves the KKT
-    quadratic d^2 + lam*d - mu*lam = 0. The multiplier mu is the rate
-    bisection's (_solve_mode_noises), whose rate model starts cold. The
-    eigendecomposition, PSD check, support and mode solve are _eigen_solve,
-    which weighted_scnm and wsinm also run. A lossless solve (d = 0) reports rate R_l.
+    P is Hermitian, as ensure_psd leaves it. Q shares P's eigenbasis; each
+    mode's noise solves the KKT quadratic d^2 + lam*d - mu*lam = 0 at the rate
+    bisection's multiplier mu (_solve_mode_noises), whose rate model starts
+    cold: _eigen_solve and _outcome, which weighted_scnm and wsinm run too.
     """
-    if not R_l > 0:           # NaN fails too
-        raise SolverError("vector-wise compression needs R_l > 0")
-    U, pos, d, _, lam, dn = _eigen_solve(P, R_l, math.nan)
-    return CompressionOutcome(Q=_mode_covariance(U, pos, d),
-                              achieved_rate=_mode_rate(lam, dn) if dn.all() else R_l)
+    return _outcome(R_l, _eigen_solve(P, R_l, math.nan))
 
 
 def _per_user(values, K: int, name: str) -> np.ndarray:
@@ -356,15 +357,11 @@ def weighted_scnm(P: np.ndarray, R_l: float, weights: np.ndarray) -> Compression
 
     Solved by the congruence transform P -> W^1/2 P W^1/2, which leaves the
     log-det constraint invariant, undone on Q's modes, as wsinm does in its
-    loop without calling this. The weights must hold one finite, positive value per user.
+    loop without calling this. P is Hermitian, as scnm's; the weights must
+    hold one finite, positive value per user.
     """
     ws = np.sqrt(_per_user(weights, P.shape[0], "weights"))
-    if not R_l > 0:           # NaN fails too
-        raise SolverError("vector-wise compression needs R_l > 0")
-    # exactly Hermitian, as herm(P) is: entry (j, i) is the conjugate of (i, j)
-    U, pos, d, _, lam, dn = _eigen_solve(herm(P) * (ws[:, None] * ws), R_l, math.nan)
-    return CompressionOutcome(Q=_mode_covariance(U, pos, d, ws),
-                              achieved_rate=_mode_rate(lam, dn) if dn.all() else R_l)
+    return _outcome(R_l, _eigen_solve(P, R_l, math.nan, ws), ws)
 
 
 def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> CompressionOutcome:
@@ -374,20 +371,15 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> Compressi
     (ii) the closed-form weight update w_k = 1/(ln2 * X_k), where
     X_k = interference_base[k] + Q[k,k] is user k's interference-plus-noise.
     interference_base holds one finite, positive value per user and must
-    exclude the current AP's own Q[k,k] term. P is
-    Hermitian, as ensure_psd leaves it, so every P * outer(ws, ws) is too;
-    zheevd reads the lower triangle of each.
+    exclude the current AP's own Q[k,k] term. P is Hermitian, as scnm's.
 
-    Step (i) is weighted_scnm's congruence transform with one zheevd per
-    iteration. The weight update reads only diag Q, so an iteration forms
-    just that; the full Q (symmetrized once) and its rate are formed once,
-    from the last iteration's modes. Each rate solve starts its rate model's
-    Newton from the previous iteration's multiplier, which changes only which
-    comparisons are rated: every solve is still the plain bisection's bit
-    for bit. The weights need no check: w = 1 / (ln2 X) with X >= base > 0.
+    Step (i) is weighted_scnm's _eigen_solve, one zheevd per iteration. The
+    weight update reads only diag Q, so an iteration forms just that; the
+    outcome is formed once, from the last solve. Each rate solve starts its
+    rate model's Newton from the previous multiplier, which changes only
+    which comparisons are rated: every solve is the plain bisection's bit for
+    bit. The weights w = 1 / (ln2 X), X >= base > 0, need no check.
     """
-    if not R_l > 0:           # NaN fails too
-        raise SolverError("vector-wise compression needs R_l > 0")
     K = P.shape[0]
     base = _per_user(interference_base, K, "interference-plus-noise base")
     w = np.ones(K)
@@ -399,7 +391,8 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> Compressi
     for it in range(BCD_MAX_ITER):
         iters = it + 1
         ws = np.sqrt(w)
-        U, pos, d, mu, lam, dn = _eigen_solve(P * (ws[:, None] * ws), R_l, mu)
+        solve = _eigen_solve(P, R_l, mu, ws)
+        U, pos, d, mu = solve[:4]
         Up = U[:, pos]
         A = Up.real ** 2                     # |U_kj|^2 on the support
         A += Up.imag ** 2
@@ -415,6 +408,4 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> Compressi
             break
         prev_obj = obj_w
     # ws is still the last iteration's, the one its modes were solved at
-    return CompressionOutcome(Q=_mode_covariance(U, pos, d, ws),
-                              achieved_rate=_mode_rate(lam, dn) if dn.all() else R_l,
-                              weights=w, bcd_iters=iters, objective_trace=trace_vals)
+    return _outcome(R_l, solve, ws, weights=w, bcd_iters=iters, objective_trace=trace_vals)

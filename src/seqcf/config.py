@@ -60,13 +60,18 @@ class NetworkConfig:
         return self.tau_c - self.tau_p
 
     def __post_init__(self):
-        # the annotation decides: an int field is made a Python int, any other checked > 0
+        # the annotation decides: a field becomes a Python int, or a float checked > 0
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.type is int:
-                object.__setattr__(self, f.name, as_integer(f.name, value))
+                value = as_integer(f.name, value)
             else:
                 _check_positive(**{f.name: value})
+                try:
+                    value = float(value)
+                except OverflowError:       # a Python int past the largest float
+                    raise ConfigError(f"{f.name} must be finite, got {value!r}") from None
+            object.__setattr__(self, f.name, value)
         if self.L < 1 or self.N < 1 or self.K < 1:
             raise ConfigError("L, N and K must be positive integers")
         if self.tau_u <= 0:
@@ -92,7 +97,7 @@ def parse_config_file(path: str, swept: dict | None = None) -> NetworkConfig:
     network the sweep runs. Every error names the path.
     """
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:     # a leading BOM is skipped
             lines = f.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"

@@ -15,8 +15,8 @@ from .linalg import PsdError
 
 PATH_MODES = ("sp", "tp")
 COMPRESSIONS = DESIGNS + ("infinite",)
-# each sweep axis: the NetworkConfig field it sets and the type of its values
-SWEEPS = {"users": ("K", int), "rate": ("R_T", float)}
+# each sweep axis: the NetworkConfig field it sets, which judges its values
+SWEEPS = {"users": "K", "rate": "R_T"}
 
 # share of a cell's trials that may fail numerically before the run stops
 MAX_FAILURE_FRAC = 0.01
@@ -87,13 +87,10 @@ class ExperimentSpec:
                     raise ConfigError(f"{s.label()}: {exc}, got L={cfg.L}") from exc
 
     def point_config(self, val) -> NetworkConfig:
-        """The network of sweep point val: base with K or R_T set to val."""
-        name, kind = SWEEPS[self.sweep]
+        """The network of sweep point val: base with the swept field set to val."""
         try:
-            if kind is int and int(val) != val:
-                raise ConfigError("the user count must be a whole number")
-            return self.base.replace(**{name: kind(val)})
-        except (TypeError, ValueError, OverflowError) as exc:
+            return self.base.replace(**{SWEEPS[self.sweep]: val})
+        except ConfigError as exc:
             raise ConfigError(f"sweep value {val!r}: {exc}") from exc
 
 

@@ -67,12 +67,17 @@ class TestSpecValidation:
     @pytest.mark.parametrize("sweep, values, message", [
         ("users", (2, 0), "sweep value 0: L, N and K must be positive integers"),
         ("users", (2, 50), "sweep value 50: tau_c must exceed tau_p = K"),
-        ("users", (2, 2.5), "sweep value 2.5: the user count must be a whole number"),
+        ("users", (2, 2.5), "sweep value 2.5: K must be an integer"),
         ("rate", (30.0, float("nan")), "sweep value nan: R_T must be finite"),
         ("rate", (30.0, -5.0), "sweep value -5.0: R_T must be finite"),
         ("rate", (30.0, float("inf")), "sweep value inf: R_T must be finite"),
         ("users", (2, 3, 2), "sweep value 2 is given twice"),
         ("rate", (30.0, 30), "sweep value 30 is given twice"),
+        # NetworkConfig judges a sweep value as any other: no whole float K,
+        # no bool on either axis
+        ("users", (2.0,), "sweep value 2.0: K must be an integer, got 2.0"),
+        ("users", (True,), "sweep value True: K must be an integer, got True"),
+        ("rate", (True,), "sweep value True: R_T must be finite and strictly positive"),
     ])
     def test_every_sweep_point_checked(self, sweep, values, message):
         # a bad point is rejected when the spec is built, before any trial
@@ -350,6 +355,13 @@ class TestConfigFile:
         assert cfg.p == pytest.approx(0.1)
         assert cfg.sigma2 == pytest.approx(10 ** (-11.5))
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # as Windows editors save UTF-8; the first key would read '\ufeffL'
+        f = tmp_path / "bom.cfg"
+        f.write_bytes(b"\xef\xbb\xbfL = 4\nK = 2\n")
+        cfg = parse_config_file(str(f))
+        assert (cfg.L, cfg.K) == (4, 2)
+
     def test_unknown_key_rejected(self, tmp_path):
         f = tmp_path / "net.cfg"
         f.write_text("bogus = 1\n")
@@ -533,6 +545,16 @@ class TestCli:
             assert rc == 1
             assert capsys.readouterr().err.strip() == (
                 f"error: --out: {folder!r} is not a writable file")
+
+    def test_too_long_out_name_exits_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # the folder exists and is writable, but the name cannot be made in it
+        import seqcf.cli as cli
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: pytest.fail("ran"))
+        out = str(tmp_path / ("x" * 300 + ".csv"))
+        rc = main(["sweep-rate", "--values", "500", "--strategies", "sp-ef-eiu",
+                   "--trials", "1", "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --out: {out!r} is not a writable file\n"
 
     def test_existing_out_kept_until_written(self, tmp_path, capsys):
         # a failed run leaves an existing output untouched

@@ -143,7 +143,7 @@ class TestConfig:
                                     dict(K=np.float64(5.0)), dict(N=np.bool_(True)),
                                     dict(K=np.uint8(20), tau_c=np.uint8(10)),
                                     dict(p=True), dict(R_T=True), dict(R_T="500"),
-                                    dict(sigma2=1j)])
+                                    dict(sigma2=1j), dict(R_T=10 ** 400)])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ConfigError):
             cfg(**kw)
@@ -152,3 +152,11 @@ class TestConfig:
         c = cfg(L=np.int64(3), N=np.int32(2), K=np.uint8(4), tau_c=np.int16(50))
         assert (c.M, c.tau_u) == (6, 46)
         assert all(type(v) is int for v in (c.L, c.N, c.K, c.tau_c))
+
+    def test_numpy_floats_stored_as_python_floats(self):
+        # a float32 R_T would split the budget in single precision
+        c = cfg(p=np.float64(0.1), R_T=np.float32(500), ap_ring_radius=300,
+                user_disk_radius=np.float32(150))
+        assert all(type(v) is float for v in (c.p, c.sigma2, c.R_T, c.ap_ring_radius,
+                                               c.user_disk_radius))
+        assert c.R_T / 12 == 500.0 / 12

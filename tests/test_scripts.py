@@ -130,6 +130,17 @@ class TestSumSeVsUsers:
         assert capsys.readouterr().err.strip() == (
             f"error: --out-prefix: directory {prefix.parent} does not exist")
 
+    def test_huge_budget_names_its_file_by_repr(self, load_script, monkeypatch, capsys,
+                                                tmp_path):
+        # integers are exact below 2^53; above, 1e300 would be 301 digits long
+        script = load_script("sum_se_vs_users")
+        assert script.out_path("u", 2.0 ** 53 - 1) == "u_RT9007199254740991.csv"
+        assert script.out_path("u", 2.0 ** 53) == "u_RT9007199254740992.0.csv"
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: [])
+        prefix = tmp_path / "users"
+        assert script.main(["--budgets", "1e300", "--out-prefix", str(prefix)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["users_RT1e+300.csv"]
+
     def test_budgets_write_distinct_files(self, load_script, capsys, tmp_path):
         script = load_script("sum_se_vs_users")
         prefix = tmp_path / "users"
