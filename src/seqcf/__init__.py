@@ -11,7 +11,7 @@ if "numpy" not in _sys.modules:
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         _os.environ.setdefault(_var, "1")
 
-from .allocation import equal, linear, logarithmic, path_budget, schedule
+from .allocation import schedule, split
 from .chain import ChainState, centralized, gain, initial_state, propagate_combiners, refine, run_chain, update_error_cov, update_pre_compression_corr
 from .compression import CompressionOutcome, SolverError, achieved_rate_bits, eiu, scnm, weighted_scnm, wsinm
 from .config import ConfigError, NetworkConfig, dbm_to_watt, parse_config_file

@@ -1,57 +1,31 @@
-# Splitting the total fronthaul budget across the APs of a chain. Each scheme
-# returns the rates in bits per uplink sample, one entry per chain position.
+# Splitting the total fronthaul budget across the APs of a chain. Every split
+# is R_T w / sum(w) for one weight per chain position, and returns the rates in
+# bits per uplink sample, one entry per position.
 from __future__ import annotations
 
 import numpy as np
 
 from .config import _check_positive
 
-
-def equal(R_T: float, L_chain: int) -> np.ndarray:
-    """Every AP gets R_T / L."""
-    _check(R_T, L_chain)
-    return np.full(L_chain, R_T / L_chain)
-
-
-def linear(R_T: float, L_chain: int) -> np.ndarray:
-    """R_l grows linearly with chain position: R_l = 2 R_T l / (L(L+1))."""
-    _check(R_T, L_chain)
-    l = np.arange(1, L_chain + 1, dtype=float)
-    return 2.0 * R_T * l / (L_chain * (L_chain + 1))
-
-
-def logarithmic(R_T: float, L_chain: int) -> np.ndarray:
-    """R_l proportional to log2(l); position 1 gets zero bits."""
-    _check(R_T, L_chain)
-    if L_chain < 2:
-        raise ValueError("logarithmic allocation needs at least 2 chain positions")
-    logs = np.log2(np.arange(1, L_chain + 1, dtype=float))
-    return R_T * logs / logs.sum()
-
-
-# each allocation scheme's name and its split of R_T over a chain
-SCHEMES = {"ef": equal, "lf": linear, "log": logarithmic}
+# each allocation scheme's name and its weights of chain positions l = 1..L:
+# EF gives every AP R_T / L, LF a rate that grows with l, LOG none to l = 1
+SCHEMES = {"ef": np.ones_like, "lf": lambda l: l, "log": np.log2}
 
 
 def schedule(scheme: str, R_T: float, L_chain: int) -> np.ndarray:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown allocation scheme {scheme!r}")
-    return SCHEMES[scheme](R_T, L_chain)
+    return split(R_T, SCHEMES[scheme](np.arange(1, L_chain + 1, dtype=float)))
 
 
-def path_budget(R_T: float, L_total: int, L_path: int) -> float:
-    """Two-Path budget split, proportional to path length.
-
-    This is the unique split under which equal allocation gives every AP
-    R_T / L regardless of the path it sits on.
-    """
-    _check(R_T, L_path)
-    if L_path > L_total:
-        raise ValueError(f"a path of {L_path} APs does not fit a ring of {L_total}")
-    return R_T * L_path / L_total
-
-
-def _check(R_T: float, L_chain: int) -> None:
+def split(R_T: float, weights) -> np.ndarray:
+    """R_T shared in proportion to the weights: R_T w / sum(w)."""
     _check_positive(R_T=R_T)
-    if L_chain < 1:
+    w = np.asarray(weights, dtype=float)
+    if w.size < 1:
         raise ValueError("chain must contain at least one AP")
+    total = w.sum()
+    if not total > 0:
+        raise ValueError(f"the allocation weights of a {w.size}-AP chain "
+                         "must sum to more than 0")
+    return R_T * w / total

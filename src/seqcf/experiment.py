@@ -107,14 +107,16 @@ class ResultRow:
 
 def _chains(cfg: NetworkConfig, strategy: Strategy) -> list:
     """(AP indices, per-AP rates) of each chain: the whole ring on R_T (sp), or
-    the twopath.split_paths arcs on their allocation.path_budget shares (tp);
-    "infinite" reads only the indices. A ring too short for the strategy
+    the twopath.split_paths arcs on R_T split in proportion to their lengths
+    (tp); "infinite" reads only the indices. A ring too short for the strategy
     raises those owners' ValueError, whatever the compression."""
-    arcs = ([(list(range(cfg.L)), cfg.R_T)] if strategy.path_mode == "sp" else
-            [(idx, allocation.path_budget(cfg.R_T, cfg.L, len(idx)))
-             for idx in twopath.split_paths(cfg.L)])
+    if strategy.path_mode == "sp":
+        arcs, budgets = [list(range(cfg.L))], [cfg.R_T]
+    else:
+        arcs = twopath.split_paths(cfg.L)
+        budgets = allocation.split(cfg.R_T, [len(idx) for idx in arcs])
     return [(idx, allocation.schedule(strategy.allocation, budget, len(idx)))
-            for idx, budget in arcs]
+            for idx, budget in zip(arcs, budgets)]
 
 
 def simulate_trial(cfg: NetworkConfig, strategy: Strategy, H: list) -> float:
@@ -197,7 +199,7 @@ def parse_csv(path: str) -> list:
     """Round-trip reader for the CSV emitted above. Blank lines are skipped;
     a malformed row raises ExperimentError naming the path and line."""
     rows = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:     # a leading BOM is skipped
         header = f.readline().strip()
         if header != CSV_HEADER:
             raise ExperimentError(f"{path}:1: unexpected CSV header {header!r}")

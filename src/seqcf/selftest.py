@@ -6,6 +6,7 @@ import numpy as np
 from . import allocation, compression
 from .chain import centralized, run_chain
 from .linalg import complex_normal, herm
+from .twopath import split_paths
 
 
 def _check_centralized_equivalence(rng) -> tuple[bool, str]:
@@ -31,7 +32,7 @@ def _check_dead_link_restart(rng) -> tuple[bool, str]:
     H = [complex_normal(rng, (N, K)) for _ in range(L)]
     worst = 0.0
     # dead first link (LOG) and dead mid-chain link
-    for strategy, rates in (("eiu", allocation.logarithmic(24.0, L)),
+    for strategy, rates in (("eiu", allocation.schedule("log", 24.0, L)),
                             ("wsinm", np.array([6.0, 0.0, 6.0, 6.0]))):
         after = int(np.flatnonzero(rates == 0.0)[-1]) + 1
         st = run_chain(p, sigma2, H, strategy, rates)
@@ -54,11 +55,12 @@ def _check_rate_equality(rng) -> tuple[bool, str]:
 
 
 def _check_allocation(rng) -> tuple[bool, str]:
-    worst = 0.0
-    for L in (1, 4, 12):
-        for rates in (allocation.equal(777.0, L), allocation.linear(777.0, L)):
-            worst = max(worst, abs(rates.sum() - 777.0))
-    worst = max(worst, abs(allocation.logarithmic(777.0, 5).sum() - 777.0))
+    # every scheme's split of a chain (LOG needs 2 APs), and the Two-Path arcs'
+    splits = [allocation.schedule(scheme, 777.0, L) for scheme in allocation.SCHEMES
+              for L in (1, 2, 5, 12) if scheme != "log" or L > 1]
+    splits += [allocation.split(777.0, [len(arc) for arc in split_paths(L)])
+               for L in (2, 5, 12)]
+    worst = max(abs(rates.sum() - 777.0) for rates in splits)
     return worst < 1e-9, f"worst budget error {worst:.2e} bits"
 
 

@@ -1,10 +1,32 @@
 # Independent reference implementations used only to check the package:
-# the per-AP channel draw, batch (centralized) LMMSE, the expansion form of a
-# sequential chain, grid-search compression design, and random
-# problem-instance generators.
+# the closed-form fronthaul budget splits, the per-AP channel draw, batch
+# (centralized) LMMSE, the expansion form of a sequential chain, grid-search
+# compression design, and random problem-instance generators.
 import math
 
 import numpy as np
+
+
+def equal_split(R_T, L):
+    """Every AP gets R_T / L."""
+    return np.full(L, R_T / L)
+
+
+def linear_split(R_T, L):
+    """R_l = 2 R_T l / (L(L+1)), growing linearly with chain position."""
+    l = np.arange(1, L + 1, dtype=float)
+    return 2.0 * R_T * l / (L * (L + 1))
+
+
+def logarithmic_split(R_T, L):
+    """R_l proportional to log2(l); position 1 gets zero bits."""
+    logs = np.log2(np.arange(1, L + 1, dtype=float))
+    return R_T * logs / logs.sum()
+
+
+def path_budget(R_T, L_total, L_path):
+    """Two-Path budget of an arc of L_path APs, proportional to its length."""
+    return R_T * L_path / L_total
 
 
 def complex_randn(rng, size):

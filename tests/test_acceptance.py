@@ -9,7 +9,7 @@ from seqcf import (ExperimentSpec, NetworkConfig, Strategy, eiu, gain,
                    run_chain, run_experiment, scnm, sinr_chain,
                    update_error_cov, update_pre_compression_corr,
                    weighted_scnm, wsinm)
-from seqcf.allocation import equal
+from seqcf.allocation import schedule
 from seqcf.chain import propagate_combiners, refine
 from seqcf.compression import LN2, achieved_rate_bits
 from seqcf.geometry import draw_channels, place_network
@@ -161,7 +161,7 @@ def test_covariance_fidelity_monte_carlo_experiment_size(strategy):
     cfg = NetworkConfig(L=12, N=10, K=20)
     rng = np.random.default_rng(7)
     H = draw_channels(cfg, place_network(cfg, rng), rng).H
-    rates = equal(cfg.R_T, cfg.L)
+    rates = schedule("ef", cfg.R_T, cfg.L)
     # the chain after each AP: every prefix is run_chain's own pass
     runs = [run_recorded(cfg.p, cfg.sigma2, H[:l], strategy, rates[:l])
             for l in range(1, cfg.L + 1)]

@@ -3,7 +3,7 @@ import pytest
 
 import seqcf.chain
 from seqcf import (NetworkConfig, centralized, draw_channels, gain, initial_state,
-                   interference_context, logarithmic, place_network,
+                   interference_context, place_network, schedule,
                    propagate_combiners, refine, run_chain, sinr_chain,
                    update_error_cov, update_pre_compression_corr)
 from seqcf.compression import LN2
@@ -34,7 +34,7 @@ def chain_cases(R_T, L):
     dead_mid = ef.copy()
     dead_mid[L // 2] = 0.0
     return [("eiu", ef), ("scnm", ef), ("wsinm", ef), ("eiu", np.full(L, np.inf)),
-            ("eiu", logarithmic(R_T, L)), ("eiu", dead_mid)]
+            ("eiu", schedule("log", R_T, L)), ("eiu", dead_mid)]
 
 
 CASE_IDS = ["eiu", "scnm", "wsinm", "infinite", "log-eiu", "dead-mid-eiu"]

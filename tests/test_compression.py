@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcf import (NetworkConfig, achieved_rate_bits, draw_channels, eiu, equal,
-                   place_network, run_chain, scnm, weighted_scnm, wsinm)
+from seqcf import (NetworkConfig, achieved_rate_bits, draw_channels, eiu, place_network,
+                   run_chain, schedule, scnm, weighted_scnm, wsinm)
 from seqcf import compression as comp
 from seqcf.compression import LN2, SolverError
 from seqcf.linalg import PsdError, check_psd_spectrum, herm
@@ -128,7 +128,7 @@ class TestEiu:
         rng = np.random.default_rng(2026)
         H = draw_channels(cfg, place_network(cfg, rng), rng).H
         _, outcomes = oracles.run_recorded(cfg.p, cfg.sigma2, H, "eiu",
-                                           equal(cfg.R_T, cfg.L))
+                                           schedule("ef", cfg.R_T, cfg.L))
         assert len(outcomes) == cfg.L
         assert all("Q" not in vars(out) for out in outcomes)
         for out in outcomes:
@@ -518,7 +518,7 @@ class TestRateSolve:
         cfg = NetworkConfig(L=12, N=10, K=20)
         rng = np.random.default_rng(7)
         H = draw_channels(cfg, place_network(cfg, rng), rng).H
-        run_chain(cfg.p, cfg.sigma2, H, "wsinm", equal(cfg.R_T, cfg.L))
+        run_chain(cfg.p, cfg.sigma2, H, "wsinm", schedule("ef", cfg.R_T, cfg.L))
         assert len(per_solve) > cfg.L
         assert max(per_solve) <= 2
         assert sum(n > 0 for n in per_solve) < 0.1 * len(per_solve)
@@ -818,7 +818,7 @@ class TestWsinmMatchesStackedBcd:
         real = comp.wsinm
         monkeypatch.setattr(comp, "wsinm",
                             lambda P, R, b: seen.append((P, R, b)) or real(P, R, b))
-        run_chain(cfg.p, cfg.sigma2, H, "wsinm", equal(cfg.R_T, cfg.L))
+        run_chain(cfg.p, cfg.sigma2, H, "wsinm", schedule("ef", cfg.R_T, cfg.L))
         assert len(seen) == cfg.L
         for P, R, base in seen:
             assert_same_bcd(P, R, base)

@@ -257,6 +257,40 @@ class TestRunExperiment:
         for row in rows:
             assert row.trials == 1 and np.array_equal(row.per_trial, [0.0])
 
+    def test_small_budget_meets_every_rate(self):
+        # at R_T = 1e-5 the sum SEs (1e-55 to 1e-20) are set by round-off in
+        # P, but each AP's rate is set by the budget: every live SCNM and
+        # WSINM outcome meets its R_l and every EIU outcome stays within it.
+        # EIU's log-det rate of about 1e-6 bits is a difference of two terms
+        # near 1e3 nats, so it may read up to about 1e-12 bits over its R_l
+        import oracles
+        from seqcf import draw_channels, place_network
+        from seqcf.chain import ZERO_RATE_TOL
+        from seqcf.compression import RATE_TOL_BITS
+        from seqcf.experiment import _chains
+
+        cfg = NetworkConfig(R_T=1e-5)
+        rng = np.random.default_rng(np.random.SeedSequence((1, 0)))
+        H = draw_channels(cfg, place_network(cfg, rng), rng).H
+        live = 0
+        for label in ("sp-ef-scnm", "sp-lf-scnm", "sp-ef-wsinm", "tp-lf-wsinm",
+                      "sp-ef-eiu", "tp-lf-eiu"):
+            strategy = Strategy.parse(label)
+            for idx, rates in _chains(cfg, strategy):
+                _, outcomes = oracles.run_recorded(cfg.p, cfg.sigma2, [H[i] for i in idx],
+                                                   strategy.compression, rates)
+                for R_l, out in zip(rates, outcomes):
+                    if R_l <= ZERO_RATE_TOL:
+                        continue
+                    live += 1
+                    if strategy.compression == "eiu":
+                        assert out.achieved_rate <= R_l + RATE_TOL_BITS, \
+                            (label, R_l, out.achieved_rate)
+                    else:
+                        assert abs(out.achieved_rate - R_l) <= RATE_TOL_BITS, \
+                            (label, R_l, out.achieved_rate)
+        assert live == 6 * cfg.L
+
     def test_programming_error_propagates(self, monkeypatch):
         # only typed numerical failures count as failed trials; a bug stops
         # the run even when it hits fewer trials than the failure allowance
@@ -331,6 +365,20 @@ class TestCsv:
         path.write_text(f"{CSV_HEADER}\n1,sp,ef,eiu,2,0.1,5,7\n\n{line}\n")
         with pytest.raises(ExperimentError, match=f"^{re.escape(str(path))}:4: malformed row: {re.escape(message)}"):
             parse_csv(str(path))
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # a result CSV saved back with a UTF-8 byte-order mark, as Windows
+        # editors save it, reads as the file without one
+        row = "500,tp,lf,wsinm,12.5,0.25,3,7"
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + f"{CSV_HEADER}\n{row}\n".encode())
+        (back,) = parse_csv(str(path))
+        assert back.strategy == Strategy("tp", "lf", "wsinm")
+        assert (back.sweep_value, back.mean_sum_se, back.stderr) == (500.0, 12.5, 0.25)
+        assert (back.trials, back.seed) == (3, 7)
+        out = tmp_path / "out.csv"
+        emit_csv([back], str(out))
+        assert out.read_text() == f"{CSV_HEADER}\n{row}\n"
 
     def test_bad_header_names_path(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -491,8 +539,8 @@ class TestCli:
     @pytest.mark.parametrize("extra, config, message", [
         (["--seed", "-1"], "", "error: seed must be non-negative, got -1"),
         (["--strategies", "sp-ef-eiu,tp-log-eiu"], "L = 3\n",
-         "error: tp-log-eiu: logarithmic allocation needs at least 2 chain positions, "
-         "got L=3"),
+         "error: tp-log-eiu: the allocation weights of a 1-AP chain must sum to more "
+         "than 0, got L=3"),
         (["--strategies", "tp-ef-eiu"], "L = 1\n",
          "error: tp-ef-eiu: Two-Path mode needs at least 2 APs, got L=1"),
         (["--strategies", "sp-ef-eiu,tp-ef-eiu,SP-EF-EIU"], "",
