@@ -3,6 +3,8 @@
 # bits per uplink sample, one entry per position.
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import _check_positive
@@ -19,7 +21,9 @@ def schedule(scheme: str, R_T: float, L_chain: int) -> np.ndarray:
 
 
 def split(R_T: float, weights) -> np.ndarray:
-    """R_T shared in proportion to the weights: R_T w / sum(w)."""
+    """R_T shared in proportion to the weights: R_T w / sum(w), formed on R_T's
+    mantissa m = R_T 2^-e, as (m w / sum(w)) 2^e, so that no finite budget
+    overflows."""
     _check_positive(R_T=R_T)
     w = np.asarray(weights, dtype=float)
     if w.size < 1:
@@ -28,4 +32,5 @@ def split(R_T: float, weights) -> np.ndarray:
     if not total > 0:
         raise ValueError(f"the allocation weights of a {w.size}-AP chain "
                          "must sum to more than 0")
-    return R_T * w / total
+    m, e = math.frexp(R_T)
+    return np.ldexp(m * w / total, e)

@@ -82,8 +82,10 @@ class _EiuOutcome(CompressionOutcome):
         each entry sent losslessly (q_k = 0 < P_kk), whose log-det term is
         infinite.
 
-        At most R_l: by Hadamard's inequality each supported entry adds at
-        most log2(1 + P_kk / q_k) = b bits.
+        At most R_l in exact arithmetic, by Hadamard's inequality (each
+        supported entry adds at most log2(1 + P_kk / q_k) = b bits). As the
+        difference of two log-dets near 1e3 nats, a tiny rate may read a few
+        1e-12 bits over R_l (3.6e-12 at R_T = 2.4e-10 to 1e-5, six drops).
         """
         keep = self.q > RANK_TOL * self.q.max(initial=0.0)
         rate = _support_rate_bits(self._P[np.ix_(keep, keep)], self.q[keep])
@@ -103,10 +105,10 @@ def achieved_rate_bits(P: np.ndarray, Q: np.ndarray) -> float:
 def eiu(P: np.ndarray, R_l: float) -> CompressionOutcome:
     """Element-wise compression: b = R_l/K bits per user's estimate entry.
 
-    Per rate-distortion theory the per-entry noise variance is
-    P[k,k] / (2^b - 1); Q is diagonal. P is Hermitian. From b = 1024 on 2^b
-    overflows a float, and as 2^b - 1 rounds to 2^b (from b = 54 on) the
-    variance is taken as P[k,k] 2^-b: 0 at b = inf, where nothing is lost.
+    Per rate-distortion theory the per-entry noise variance is P[k,k] / (2^b - 1),
+    formed as P[k,k] 2^-b / -expm1(-b ln 2): it neither overflows nor cancels at
+    any b > 0, and is 0 at b = inf, where nothing is lost. Q is diagonal; P is
+    Hermitian.
     """
     K = P.shape[0]
     b = R_l / K
@@ -118,10 +120,7 @@ def eiu(P: np.ndarray, R_l: float) -> CompressionOutcome:
     if np.minimum.reduce(pdiag) < -PSD_REL_TOL * max(np.maximum.reduce(pdiag), 1e-300):
         raise PsdError("P has a negative diagonal entry")
     q = np.maximum(pdiag, 0.0)
-    if b < 1024.0:
-        q /= 2.0 ** b - 1.0
-    else:
-        q *= 2.0 ** -b
+    q *= 2.0 ** -b / -math.expm1(-b * LN2)
     return _EiuOutcome(P, q, R_l)
 
 

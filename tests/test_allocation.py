@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,18 @@ class TestSplit:
                             budget = (R_T if mode == "sp" else
                                       oracles.path_budget(R_T, L, len(idx)))
                             assert np.array_equal(rates, closed(budget, len(idx)))
+
+    @pytest.mark.parametrize("R_T", [1e308, np.finfo(float).max])
+    def test_largest_budgets_split_without_overflow(self, R_T):
+        # R_T w would overflow here: the split scales R_T's mantissa instead,
+        # so every rate is finite and the rates still sum to R_T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for L in (2, 3, 12, 100):
+                for scheme in sorted(allocation.SCHEMES):
+                    rates = allocation.schedule(scheme, R_T, L)
+                    assert np.all(np.isfinite(rates)) and np.all(rates >= 0)
+                    assert (rates / R_T).sum() == pytest.approx(1.0, rel=1e-12)
 
 
 @settings(max_examples=80, deadline=None)

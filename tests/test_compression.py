@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -73,7 +74,7 @@ class TestEiu:
         # read does, once, and gets the float the eager formula gives
         P = rand_psd(rng, 4)
         P[2, :] = P[:, 2] = 0.0
-        q = np.diag(P).real / (2.0 ** 3.0 - 1.0)
+        q = eiu(P, 12.0).q
         keep = q > comp.RANK_TOL * q.max()
         expected = comp._support_rate_bits(P[np.ix_(keep, keep)], q[keep])
         calls = []
@@ -86,25 +87,38 @@ class TestEiu:
         assert out.achieved_rate == expected
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("b", [1023.9, 1024.0, 1041.7, 1e4, np.inf])
+    @pytest.mark.parametrize("b", [1023.9, 1024.0, 1041.7, 1100.0, 1e4, np.inf])
     def test_beyond_the_float_range_of_two_to_the_b(self, rng, b):
-        # 2^b overflows from b = 1024 on; below it the noise keeps the
-        # P_kk / (2^b - 1) bits, from it on it is P_kk 2^-b, 0 at b = inf.
-        # The reported rate never exceeds the budget
+        # 2^b overflows from b = 1024 on, but the noise never forms it: it is
+        # P_kk 2^-b / (1 - 2^-b) at every b, subnormal from about 1022 bits on
+        # and 0 from about 1100 on and at b = inf. The reported rate never
+        # exceeds the budget
         K = 3
         P = rand_psd(rng, K, jitter=0.1)
         pdiag = np.diag(P).real
         out = eiu(P, b * K)
         b = b * K / K                      # the bits eiu sees
-        if b < 1024:
-            assert np.array_equal(out.q, pdiag / (2.0 ** b - 1.0))
-        else:
-            assert np.array_equal(out.q, pdiag * 2.0 ** -b)
+        assert np.array_equal(out.q, pdiag * (2.0 ** -b / -math.expm1(-b * LN2)))
         assert np.all(out.q >= 0.0)
         assert np.all(np.isfinite(out.Q))
         assert out.achieved_rate <= b * K
-        if b >= 1e4:
+        if b >= 1100.0:
             assert not out.q.any()
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-6, 1.0, 1e6, 1e200])
+    def test_each_entry_carries_its_bits(self, scale):
+        # log2(1 + P_kk / q_k) is the budget's b bits to round-off at every b
+        # from 5e-14 (a live 1e-12-bit link shared by K = 20 users) to
+        # 1023.9, wherever q_k is a normal float: P_kk / (2^b - 1) would
+        # cancel in 2^b - 1 at small b, off by 1e-3 relative near b = 1e-13
+        P = scale * np.diag([0.3, 1.0, 7.5]).astype(complex)
+        pdiag = np.diag(P).real
+        for b in np.concatenate([np.geomspace(5e-14, 1023.9, 400), [1e-13, 1e-12, 1.0, 54.0]]):
+            out = eiu(P, 3.0 * b)
+            b = 3.0 * b / 3.0
+            normal = out.q >= np.finfo(float).tiny
+            bits = np.log1p(pdiag[normal] / out.q[normal]) / LN2
+            assert np.all(np.abs(bits - b) <= 1e-15 * b), (b, bits)
 
     @pytest.mark.parametrize("b", [1100.0, 1e4, np.inf])
     def test_lossless_entries_count_their_bits(self, rng, b):

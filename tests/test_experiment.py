@@ -262,7 +262,8 @@ class TestRunExperiment:
         # P, but each AP's rate is set by the budget: every live SCNM and
         # WSINM outcome meets its R_l and every EIU outcome stays within it.
         # EIU's log-det rate of about 1e-6 bits is a difference of two terms
-        # near 1e3 nats, so it may read up to about 1e-12 bits over its R_l
+        # near 1e3 nats, so even with its exact noise it may read a few
+        # 1e-12 bits over its R_l (up to 3.6e-12 on six default drops)
         import oracles
         from seqcf import draw_channels, place_network
         from seqcf.chain import ZERO_RATE_TOL
