@@ -12,12 +12,20 @@ from . import metrics
 from .config import _check_positive
 from .linalg import ensure_psd, herm, herm_solve
 
-# the compression designs a chain can run, each a function of seqcf.compression
-DESIGNS = ("eiu", "scnm", "wsinm")
-
-# rates at or below this are treated as a dead link: the next AP restarts
-# the chain from the prior (zero bits convey zero information)
+# rates at or below this are treated as a dead link: it forwards nothing (zero
+# bits convey zero information), so the chain after it starts from the prior
 ZERO_RATE_TOL = 1e-12
+
+# the compression designs a chain can run: each maps an AP's P, R_l, T, C_pre
+# and p to the noise it forwards, in the form the chain carries (EIU's diagonal
+# noise as its diagonal). Each looks its seqcf functions up when called, so a
+# wrapper patched onto the module sees every call
+DESIGNS = {
+    "eiu": lambda P, R_l, T, C_pre, p: comp.eiu(P, R_l).q,
+    "scnm": lambda P, R_l, T, C_pre, p: comp.scnm(P, R_l).Q,
+    "wsinm": lambda P, R_l, T, C_pre, p: comp.wsinm(
+        P, R_l, metrics.interference_context(T, C_pre, p)).Q,
+}
 
 
 @dataclass
@@ -123,46 +131,34 @@ def centralized(p: float, sigma2: float, H: list) -> ChainState:
     return ChainState(C=C, P=np.zeros((K, K), dtype=complex), T=T)
 
 
-def _compress(strategy: str, P: np.ndarray, R_l: float,
-              base: np.ndarray | None) -> comp.CompressionOutcome:
-    if strategy == "eiu":
-        return comp.eiu(P, R_l)
-    if strategy == "scnm":
-        return comp.scnm(P, R_l)
-    return comp.wsinm(P, R_l, base)
-
-
 def run_chain(p: float, sigma2: float, H: list, strategy: str, rates) -> ChainState:
     """Run the full refine -> compress pass over an ordered AP subset.
 
     H holds the per-AP channels in chain order and rates gives R_l per AP.
-    strategy is one of eiu | scnm | wsinm. Only the statistics of the
-    forwarded estimate are tracked, so the result is a deterministic function
-    of the channels; no per-AP compression outcome is kept.
+    strategy is one of DESIGNS. A dead link (rate <= ZERO_RATE_TOL) forwards
+    nothing, so only the APs after the last one run, from the prior; the APs
+    before it are not computed. Only the statistics of the forwarded estimate
+    are tracked, so the result is a deterministic function of the channels;
+    no per-AP compression outcome is kept.
     """
     _check_positive(p=p, sigma2=sigma2)
     if strategy not in DESIGNS:
         raise ValueError(f"unknown compression strategy {strategy!r}")
     if not len(H):
         raise ValueError("the chain is empty: H has no AP")
-    K = H[0].shape[1]
-    st = initial_state(K, p)
     rates = np.asarray(rates, dtype=float)
     if len(rates) != len(H):
         raise ValueError("H and rates must have one entry per chain AP")
     if not (rates >= 0.0).all():      # NaN fails too; 0 is a dead link, inf lossless
         raise ValueError("a chain rate is NaN or negative")
-    # the last live AP's compression noise, a zero diagonal before the first
-    # one and after a dead link; EIU's is diagonal and carried as its diagonal
-    zero_q = np.zeros(K)
-    Q_l = zero_q
-
-    for H_l, R_l in zip(H, rates.tolist()):
-        if R_l <= ZERO_RATE_TOL:
-            # dead link: the next AP sees no estimate at all
-            st = initial_state(K, p)
-            Q_l = zero_q
-            continue
+    compress = DESIGNS[strategy]
+    K = H[0].shape[1]
+    st = initial_state(K, p)
+    start = max(np.flatnonzero(rates <= ZERO_RATE_TOL), default=-1) + 1
+    # the previous AP's compression noise, a zero diagonal before the first;
+    # EIU's is diagonal and carried as its diagonal
+    Q_l = np.zeros(K)
+    for H_l, R_l in zip(H[start:], rates[start:].tolist()):
         Gamma = gain(st.C, H_l, sigma2)
         GH = Gamma @ H_l
         GHC = GH @ st.C
@@ -170,8 +166,6 @@ def run_chain(p: float, sigma2: float, H: list, strategy: str, rates) -> ChainSt
         T = propagate_combiners(st.T, GH)
         # Q_l is still the previous AP's noise here
         P = update_pre_compression_corr(st.P, Q_l, GH, GHC)
-        base = metrics.interference_context(T, C_pre, p) if strategy == "wsinm" else None
-        outcome = _compress(strategy, P, R_l, base)
-        Q_l = outcome.q if strategy == "eiu" else outcome.Q
+        Q_l = compress(P, R_l, T, C_pre, p)
         st = ChainState(C=update_error_cov(C_pre, Q_l), P=P, T=T)
     return st

@@ -117,11 +117,20 @@ def parse_config_file(path: str, swept: dict | None = None) -> NetworkConfig:
             raise ConfigError(f"{path}:{lineno}: config key {key!r} is given twice")
         try:
             num = field.type(val)
-            kw[field.name] = dbm_to_watt(num) if field.name in _IN_DBM else num
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             kind = "integer" if field.type is int else "number"
             raise ConfigError(f"{path}:{lineno}: {key} = {val!r} is not a valid {kind}"
                               ) from exc
+        if field.name in _IN_DBM:       # the power is checked in watts at its line
+            try:
+                num = dbm_to_watt(num)
+                _check_positive(**{field.name: num})
+            except OverflowError:
+                raise ConfigError(f"{path}:{lineno}: {key} = {val!r} is out of range"
+                                  ) from None
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {key} = {val!r}: {exc}") from None
+        kw[field.name] = num
     swept = swept or {}
     try:
         return NetworkConfig(**{**kw, **swept})

@@ -14,7 +14,7 @@ from .geometry import draw_channels, place_network
 from .linalg import PsdError
 
 PATH_MODES = ("sp", "tp")
-COMPRESSIONS = DESIGNS + ("infinite",)
+COMPRESSIONS = (*DESIGNS, "infinite")
 # each sweep axis: the NetworkConfig field it sets, which judges its values
 SWEEPS = {"users": "K", "rate": "R_T"}
 

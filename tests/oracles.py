@@ -285,30 +285,30 @@ class ChainExpansion:
 def run_recorded(p, sigma2, H, strategy, rates):
     """(state, outcomes): run_chain's result and its per-AP CompressionOutcomes.
 
-    seqcf.chain._compress is wrapped for the length of the call to record each
-    live AP's outcome; a dead AP (rate <= ZERO_RATE_TOL) compresses nothing
-    and gets a zero Q at rate 0.
+    The design's function in seqcf.compression is wrapped for the length of
+    the call to record each outcome. run_chain computes only the APs after
+    the last dead link (rate <= ZERO_RATE_TOL); each AP up to that link
+    forwards nothing and gets a zero Q at rate 0.
     """
     import seqcf.chain as chain
-    from seqcf.compression import CompressionOutcome
+    from seqcf import compression
 
-    real = chain._compress
+    real = getattr(compression, strategy)
     live = []
 
     def recorded(*args):
         live.append(real(*args))
         return live[-1]
 
-    chain._compress = recorded
+    setattr(compression, strategy, recorded)
     try:
         st = chain.run_chain(p, sigma2, H, strategy, rates)
     finally:
-        chain._compress = real
+        setattr(compression, strategy, real)
     K = H[0].shape[1]
-    it = iter(live)
-    outcomes = [CompressionOutcome(Q=np.zeros((K, K), dtype=complex), achieved_rate=0.0)
-                if R_l <= chain.ZERO_RATE_TOL else next(it) for R_l in rates]
-    return st, outcomes
+    zero = compression.CompressionOutcome(Q=np.zeros((K, K), dtype=complex),
+                                          achieved_rate=0.0)
+    return st, [zero] * (len(rates) - len(live)) + live
 
 
 def run_and_expand(p, sigma2, H, strategy, rates):

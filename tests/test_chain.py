@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import seqcf.chain
+import seqcf.compression
 from seqcf import (NetworkConfig, centralized, draw_channels, gain, initial_state,
                    interference_context, place_network, schedule,
                    propagate_combiners, refine, run_chain, sinr_chain,
@@ -122,10 +123,10 @@ class TestCovarianceUpdates:
              "error-cov-eiu", "error-cov-log-eiu", "error-cov-dead-mid-eiu"])
     def test_diagonal_q_matches_matrix_form(self, helper, case, monkeypatch):
         # an EIU chain hands P's and C's updates a diagonal noise as its
-        # diagonal; at every live AP of the Fig-2 network, the first one and
-        # those after a dead link included, each update gives the matrix
-        # form's result bit for bit. P's update gets the previous AP's noise,
-        # Q_prev = 0 at the first AP and after a dead link; C's the AP's own
+        # diagonal; at every AP of the Fig-2 network that the chain runs, the
+        # first one after the last dead link included, each update gives the
+        # matrix form's result bit for bit. P's update gets the previous AP's
+        # noise, Q_prev = 0 at the first AP run; C's the AP's own
         cfg = NetworkConfig(L=12, N=10, K=20)
         rng = np.random.default_rng(2026)
         H = draw_channels(cfg, place_network(cfg, rng), rng).H
@@ -144,11 +145,11 @@ class TestCovarianceUpdates:
 
         monkeypatch.setattr(seqcf.chain, helper, both)
         run_chain(cfg.p, cfg.sigma2, H, strategy, rates)
-        live = rates > 0
-        fresh = live & ~np.concatenate([[False], live[:-1]])   # first AP or after a dead one
-        assert len(zero_q) == live.sum()
+        # only the APs after the last dead link are run
+        run = len(rates) - 1 - max(np.flatnonzero(rates == 0.0), default=-1)
+        assert len(zero_q) == run
         if helper == "update_pre_compression_corr":
-            assert zero_q == [bool(f) for f in fresh[live]]
+            assert zero_q == [True] + [False] * (run - 1)
         else:
             assert not any(zero_q)
 
@@ -337,7 +338,7 @@ class TestRunChain:
         assert np.allclose(st.T, fresh.T, atol=1e-12)
 
     def test_dead_link_forms_no_gain(self, rng, monkeypatch):
-        # a dead link resets the chain before any gain is formed
+        # a gain is formed only at the APs after the last dead link
         calls = []
         real = seqcf.chain.gain
         monkeypatch.setattr(seqcf.chain, "gain", lambda *a: calls.append(1) or real(*a))
@@ -345,7 +346,42 @@ class TestRunChain:
         run_chain(1.0, 0.5, H[:1], "eiu", [0.0])
         assert calls == []
         run_chain(1.0, 0.5, H, "eiu", [0.0, 10.0, 0.0, 10.0])
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("strategy", ["eiu", "scnm", "wsinm"])
+    def test_aps_before_last_dead_link_are_not_run(self, rng, strategy):
+        # the last dead link forwards nothing, so the chain after it is the
+        # fresh chain over its APs: a NaN channel at a live AP before it
+        # cannot fail it
+        H = rand_channels(rng, 4, 3, 2)
+        H[0] = np.full_like(H[0], np.nan)
+        st = run_chain(1.0, 0.5, H, strategy, [6.0, 0.0, 6.0, 6.0])
+        fresh = run_chain(1.0, 0.5, H[2:], strategy, [6.0, 6.0])
+        for X, Y in zip((st.C, st.P, st.T), (fresh.C, fresh.P, fresh.T)):
+            assert np.array_equal(X, Y)
+
+    @pytest.mark.parametrize("rates, run", [([6.0, 6.0, 6.0], 3), ([6.0, 0.0, 6.0], 1),
+                                            ([0.0, 0.0, 0.0], 0)])
+    def test_each_design_called_once_per_run_ap(self, rng, monkeypatch, rates, run):
+        # the design is looked up in seqcf.compression at every AP, so a wrapper
+        # patched onto the module, as a tracer's or a recorder's, sees each call
+        calls = {"eiu": 0, "scnm": 0, "wsinm": 0}
+
+        def counting(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(seqcf.compression, name,
+                                counting(name, getattr(seqcf.compression, name)))
+        H = rand_channels(rng, 3, 3, 2)
+        for strategy in calls:
+            before = dict(calls)
+            run_chain(1.0, 0.5, H, strategy, rates)
+            assert {k: calls[k] - before[k] for k in calls} == {
+                k: run if k == strategy else 0 for k in calls}
 
     def test_lossless_chain_is_uncompressed_recursion(self, rng):
         # EIU at infinite rates adds exactly zero noise: C and T are the

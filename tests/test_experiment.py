@@ -425,14 +425,30 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=f"{f}:2: "):
             parse_config_file(str(f))
 
-    @pytest.mark.parametrize("line", ["R_T = -1", "R_T = nan", "p_dbm = inf",
-                                      "sigma2_dbm = -inf", "ap_ring_radius = 0"])
+    @pytest.mark.parametrize("line", ["R_T = -1", "R_T = nan", "ap_ring_radius = 0"])
     def test_bad_value_rejected(self, tmp_path, line):
         f = tmp_path / "net.cfg"
         f.write_text(f"L = 4\n{line}\n")
         with pytest.raises(ConfigError,
                            match=f"^{re.escape(str(f))}: .* finite and strictly positive"):
             parse_config_file(str(f))
+
+    @pytest.mark.parametrize("line, reason", [
+        pytest.param(line, reason, id=line) for line, reason in [
+            ("p_dbm = 4000", " is out of range"),
+            ("p_dbm = nan", ": p must be finite and strictly positive, got nan"),
+            ("p_dbm = inf", ": p must be finite and strictly positive, got inf"),
+            ("sigma2_dbm = -4000", ": sigma2 must be finite and strictly positive, got 0.0"),
+            ("sigma2_dbm = -inf", ": sigma2 must be finite and strictly positive, got 0.0")]])
+    def test_bad_dbm_power_rejected_at_its_line(self, tmp_path, line, reason):
+        # a power is checked in watts at the line that gives it in dBm, so the
+        # error names that line and the key written there
+        f = tmp_path / "net.cfg"
+        f.write_text(f"L = 4\n{line}\n")
+        key, val = line.split(" = ")
+        with pytest.raises(ConfigError) as exc:
+            parse_config_file(str(f))
+        assert str(exc.value) == f"{f}:2: {key} = {val!r}{reason}"
 
     @pytest.mark.parametrize("text, key", [("K = 5\nK = 10\n", "K"),
                                            ("p_dbm = 20\nL = 4\np_dbm = 10\n", "p_dbm")])
