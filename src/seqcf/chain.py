@@ -80,10 +80,12 @@ def update_pre_compression_corr(P_prev: np.ndarray, Q_prev: np.ndarray,
                                 GH: np.ndarray, GHC: np.ndarray) -> np.ndarray:
     """Correlation of the refined estimate before compression, the paper's
     P_prev + Q_prev + GHC - Q_prev GH^H - GH Q_prev, with GH = Gamma H and
-    GHC = Gamma H C_{l-1} the chain step's products. As Q_prev, the previous
-    AP's noise, is Hermitian, Q_prev GH^H = (GH Q_prev)^H. Q_prev may be
-    diagonal, given as its diagonal (K,): it is then added to P's diagonal
-    and GHQ scales GH's columns, to the same bits as the matrix forms.
+    GHC = Gamma H C_{l-1} the chain step's products, assembled and
+    symmetrized; each design checks it is PSD (linalg.check_psd) before
+    it reads it. As Q_prev, the previous AP's noise, is Hermitian,
+    Q_prev GH^H = (GH Q_prev)^H. Q_prev may be diagonal, given as its
+    diagonal (K,): it is then added to P's diagonal and GHQ scales GH's
+    columns, to the same bits as the matrix forms.
     """
     if Q_prev.ndim == 2:
         P, GHQ = P_prev + Q_prev, GH @ Q_prev
@@ -94,7 +96,7 @@ def update_pre_compression_corr(P_prev: np.ndarray, Q_prev: np.ndarray,
     P += GHC
     P -= GHQ.conj().T
     P -= GHQ
-    return ensure_psd(P, name="P")
+    return herm(P)
 
 
 def propagate_combiners(T_prev: np.ndarray, GH: np.ndarray) -> np.ndarray:

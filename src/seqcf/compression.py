@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _ZHEEVD, PSD_REL_TOL, PsdError, check_psd_spectrum, herm
+from .linalg import _ZHEEVD, check_psd, check_psd_spectrum, herm
 
 LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
@@ -107,19 +107,18 @@ def eiu(P: np.ndarray, R_l: float) -> CompressionOutcome:
 
     Per rate-distortion theory the per-entry noise variance is P[k,k] / (2^b - 1),
     formed as P[k,k] 2^-b / -expm1(-b ln 2): it neither overflows nor cancels at
-    any b > 0, and is 0 at b = inf, where nothing is lost. Q is diagonal; P is
-    Hermitian.
+    any b > 0, and is 0 at b = inf, where nothing is lost. Q is diagonal.
+    P is Hermitian, as the P update leaves it, and must be PSD by the
+    package's rule (check_psd, else PsdError), as in every design: a
+    non-finite or genuinely indefinite P raises even where its diagonal is
+    fine, and a round-off negative P[k,k] gets no noise.
     """
     K = P.shape[0]
     b = R_l / K
     if not b > 0:             # NaN fails too
         raise SolverError("EIU needs a strictly positive per-user bit budget")
-    if not np.isfinite(P).all():
-        raise PsdError("P is not finite")
-    pdiag = P.diagonal().real
-    if np.minimum.reduce(pdiag) < -PSD_REL_TOL * max(np.maximum.reduce(pdiag), 1e-300):
-        raise PsdError("P has a negative diagonal entry")
-    q = np.maximum(pdiag, 0.0)
+    check_psd(P, "P")
+    q = np.maximum(P.diagonal().real, 0.0)
     q *= 2.0 ** -b / -math.expm1(-b * LN2)
     return _EiuOutcome(P, q, R_l)
 
@@ -334,11 +333,14 @@ def _outcome(R_l: float, solve: tuple, ws=None, **extra) -> CompressionOutcome:
 def scnm(P: np.ndarray, R_l: float) -> CompressionOutcome:
     """Minimize trace(Q) s.t. log2 det(P Q^-1 + I) = R_l, Q >= 0.
 
-    P is Hermitian, as ensure_psd leaves it. Q shares P's eigenbasis; each
-    mode's noise solves the KKT quadratic d^2 + lam*d - mu*lam = 0 at the rate
-    bisection's multiplier mu (_solve_mode_noises), whose rate model starts
-    cold: _eigen_solve and _outcome, which weighted_scnm and wsinm run too.
+    P is Hermitian, as the P update leaves it, and is checked PSD
+    (check_psd, else PsdError) before the eigensolve. Q shares P's
+    eigenbasis; each mode's noise solves the KKT quadratic
+    d^2 + lam*d - mu*lam = 0 at the rate bisection's multiplier mu
+    (_solve_mode_noises), whose rate model starts cold: _eigen_solve and
+    _outcome, which weighted_scnm and wsinm run too.
     """
+    check_psd(P, "P")
     return _outcome(R_l, _eigen_solve(P, R_l, math.nan))
 
 
@@ -356,10 +358,11 @@ def weighted_scnm(P: np.ndarray, R_l: float, weights: np.ndarray) -> Compression
 
     Solved by the congruence transform P -> W^1/2 P W^1/2, which leaves the
     log-det constraint invariant, undone on Q's modes, as wsinm does in its
-    loop without calling this. P is Hermitian, as scnm's; the weights must
-    hold one finite, positive value per user.
+    loop without calling this. P is Hermitian and checked PSD, as scnm's;
+    the weights must hold one finite, positive value per user.
     """
     ws = np.sqrt(_per_user(weights, P.shape[0], "weights"))
+    check_psd(P, "P")
     return _outcome(R_l, _eigen_solve(P, R_l, math.nan, ws), ws)
 
 
@@ -370,7 +373,8 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> Compressi
     (ii) the closed-form weight update w_k = 1/(ln2 * X_k), where
     X_k = interference_base[k] + Q[k,k] is user k's interference-plus-noise.
     interference_base holds one finite, positive value per user and must
-    exclude the current AP's own Q[k,k] term. P is Hermitian, as scnm's.
+    exclude the current AP's own Q[k,k] term. P is Hermitian and checked
+    PSD, as scnm's, once per call: no iteration checks it again.
 
     Step (i) is weighted_scnm's _eigen_solve, one zheevd per iteration. The
     weight update reads only diag Q, so an iteration forms just that; the
@@ -381,6 +385,7 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> Compressi
     """
     K = P.shape[0]
     base = _per_user(interference_base, K, "interference-plus-noise base")
+    check_psd(P, "P")
     w = np.ones(K)
     mu = math.nan
     log_w = 0.0                  # sum_k log2 w_k

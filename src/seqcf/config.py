@@ -32,6 +32,22 @@ def dbm_to_watt(x_dbm: float) -> float:
     return 10.0 ** ((x_dbm - 30.0) / 10.0)
 
 
+def _field_value(field: dataclasses.Field, value):
+    """value as NetworkConfig's field holds it, by the field's own rule: an
+    int field a Python int (L, N and K >= 1), a float field a finite float
+    > 0. ConfigError otherwise; the annotation decides which rule applies."""
+    if field.type is int:
+        value = as_integer(field.name, value)
+        if field.name in ("L", "N", "K") and value < 1:
+            raise ConfigError("L, N and K must be positive integers")
+        return value
+    _check_positive(**{field.name: value})
+    try:
+        return float(value)
+    except OverflowError:               # a Python int past the largest float
+        raise ConfigError(f"{field.name} must be finite, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """All scalar parameters of one network setup (powers in linear watts)."""
@@ -60,20 +76,8 @@ class NetworkConfig:
         return self.tau_c - self.tau_p
 
     def __post_init__(self):
-        # the annotation decides: a field becomes a Python int, or a float checked > 0
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type is int:
-                value = as_integer(f.name, value)
-            else:
-                _check_positive(**{f.name: value})
-                try:
-                    value = float(value)
-                except OverflowError:       # a Python int past the largest float
-                    raise ConfigError(f"{f.name} must be finite, got {value!r}") from None
-            object.__setattr__(self, f.name, value)
-        if self.L < 1 or self.N < 1 or self.K < 1:
-            raise ConfigError("L, N and K must be positive integers")
+            object.__setattr__(self, f.name, _field_value(f, getattr(self, f.name)))
         if self.tau_u <= 0:
             raise ConfigError("tau_c must exceed tau_p = K")
 
@@ -94,7 +98,10 @@ def parse_config_file(path: str, swept: dict | None = None) -> NetworkConfig:
     Unknown and repeated keys are rejected. Lines starting with '#' and
     blank lines are ignored. swept maps the fields a sweep sets to its first
     value, which replace the file's, so that the file is checked as the
-    network the sweep runs. Every error names the path.
+    network the sweep runs. Each value is checked by its field's rule at its
+    own line, even one the sweep replaces; the cross-field rule tau_c > K is
+    checked on the network the sweep runs. Every error names the path, and
+    an error in one value its line.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as f:     # a leading BOM is skipped
@@ -121,15 +128,13 @@ def parse_config_file(path: str, swept: dict | None = None) -> NetworkConfig:
             kind = "integer" if field.type is int else "number"
             raise ConfigError(f"{path}:{lineno}: {key} = {val!r} is not a valid {kind}"
                               ) from exc
-        if field.name in _IN_DBM:       # the power is checked in watts at its line
-            try:
-                num = dbm_to_watt(num)
-                _check_positive(**{field.name: num})
-            except OverflowError:
-                raise ConfigError(f"{path}:{lineno}: {key} = {val!r} is out of range"
-                                  ) from None
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{lineno}: {key} = {val!r}: {exc}") from None
+        try:           # each value is checked at its line, a power in watts
+            num = _field_value(field, dbm_to_watt(num) if field.name in _IN_DBM else num)
+        except OverflowError:
+            raise ConfigError(f"{path}:{lineno}: {key} = {val!r} is out of range"
+                              ) from None
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {key} = {val!r}: {exc}") from None
         kw[field.name] = num
     swept = swept or {}
     try:

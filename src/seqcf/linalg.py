@@ -11,7 +11,7 @@ import numpy as np
 import scipy
 
 # PSD checks allow round-off down to -PSD_REL_TOL times the scale: the
-# largest diagonal entry in ensure_psd, ||X||_2 in check_psd_spectrum
+# largest diagonal entry in check_psd, ||X||_2 in check_psd_spectrum
 PSD_REL_TOL = 1e-10
 
 
@@ -84,14 +84,22 @@ def _cholesky(X: np.ndarray, overwrite: bool = False) -> tuple:
     return c, info == 0 and math.isfinite(sum(c.diagonal().tolist()).real)
 
 
-def ensure_psd(X: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Symmetrize X and check it is PSD up to round-off (else PsdError); no repair."""
-    X = herm(X)
-    shifted = X.copy(order="F")           # X + PSD_REL_TOL * max(diag X) * I
+def check_psd(X: np.ndarray, name: str = "matrix") -> None:
+    """Raise PsdError unless Hermitian X is PSD up to round-off: one Cholesky
+    factorization of X + PSD_REL_TOL max(diag X) I, which reads X's upper
+    triangle and fails on a non-finite or genuinely indefinite X."""
+    # an integer X as floats, so that the shift can be added
+    shifted = X.copy(order="F") if X.dtype.kind in "fc" else X.astype(float, order="F")
     shift = PSD_REL_TOL * max(np.maximum.reduce(X.diagonal().real), 1e-300)
     shifted.ravel(order="F")[::len(X) + 1] += shift    # a view of the diagonal
     if not _cholesky(shifted, overwrite=True)[1]:
         raise PsdError(f"{name} is not PSD (diagonal shift {shift:.3e})")
+
+
+def ensure_psd(X: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Symmetrize X and check it is PSD up to round-off (else PsdError); no repair."""
+    X = herm(X)
+    check_psd(X, name)
     return X
 
 

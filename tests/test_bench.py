@@ -1,3 +1,5 @@
+import importlib
+import inspect
 from pathlib import Path
 
 import seqcf
@@ -21,3 +23,18 @@ def test_pools_match_their_references(monkeypatch):
             problems += [f"{name}: {problem}"
                          for problem in gate.check_rows(spec, seqcf.run_experiment(spec), ref)]
     assert problems == []
+
+
+def test_tracer_names_seqcf_functions(monkeypatch):
+    # every traced name is a function defined in its seqcf module, so a
+    # renamed or moved function fails here and not only in a traced bench run
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    missing = []
+    for mod, names in tracer.LAYERS.items():
+        module = importlib.import_module(f"seqcf.{mod}")
+        missing += [f"{mod}.{name}" for name in names
+                    if not (inspect.isfunction(fn := getattr(module, name, None))
+                            and fn.__module__ == module.__name__)]
+    assert missing == []

@@ -188,6 +188,27 @@ class TestCovarianceUpdates:
         with pytest.raises(PsdError, match="P"):
             run_chain(1.0, 0.5, H, "eiu", [6.0, 6.0])
 
+    @pytest.mark.parametrize("strategy", ["eiu", "scnm", "wsinm"])
+    def test_p_checked_once_per_ap_run(self, rng, strategy, monkeypatch):
+        # the P update only symmetrizes P; the design checks it, once per AP
+        # the chain runs (WSINM once per call, not per BCD iteration)
+        real = seqcf.compression.check_psd
+        names = []
+
+        def counting(X, name="matrix"):
+            names.append(name)
+            return real(X, name)
+
+        monkeypatch.setattr(seqcf.compression, "check_psd", counting)
+        H = rand_channels(rng, 4, 3, 2)
+        run_chain(1.0, 0.5, H, strategy, [6.0, 0.0, 6.0, 6.0])
+        assert names == ["P", "P"]
+
+    def test_p_update_does_not_check(self):
+        bad = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)
+        zero = np.zeros((2, 2), dtype=complex)
+        assert np.array_equal(update_pre_compression_corr(bad, np.zeros(2), zero, zero), bad)
+
 
 class TestCombinerFamilies:
     # propagate_combiners is the effective-channel step: T_l = sum_i V_il H_i

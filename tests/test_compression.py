@@ -56,6 +56,12 @@ class TestEiu:
                 design(bad, 8.0)
             assert np.all(np.diag(design(ok, 8.0).Q).real >= 0.0)
 
+    def test_indefinite_p_rejected(self):
+        # EIU reads only P's diagonal, which is fine here; the package's PSD
+        # rule still rejects the indefinite P (eigenvalues -1 and 3)
+        with pytest.raises(PsdError, match="P"):
+            eiu(np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex), 8.0)
+
     def test_reported_rate_matches_general_form(self, rng):
         # the diagonal-Q rate equals log2 det(P Q^-1 + I) on Q's support,
         # also when a user with a zero P entry leaves that support; by
@@ -708,6 +714,39 @@ class TestNonFiniteP:
     def test_spectrum_check_rejects_non_finite(self, w):
         with pytest.raises(PsdError, match="non-finite"):
             check_psd_spectrum(np.array(w))
+
+
+class TestOnePsdRule:
+    # every design checks its P by the package's Cholesky rule, a shift of
+    # PSD_REL_TOL max(P_kk), not by the spectrum rule of _eigen_solve, which
+    # allows PSD_REL_TOL ||P||_2, up to K times more
+
+    @staticmethod
+    def spectrum_only_psd():
+        """ones(20, 20) - 5e-10 u u^H, u = (e_0 - e_1) / sqrt(2): spectrum
+        -5e-10 ... 20 with max P_kk = 1, PSD by the spectrum rule only."""
+        u = np.zeros(20)
+        u[:2] = (1.0, -1.0)
+        u /= np.sqrt(2.0)
+        return (np.ones((20, 20)) - 5e-10 * np.outer(u, u)).astype(complex)
+
+    @pytest.mark.parametrize("design", ["scnm", "weighted_scnm", "wsinm"])
+    def test_vector_wise_designs_apply_the_cholesky_rule(self, design):
+        P = self.spectrum_only_psd()
+        w = np.linalg.eigvalsh(P)
+        assert w[0] == pytest.approx(-5e-10, rel=1e-3) and w[-1] == pytest.approx(20.0)
+        check_psd_spectrum(w)
+        solve = {"scnm": lambda: scnm(P, 40.0),
+                 "weighted_scnm": lambda: weighted_scnm(P, 40.0, np.ones(20)),
+                 "wsinm": lambda: wsinm(P, 40.0, np.ones(20))}[design]
+        with pytest.raises(PsdError, match="P is not PSD"):
+            solve()
+
+    def test_integer_p_accepted(self):
+        # the check runs on a float copy of an integer P, as the solves do
+        P = np.diag([1, 4])
+        assert np.array_equal(eiu(P, 2.0).q, [1.0, 4.0])
+        assert scnm(P, 2.0).achieved_rate == pytest.approx(2.0, abs=1e-9)
 
 
 class TestWeightedScnm:

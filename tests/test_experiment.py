@@ -425,13 +425,24 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=f"{f}:2: "):
             parse_config_file(str(f))
 
-    @pytest.mark.parametrize("line", ["R_T = -1", "R_T = nan", "ap_ring_radius = 0"])
-    def test_bad_value_rejected(self, tmp_path, line):
+    @pytest.mark.parametrize("line, reason", [
+        pytest.param(line, reason, id=line) for line, reason in [
+            ("R_T = -1", "R_T must be finite and strictly positive, got -1.0"),
+            ("R_T = nan", "R_T must be finite and strictly positive, got nan"),
+            ("ap_ring_radius = 0", "ap_ring_radius must be finite and strictly positive, "
+                                   "got 0.0"),
+            ("ap_ring_radius = -5", "ap_ring_radius must be finite and strictly positive, "
+                                    "got -5.0"),
+            ("L = 0", "L, N and K must be positive integers")]])
+    def test_bad_value_rejected(self, tmp_path, line, reason):
+        # every field's own rule is checked at the line that gives it, as
+        # NetworkConfig checks it, so the error names that line and key
         f = tmp_path / "net.cfg"
-        f.write_text(f"L = 4\n{line}\n")
-        with pytest.raises(ConfigError,
-                           match=f"^{re.escape(str(f))}: .* finite and strictly positive"):
+        f.write_text(f"N = 4\n{line}\n")
+        key, val = line.split(" = ")
+        with pytest.raises(ConfigError) as exc:
             parse_config_file(str(f))
+        assert str(exc.value) == f"{f}:2: {key} = {val!r}: {reason}"
 
     @pytest.mark.parametrize("line, reason", [
         pytest.param(line, reason, id=line) for line, reason in [
@@ -595,6 +606,21 @@ class TestCli:
                    "--strategies", "sp-ef-eiu", "--trials", "1", "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err.strip() == message
+        assert not out.exists()
+
+    def test_bad_value_of_the_swept_field_exits_before_any_trial(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # the file's R_T is replaced by the swept one, but still checked
+        import seqcf.cli as cli
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: pytest.fail("ran"))
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("R_T = nan\n")
+        out = tmp_path / "x.csv"
+        rc = main(["sweep-rate", "--config", str(cfg), "--values", "500",
+                   "--strategies", "sp-ef-eiu", "--trials", "1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == (
+            f"error: {cfg}:1: R_T = 'nan': R_T must be finite and strictly positive, got nan")
         assert not out.exists()
 
     def test_unwritable_out_exits_before_the_sweep(self, tmp_path, capsys, monkeypatch):
