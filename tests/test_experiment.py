@@ -222,6 +222,32 @@ class TestRunExperiment:
         assert sum(chains) == L and len(chains) == (1 if label[:2] == "sp" else 2)
         assert got == pytest.approx(ref, rel=1e-12)
 
+    def test_eiu_beyond_1023_bits_per_user(self):
+        # R_T = 250000 over L = 12, K = 20 gives b of about 1042 bits per user,
+        # past the largest power of two a float holds: the cell completes and
+        # stays at or below the uncompressed chain
+        spec = ExperimentSpec(base=NetworkConfig(L=12, N=10, K=20), sweep="rate",
+                              values=(250000.0,), trials=1, seed=0,
+                              strategies=(Strategy.parse("sp-ef-eiu"),
+                                          Strategy.parse("sp-ef-infinite")))
+        eiu_row, inf_row = run_experiment(spec)
+        assert eiu_row.trials == inf_row.trials == 1
+        assert eiu_row.mean_sum_se <= inf_row.mean_sum_se * (1 + 1e-9)
+
+    def test_vector_designs_beyond_1000_bits_per_user(self):
+        # at R_T = 250000 linear allocation gives the last APs up to about
+        # 1900 bits per user: their rate solves are lossless, the cells
+        # complete and stay at or below the uncompressed chain
+        spec = ExperimentSpec(base=NetworkConfig(L=12, N=10, K=20), sweep="rate",
+                              values=(250000.0,), trials=1, seed=0,
+                              strategies=(Strategy.parse("sp-lf-scnm"),
+                                          Strategy.parse("tp-lf-wsinm"),
+                                          Strategy.parse("sp-ef-infinite")))
+        scnm_row, wsinm_row, inf_row = run_experiment(spec)
+        assert scnm_row.trials == wsinm_row.trials == inf_row.trials == 1
+        assert scnm_row.mean_sum_se <= inf_row.mean_sum_se * (1 + 1e-9)
+        assert wsinm_row.mean_sum_se <= inf_row.mean_sum_se * (1 + 1e-9)
+
     @pytest.mark.parametrize("R_T, units, strategies", [
         # about 1042 bits per user on an EIU chain, past the largest power of
         # two a float holds, and about 1900 on the last APs of the LF chains,
