@@ -12,17 +12,21 @@ from .twopath import split_paths
 def _check_centralized_equivalence(rng) -> tuple[bool, str]:
     # without compression (EIU at infinite rates adds exactly zero noise) the
     # per-AP recursion is the batch LMMSE that chain.centralized computes in
-    # closed form
-    p, sigma2, K, L, N = 1.0, 0.5, 3, 3, 2
-    H = [complex_normal(rng, (N, K)) for _ in range(L)]
-    st = run_chain(p, sigma2, H, "eiu", np.full(L, np.inf))
-    cen = centralized(p, sigma2, H)
+    # closed form; on more users than antennas per AP (K > N) and on fewer
+    # (K < N), the two regimes of the gain's K x N factor
+    p, sigma2, L = 1.0, 0.5, 3
 
     def rel(a, b):
         return np.linalg.norm(a - b) / np.linalg.norm(b)
 
-    errs = rel(st.T, cen.T), rel(st.C, cen.C)
-    return max(errs) < 1e-8, "T err {:.2e}, C err {:.2e}".format(*errs)
+    errs = []
+    for K, N in ((3, 2), (2, 3)):
+        H = [complex_normal(rng, (N, K)) for _ in range(L)]
+        st = run_chain(p, sigma2, H, "eiu", np.full(L, np.inf))
+        cen = centralized(p, sigma2, H)
+        errs.append((rel(st.T, cen.T), rel(st.C, cen.C)))
+    worst = np.max(errs, axis=0)
+    return worst.max() < 1e-8, "worst T err {:.2e}, C err {:.2e} (K > N, K < N)".format(*worst)
 
 
 def _check_dead_link_restart(rng) -> tuple[bool, str]:

@@ -282,13 +282,46 @@ class ChainExpansion:
         return out
 
 
-def run_recorded(p, sigma2, H, strategy, rates):
+def gh_step_chain(p, sigma2, H, strategy, rates):
+    """run_chain with the explicit K x K Gamma H step: per AP it forms GH =
+    Gamma H, then GH C_{l-1}, GH T_{l-1} and GH Q_{l-1} (GH * q for EIU's
+    diagonal noise), three K x K x K products. Everything else (the dead-link
+    start, the designs, the C update) is the package's, so this differs from
+    run_chain only in the order of the products, that is by round-off.
+    """
+    from seqcf import chain
+    from seqcf.linalg import herm
+
+    rates = np.asarray(rates, dtype=float)
+    compress = chain.DESIGNS[strategy]
+    K = H[0].shape[1]
+    st = chain.initial_state(K, p)
+    start = max(np.flatnonzero(rates <= chain.ZERO_RATE_TOL), default=-1) + 1
+    Q_l = np.zeros(K)
+    for H_l, R_l in zip(H[start:], rates[start:].tolist()):
+        GH = chain.gain(st.C, H_l, sigma2)[0] @ H_l
+        GHC = GH @ st.C
+        C_pre = st.C - GHC
+        T = st.T - GH @ st.T + GH
+        if Q_l.ndim == 2:
+            P, GHQ = st.P + Q_l, GH @ Q_l
+        else:
+            P = st.P + np.diag(Q_l)
+            GHQ = GH * Q_l
+        P = herm(P + GHC - GHQ.conj().T - GHQ)
+        Q_l = compress(P, R_l, T, C_pre, p)
+        st = chain.ChainState(C=chain.update_error_cov(C_pre, Q_l), P=P, T=T)
+    return st
+
+
+def run_recorded(p, sigma2, H, strategy, rates, run=None):
     """(state, outcomes): run_chain's result and its per-AP CompressionOutcomes.
 
     The design's function in seqcf.compression is wrapped for the length of
     the call to record each outcome. run_chain computes only the APs after
     the last dead link (rate <= ZERO_RATE_TOL); each AP up to that link
-    forwards nothing and gets a zero Q at rate 0.
+    forwards nothing and gets a zero Q at rate 0. run replaces run_chain by
+    another chain with its signature, such as gh_step_chain.
     """
     import seqcf.chain as chain
     from seqcf import compression
@@ -302,7 +335,7 @@ def run_recorded(p, sigma2, H, strategy, rates):
 
     setattr(compression, strategy, recorded)
     try:
-        st = chain.run_chain(p, sigma2, H, strategy, rates)
+        st = (run or chain.run_chain)(p, sigma2, H, strategy, rates)
     finally:
         setattr(compression, strategy, real)
     K = H[0].shape[1]

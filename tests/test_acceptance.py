@@ -92,11 +92,10 @@ def _eiu_chain_pass(p, sigma2, H, R_l):
     Q_prev = np.zeros((K, K), dtype=complex)
     steps = []
     for Hl in H:
-        G = gain(C, Hl, sigma2)
-        GH = G @ Hl
-        GHC = GH @ C
-        T_eff = propagate_combiners(T_eff, GH)
-        P = update_pre_compression_corr(P, Q_prev, GH, GHC)
+        G, HC = gain(C, Hl, sigma2)
+        GHC = G @ HC
+        T_eff = propagate_combiners(T_eff, G, Hl)
+        P = update_pre_compression_corr(P, Q_prev, G, Hl, GHC)
         Q = eiu(P, R_l).Q
         C_pre = C - GHC
         C = update_error_cov(C_pre, Q)     # a dense Q leaves C_pre as it is
@@ -167,7 +166,7 @@ def test_covariance_fidelity_monte_carlo_experiment_size(strategy):
             for l in range(1, cfg.L + 1)]
     states = [st for st, _ in runs]
     C_before = [cfg.p * np.eye(cfg.K)] + [st.C for st in states[:-1]]
-    gammas = [gain(C, Hl, cfg.sigma2) for C, Hl in zip(C_before, H)]
+    gammas = [gain(C, Hl, cfg.sigma2)[0] for C, Hl in zip(C_before, H)]
     Qs = [outcomes[-1].Q for _, outcomes in runs]
     n = 40_000
     worst_C, worst_T = 0.0, 0.0

@@ -11,7 +11,7 @@ from seqcf.compression import LN2
 from seqcf.linalg import PsdError, herm
 
 from oracles import (centralized_combiner, centralized_error_cov, complex_randn,
-                     rand_channels, run_and_expand, run_recorded)
+                     gh_step_chain, rand_channels, run_and_expand, run_recorded)
 
 
 def run_random_chain(rng, p=1.0, sigma2=0.4, K=2, L=3, N=3, strategy="eiu", rates=None):
@@ -44,13 +44,13 @@ CASE_IDS = ["eiu", "scnm", "wsinm", "infinite", "log-eiu", "dead-mid-eiu"]
 class TestGain:
     def test_scalar_wiener(self):
         p, s2, h = 2.0, 0.5, np.array([[0.7 - 0.2j]])
-        G = gain(p * np.eye(1, dtype=complex), h, s2)
+        G, _ = gain(p * np.eye(1, dtype=complex), h, s2)
         expected = p * np.conj(h[0, 0]) / (p * abs(h[0, 0]) ** 2 + s2)
         assert G[0, 0] == pytest.approx(expected, rel=1e-14)
 
     def test_zero_prior_covariance(self, rng):
         H = complex_randn(rng, (3, 2))
-        G = gain(np.zeros((2, 2), dtype=complex), H, 0.7)
+        G, _ = gain(np.zeros((2, 2), dtype=complex), H, 0.7)
         assert np.allclose(G, 0.0)
 
     def test_matches_direct_solve(self, rng):
@@ -58,10 +58,12 @@ class TestGain:
         C = complex_randn(rng, (K, K))
         C = C @ C.conj().T
         H = complex_randn(rng, (N, K))
-        G = gain(C, H, s2)
+        G, HC = gain(C, H, s2)
         S = H @ C @ H.conj().T + s2 * np.eye(N)
         expected = C @ H.conj().T @ np.linalg.inv(S)
         assert np.allclose(G, expected, atol=1e-12)
+        # the N x K product the gain is formed from, handed back for Gamma H C
+        assert np.array_equal(HC, H @ C)
 
     def test_rejects_nonpositive_noise(self, rng):
         with pytest.raises(ValueError):
@@ -97,9 +99,9 @@ class TestCovarianceUpdates:
         p, s2, K, N = 1.3, 0.6, 2, 3
         H = complex_randn(rng, (N, K))
         C0 = p * np.eye(K, dtype=complex)
-        G = gain(C0, H, s2)
+        G, HC = gain(C0, H, s2)
         Z = np.zeros((K, K), dtype=complex)
-        P1 = update_pre_compression_corr(Z, Z, G @ H, G @ H @ C0)
+        P1 = update_pre_compression_corr(Z, Z, G, H, G @ HC)
         direct = G @ (p * H @ H.conj().T + s2 * np.eye(N)) @ G.conj().T
         assert np.linalg.norm(P1 - direct) / np.linalg.norm(direct) < 1e-9
 
@@ -110,9 +112,9 @@ class TestCovarianceUpdates:
         P_prev = complex_randn(rng, (K, K))
         P_prev = P_prev @ P_prev.conj().T
         H = complex_randn(rng, (N, K))
-        G = gain(C, H, 0.5)
+        G, HC = gain(C, H, 0.5)
         Z = np.zeros((K, K), dtype=complex)
-        P = update_pre_compression_corr(P_prev, Z, G @ H, G @ H @ C)
+        P = update_pre_compression_corr(P_prev, Z, G, H, G @ HC)
         assert np.allclose(P, herm(P_prev + G @ H @ C), atol=1e-12)
 
     @pytest.mark.parametrize("helper, case", [
@@ -163,8 +165,8 @@ class TestCovarianceUpdates:
         p, s2, h, q = 1.0, 0.4, 0.9 + 0.1j, 0.05
         C = np.array([[p]], dtype=complex)
         H = np.array([[h]])
-        G = gain(C, H, s2)
-        out = update_error_cov(C - G @ H @ C, np.array([[q]], dtype=complex))
+        G, HC = gain(C, H, s2)
+        out = update_error_cov(C - G @ HC, np.array([[q]], dtype=complex))
         expected = s2 * p / (p * abs(h) ** 2 + s2) + q
         assert out[0, 0].real == pytest.approx(expected, rel=1e-12)
 
@@ -207,7 +209,8 @@ class TestCovarianceUpdates:
     def test_p_update_does_not_check(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)
         zero = np.zeros((2, 2), dtype=complex)
-        assert np.array_equal(update_pre_compression_corr(bad, np.zeros(2), zero, zero), bad)
+        assert np.array_equal(
+            update_pre_compression_corr(bad, np.zeros(2), zero, zero, zero), bad)
 
 
 class TestCombinerFamilies:
@@ -217,18 +220,18 @@ class TestCombinerFamilies:
     def test_base_case(self, rng):
         G = complex_randn(rng, (2, 3))
         H = complex_randn(rng, (3, 2))
-        T = propagate_combiners(np.zeros((2, 2), dtype=complex), G @ H)
+        T = propagate_combiners(np.zeros((2, 2), dtype=complex), G, H)
         assert np.array_equal(T, G @ H)
 
     def test_two_step_product_form(self, rng):
         p, s2, K, N = 1.0, 0.5, 2, 3
         H1, H2 = complex_randn(rng, (N, K)), complex_randn(rng, (N, K))
         C0 = p * np.eye(K, dtype=complex)
-        G1 = gain(C0, H1, s2)
+        G1, _ = gain(C0, H1, s2)
         C1 = update_error_cov(C0 - G1 @ H1 @ C0, np.zeros((K, K)))
-        G2 = gain(C1, H2, s2)
+        G2, _ = gain(C1, H2, s2)
         T0 = np.zeros((K, K), dtype=complex)
-        T = propagate_combiners(propagate_combiners(T0, G1 @ H1), G2 @ H2)
+        T = propagate_combiners(propagate_combiners(T0, G1, H1), G2, H2)
         F2 = np.eye(K) - G2 @ H2
         # V_12 = F2 G1, V_22 = G2
         assert np.allclose(T, F2 @ G1 @ H1 + G2 @ H2, atol=1e-12)
@@ -271,7 +274,7 @@ class TestRunChain:
         p, s2, K, N = 1.0, 0.5, 2, 3
         H = rand_channels(rng, 1, N, K)
         st, outcomes = run_recorded(p, s2, H, "eiu", [8.0])
-        Gamma = gain(p * np.eye(K, dtype=complex), H[0], s2)
+        Gamma, _ = gain(p * np.eye(K, dtype=complex), H[0], s2)
         assert np.allclose(st.T, Gamma @ H[0], atol=1e-10)
         assert np.allclose(st.C, centralized_error_cov(H, p, s2) + outcomes[0].Q,
                            atol=1e-10)
@@ -406,18 +409,59 @@ class TestRunChain:
 
     def test_lossless_chain_is_uncompressed_recursion(self, rng):
         # EIU at infinite rates adds exactly zero noise: C and T are the
-        # uncompressed recursions bit for bit
+        # uncompressed recursions, on the gain's factors, bit for bit
         p, s2, K, L, N = 1.0, 0.4, 3, 5, 3
         H = rand_channels(rng, L, N, K)
         st = run_chain(p, s2, H, "eiu", np.full(L, np.inf))
         ref = initial_state(K, p)
         zero_q = np.zeros((K, K), dtype=complex)
         for H_l in H:
-            GH = gain(ref.C, H_l, s2) @ H_l
-            ref.T = propagate_combiners(ref.T, GH)
-            ref.C = update_error_cov(ref.C - GH @ ref.C, zero_q)
+            Gamma, HC = gain(ref.C, H_l, s2)
+            ref.T = propagate_combiners(ref.T, Gamma, H_l)
+            ref.C = update_error_cov(ref.C - Gamma @ HC, zero_q)
         assert np.array_equal(st.C, ref.C)
         assert np.array_equal(st.T, ref.T)
+
+
+class TestFactorStep:
+    # run_chain applies each AP's gain only as its K x N factor Gamma;
+    # oracles.gh_step_chain is the same chain with the explicit K x K Gamma H
+    # step, so the two may differ by round-off alone
+
+    @pytest.mark.parametrize("dead", [False, True], ids=["live", "dead-link"])
+    @pytest.mark.parametrize("strategy", ["eiu", "scnm", "wsinm"])
+    @pytest.mark.parametrize("K, N", [(2, 3), (3, 3), (5, 2)], ids=["K<N", "K=N", "K>N"])
+    def test_matches_explicit_gain_step(self, rng, K, N, strategy, dead):
+        L = 5
+        H = rand_channels(rng, L, N, K)
+        rates = np.full(L, 6.0)
+        if dead:
+            rates[1] = 0.0
+        st = run_chain(1.0, 0.4, H, strategy, rates)
+        ref = gh_step_chain(1.0, 0.4, H, strategy, rates)
+        for X, Y in zip((st.C, st.P, st.T), (ref.C, ref.P, ref.T)):
+            assert rel_err(X, Y) < 1e-12
+
+    def test_wsinm_stop_unmoved_on_fig2_drops(self):
+        # a round-off change must not shift WSINM's BCD stop (ROADMAP item 4):
+        # on the first two drops of the fig2-wsinm benchmark pool, every WSINM
+        # call of sp-lf-wsinm and tp-lf-wsinm stops at the BCD iteration it
+        # stops at under the explicit Gamma H step
+        from seqcf.experiment import Strategy, _chains, _draw_drop
+
+        cfg = NetworkConfig(L=12, N=10, K=20, R_T=500.0)
+        iters, ref_iters = [], []
+        for seed in (0, 1):
+            H = _draw_drop(cfg, np.random.default_rng(np.random.SeedSequence((seed, 0))))
+            for label in ("sp-lf-wsinm", "tp-lf-wsinm"):
+                for idx, rates in _chains(cfg, Strategy.parse(label)):
+                    H_path = [H[i] for i in idx]
+                    for run, out in ((None, iters), (gh_step_chain, ref_iters)):
+                        _, outcomes = run_recorded(cfg.p, cfg.sigma2, H_path, "wsinm",
+                                                   rates, run=run)
+                        out += [o.bcd_iters for o in outcomes]
+        assert len(iters) == 2 * 2 * cfg.L
+        assert iters == ref_iters
 
 
 class TestExperimentSize:

@@ -23,7 +23,7 @@ class TestSinrChain:
         p, s2, N = 1.0, 0.3, 4
         H, st, _ = chain_families(rng, p=p, sigma2=s2, K=1, L=1, N=N,
                                   strategy="eiu", rates=[np.inf])
-        G = gain(p * np.eye(1, dtype=complex), H[0], s2)
+        G, _ = gain(p * np.eye(1, dtype=complex), H[0], s2)
         expected = p * np.abs(G @ H[0][:, 0]) ** 2 / (s2 * (G @ G.conj().T).real)
         sinr = sinr_chain(st.T, st.C, p)
         assert sinr[0] == pytest.approx(float(expected[0, 0]), rel=1e-10)
@@ -86,7 +86,7 @@ class TestInterferenceContext:
         H, st, _ = chain_families(rng, p=p, sigma2=s2, K=2, L=1, N=3,
                                   strategy="eiu", rates=[np.inf])
         base = interference_context(st.T, st.C, p)   # Q_1 = 0: C_pre = C
-        G = gain(p * np.eye(2, dtype=complex), H[0], s2)
+        G, _ = gain(p * np.eye(2, dtype=complex), H[0], s2)
         T = G @ H[0]
         for k in range(2):
             inter = sum(p * np.abs(T[k, j]) ** 2 for j in range(2) if j != k)

@@ -74,7 +74,7 @@ class TestSummarizePath:
         p, s2, K, N = 1.0, 0.5, 2, 3
         H = rand_channels(rng, 1, N, K)
         summ, _ = run_path(H, p, s2, rates=[np.inf])
-        G1 = gain(p * np.eye(K, dtype=complex), H[0], s2)
+        G1, _ = gain(p * np.eye(K, dtype=complex), H[0], s2)
         assert np.allclose(summ.G, G1 @ H[0], atol=1e-12)
         assert np.allclose(summ.Z, s2 * G1 @ G1.conj().T, atol=1e-12)
 
