@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _ZHEEVD, check_psd, check_psd_spectrum, herm
+from .linalg import _ZHEEVD, check_psd, herm
 
 LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
@@ -303,15 +303,14 @@ def _eigen_solve(P: np.ndarray, R_l: float, mu0: float, ws=None) -> tuple:
     rest is the rate solve on those (_solve_mode_noises, guessing mu0): their
     noises d and multiplier mu in P's units, and the scaled modes lam_n and
     noises d_n that rate them. Other modes, round-off-level negative ones
-    included, get no noise. PsdError on a genuinely negative or a non-finite
-    eigenvalue, LinAlgError when zheevd fails.
+    included, get no noise. P is not judged here: each design has checked it
+    by check_psd, the one PSD rule. LinAlgError when zheevd fails.
     """
     if not R_l > 0:           # NaN fails too
         raise SolverError("vector-wise compression needs R_l > 0")
     w, U, info = _ZHEEVD(P if ws is None else P * (ws[:, None] * ws), lower=1)
     if info:
         raise np.linalg.LinAlgError(f"zheevd failed to converge (info {info})")
-    check_psd_spectrum(w, name="P")
     tol = RANK_TOL * max(float(w[-1]), 0.0)
     pos = slice(None) if w[0] > tol else w > tol
     return (U, pos) + _solve_mode_noises(w[pos], R_l, mu0)
@@ -334,7 +333,8 @@ def scnm(P: np.ndarray, R_l: float) -> CompressionOutcome:
     """Minimize trace(Q) s.t. log2 det(P Q^-1 + I) = R_l, Q >= 0.
 
     P is Hermitian, as the P update leaves it, and is checked PSD
-    (check_psd, else PsdError) before the eigensolve. Q shares P's
+    (check_psd, else PsdError) before the eigensolve, its only PSD verdict:
+    the eigenvalues are not judged again. Q shares P's
     eigenbasis; each mode's noise solves the KKT quadratic
     d^2 + lam*d - mu*lam = 0 at the rate bisection's multiplier mu
     (_solve_mode_noises), whose rate model starts cold: _eigen_solve and
@@ -374,7 +374,8 @@ def wsinm(P: np.ndarray, R_l: float, interference_base: np.ndarray) -> Compressi
     X_k = interference_base[k] + Q[k,k] is user k's interference-plus-noise.
     interference_base holds one finite, positive value per user and must
     exclude the current AP's own Q[k,k] term. P is Hermitian and checked
-    PSD, as scnm's, once per call: no iteration checks it again.
+    PSD, as scnm's, once per call: no iteration judges P or its weighted
+    form again, and a weighted mode negative by round-off gets no noise.
 
     Step (i) is weighted_scnm's _eigen_solve, one zheevd per iteration. The
     weight update reads only diag Q, so an iteration forms just that; the

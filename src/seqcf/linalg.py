@@ -10,8 +10,7 @@ from importlib import machinery, util
 import numpy as np
 import scipy
 
-# PSD checks allow round-off down to -PSD_REL_TOL times the scale: the
-# largest diagonal entry in check_psd, ||X||_2 in check_psd_spectrum
+# check_psd allows round-off down to -PSD_REL_TOL times the largest diagonal entry
 PSD_REL_TOL = 1e-10
 
 
@@ -29,17 +28,6 @@ def herm(X: np.ndarray) -> np.ndarray:
     R = Y.view(Y.real.dtype)
     R *= 0.5
     return Y
-
-
-def check_psd_spectrum(w: np.ndarray, name: str = "matrix") -> None:
-    """Raise PsdError if the ascending eigenvalues w have a genuinely negative
-    or a non-finite one."""
-    if not np.isfinite(w).all():
-        raise PsdError(f"{name} has a non-finite eigenvalue")
-    lo, hi = float(w[0]), float(w[-1])
-    scale = max(-lo, hi, 1e-300)          # max |w|, at one end of the spectrum
-    if lo < -PSD_REL_TOL * scale:
-        raise PsdError(f"{name} has negative eigenvalue {lo:.3e} (scale {scale:.3e})")
 
 
 def _load_flapack():
@@ -65,20 +53,17 @@ def _load_flapack():
     return module
 
 
-# LAPACK handles, bound once: potrf / potrs as (real, complex) pairs, and the
-# divide-and-conquer Hermitian eigensolver zheevd
+# complex LAPACK handles, bound once: Cholesky factor and solve, and the
+# divide-and-conquer Hermitian eigensolver
 _FLAPACK = _load_flapack()
-_POTRF = (_FLAPACK.dpotrf, _FLAPACK.zpotrf)
-_POTRS = (_FLAPACK.dpotrs, _FLAPACK.zpotrs)
-_ZHEEVD = _FLAPACK.zheevd
+_ZPOTRF, _ZPOTRS, _ZHEEVD = _FLAPACK.zpotrf, _FLAPACK.zpotrs, _FLAPACK.zheevd
 
 
 def _cholesky(X: np.ndarray, overwrite: bool = False) -> tuple:
-    """Upper Cholesky factor c of Hermitian X, and whether X is finite and PD.
-
-    With overwrite, a Fortran-ordered X of the handle's dtype is factored in place.
-    """
-    c, info = _POTRF[X.dtype.kind == "c"](X, overwrite_a=overwrite, clean=False)
+    """Upper Cholesky factor c of Hermitian X, as complex, and whether X is
+    finite and PD. With overwrite, a complex Fortran-ordered X is factored in
+    place; any other X is first copied as one."""
+    c, info = _ZPOTRF(X, overwrite_a=overwrite, clean=False)
     # OpenBLAS's potrf lets NaN through with info 0; it leaves the diagonal's
     # sum NaN (summed as Python numbers: fewer numpy calls than c.trace())
     return c, info == 0 and math.isfinite(sum(c.diagonal().tolist()).real)
@@ -87,9 +72,9 @@ def _cholesky(X: np.ndarray, overwrite: bool = False) -> tuple:
 def check_psd(X: np.ndarray, name: str = "matrix") -> None:
     """Raise PsdError unless Hermitian X is PSD up to round-off: one Cholesky
     factorization of X + PSD_REL_TOL max(diag X) I, which reads X's upper
-    triangle and fails on a non-finite or genuinely indefinite X."""
-    # an integer X as floats, so that the shift can be added
-    shifted = X.copy(order="F") if X.dtype.kind in "fc" else X.astype(float, order="F")
+    triangle and fails on a non-finite or genuinely indefinite X. This is the
+    package's one PSD rule; an integer or real X is judged on its complex copy."""
+    shifted = np.array(X, dtype=complex, order="F")
     shift = PSD_REL_TOL * max(np.maximum.reduce(X.diagonal().real), 1e-300)
     shifted.ravel(order="F")[::len(X) + 1] += shift    # a view of the diagonal
     if not _cholesky(shifted, overwrite=True)[1]:
@@ -121,9 +106,10 @@ def sample_cn(rng: np.random.Generator, Q: np.ndarray, n: int | None = None) -> 
 
 
 def herm_solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve S X = B for Hermitian PD S by LAPACK potrf + potrs, which read S's
-    upper triangle only; LinAlgError if not PD. Neither S nor B is overwritten."""
+    """Solve S X = B for Hermitian PD S by LAPACK zpotrf + zpotrs, which read
+    S's upper triangle only; LinAlgError if not PD. X is complex, also for a
+    real S and B. Neither S nor B is overwritten."""
     c, ok = _cholesky(S)
     if not ok:
         raise np.linalg.LinAlgError("matrix is not finite and positive definite")
-    return _POTRS[c.dtype.kind == "c" or B.dtype.kind == "c"](c, B)[0]
+    return _ZPOTRS(c, B)[0]

@@ -57,8 +57,10 @@ def fuse(paths: list, p: float) -> tuple[np.ndarray, np.ndarray]:
     An entry with S_kk <= 0 gets _RIDGE p instead: a path that forwards
     nothing gives S_kk = 0 with a zero row and column, which any positive
     ridge leaves out of the solve, so where no path forwards anything every
-    SINR is 0. A ridged S that is indefinite beyond round-off, or not
-    finite, raises LinAlgError.
+    SINR is 0. Each ridge is at least len(S) eps times the largest S_kk on
+    its own path: the round-off of Z = C - p (I-T)(I-T)^H on an overloaded
+    arc, whose negative modes can exceed _RIDGE S_kk. A ridged S that is
+    indefinite beyond that, or not finite, raises LinAlgError.
     """
     G = np.vstack([path.G for path in paths])
     S = p * (G @ G.conj().T)
@@ -66,7 +68,8 @@ def fuse(paths: list, p: float) -> tuple[np.ndarray, np.ndarray]:
     for i, path in enumerate(paths):
         S[i * K:(i + 1) * K, i * K:(i + 1) * K] += path.Z
     s = S.diagonal().real
-    ridge = _RIDGE * np.where(s > 0.0, s, p)
+    floor = len(S) * np.finfo(float).eps * s.reshape(len(paths), K).max(axis=1)
+    ridge = np.maximum(_RIDGE * np.where(s > 0.0, s, p), np.repeat(floor, K))
     S.ravel()[::len(S) + 1] += ridge      # a view of the fresh S's diagonal
     return p * herm_solve(S, G).conj().T, G
 

@@ -11,7 +11,7 @@ from seqcf import (NetworkConfig, achieved_rate_bits, draw_channels, eiu, place_
                    run_chain, schedule, scnm, weighted_scnm, wsinm)
 from seqcf import compression as comp
 from seqcf.compression import LN2, SolverError
-from seqcf.linalg import PsdError, check_psd_spectrum, herm
+from seqcf.linalg import PSD_REL_TOL, PsdError, check_psd, herm
 
 import oracles
 from oracles import (bisect_mode_noises, complex_randn, eigh_mode_covariance,
@@ -709,17 +709,12 @@ class TestNonFiniteP:
         with np.errstate(all="ignore"), pytest.raises((PsdError, np.linalg.LinAlgError)):
             solve()
 
-    @pytest.mark.parametrize("w", [[np.nan, 1.0], [0.0, np.nan, 1.0], [1.0, np.inf],
-                                   [-np.inf, 1.0]])
-    def test_spectrum_check_rejects_non_finite(self, w):
-        with pytest.raises(PsdError, match="non-finite"):
-            check_psd_spectrum(np.array(w))
-
 
 class TestOnePsdRule:
-    # every design checks its P by the package's Cholesky rule, a shift of
-    # PSD_REL_TOL max(P_kk), not by the spectrum rule of _eigen_solve, which
-    # allows PSD_REL_TOL ||P||_2, up to K times more
+    # every design judges its P by the package's one rule, check_psd: a
+    # Cholesky shift of PSD_REL_TOL max(P_kk), stricter than a spectrum
+    # bound of PSD_REL_TOL ||P||_2, which allows up to K times more. No
+    # eigensolve judges P or its weighted form again
 
     @staticmethod
     def spectrum_only_psd():
@@ -735,15 +730,49 @@ class TestOnePsdRule:
         P = self.spectrum_only_psd()
         w = np.linalg.eigvalsh(P)
         assert w[0] == pytest.approx(-5e-10, rel=1e-3) and w[-1] == pytest.approx(20.0)
-        check_psd_spectrum(w)
+        assert w[0] >= -PSD_REL_TOL * w[-1]
         solve = {"scnm": lambda: scnm(P, 40.0),
                  "weighted_scnm": lambda: weighted_scnm(P, 40.0, np.ones(20)),
                  "wsinm": lambda: wsinm(P, 40.0, np.ones(20))}[design]
         with pytest.raises(PsdError, match="P is not PSD"):
             solve()
 
+    @pytest.mark.parametrize("design, weighting", [("weighted_scnm", [1.0, 1e8]),
+                                                   ("wsinm", [1.0, 1e-9])])
+    def test_weighting_keeps_a_round_off_negative_mode(self, design, weighting):
+        # P passes check_psd, and its -5e-11 mode, weighted to -5e-3 of the
+        # largest by weighted_scnm's weights, or to about -5e-2 by the weights
+        # 1 / (ln2 X) that wsinm forms from its interference base, gets no
+        # noise; the kept mode meets R_l
+        P = np.diag([1.0, -5e-11]).astype(complex)
+        check_psd(P)
+        out = (weighted_scnm if design == "weighted_scnm" else wsinm)(P, 4.0, weighting)
+        assert abs(out.achieved_rate - 4.0) <= comp.RATE_TOL_BITS
+        assert abs(achieved_rate_bits(P, out.Q) - 4.0) <= comp.RATE_TOL_BITS
+        assert not out.Q[1].any() and not out.Q[:, 1].any()
+        assert out.Q[0, 0].real > 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(2, 20),
+           frac=st.floats(0.0, 0.5), R=st.floats(0.5, 40.0))
+    def test_weights_raise_no_psd_error_once_p_passes(self, seed, k, frac, R):
+        # a random PSD block and one negative mode inside the Cholesky shift,
+        # on a random coordinate, with weights spread over 1e-8 ... 1e8; a
+        # large weight on that coordinate takes the weighted negative mode far
+        # beyond PSD_REL_TOL of the largest, and the solve still meets R_l
+        rng = np.random.default_rng(seed)
+        P = np.zeros((k, k), dtype=complex)
+        P[1:, 1:] = rand_psd(rng, k - 1)
+        P[0, 0] = -frac * PSD_REL_TOL * P.diagonal().real.max()
+        perm = rng.permutation(k)
+        P = P[np.ix_(perm, perm)]
+        check_psd(P)
+        weights = 10.0 ** rng.uniform(-8.0, 8.0, k)
+        out = weighted_scnm(P, R, weights)
+        assert abs(out.achieved_rate - R) <= comp.RATE_TOL_BITS
+
     def test_integer_p_accepted(self):
-        # the check runs on a float copy of an integer P, as the solves do
+        # the check runs on a complex copy of an integer P
         P = np.diag([1, 4])
         assert np.array_equal(eiu(P, 2.0).q, [1.0, 4.0])
         assert scnm(P, 2.0).achieved_rate == pytest.approx(2.0, abs=1e-9)

@@ -248,7 +248,7 @@ class TestRunExperiment:
         assert scnm_row.mean_sum_se <= inf_row.mean_sum_se * (1 + 1e-9)
         assert wsinm_row.mean_sum_se <= inf_row.mean_sum_se * (1 + 1e-9)
 
-    @pytest.mark.parametrize("R_T, units, strategies", [
+    @pytest.mark.parametrize("R_T, overrides, strategies", [
         # about 1042 bits per user on an EIU chain, past the largest power of
         # two a float holds, and about 1900 on the last APs of the LF chains,
         # whose SCNM and WSINM solves are lossless there; the Two-Path fusion
@@ -281,12 +281,17 @@ class TestRunExperiment:
         # the same fusion of lossless arcs
         pytest.param(1e308, {}, ("sp-lf-eiu", "sp-lf-wsinm", "tp-lf-scnm", "tp-lf-eiu"),
                      id="1e308"),
+        # 20 users on two single-antenna APs, one per arc: each arc's Z loses
+        # its noise floor to cancellation, and the fusion's per-path
+        # round-off floor keeps its Gram positive definite
+        pytest.param(500.0, dict(K=20, N=1, L=2), ("tp-ef-infinite", "tp-lf-wsinm", "tp-ef-scnm"),
+                     id="overloaded-arcs"),
     ])
-    def test_budget_cell_end_to_end(self, R_T, units, strategies):
+    def test_budget_cell_end_to_end(self, R_T, overrides, strategies):
         # every trial succeeds, and every sum SE is finite, non-negative and at
         # most centralized LMMSE's on the same drop
         rows = run_experiment(ExperimentSpec(
-            base=NetworkConfig(**units), sweep="rate", values=(R_T,), trials=1, seed=1,
+            base=NetworkConfig(**overrides), sweep="rate", values=(R_T,), trials=1, seed=1,
             strategies=tuple(Strategy.parse(s) for s in strategies + ("sp-ef-infinite",))))
         ref = rows[-1].per_trial
         for row in rows:

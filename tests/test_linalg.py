@@ -91,6 +91,16 @@ class TestHermSolve:
         X = herm_solve(S, B)
         assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    def test_real_input_solved_as_complex(self, rng):
+        # only the complex routines are bound: a real S and B are solved on
+        # their complex copies, to a complex X
+        S = 3.0 * np.eye(4) + rng.uniform(0.0, 0.5, (4, 4))
+        S = S + S.T
+        B = rng.standard_normal((4, 2))
+        X = herm_solve(S, B)
+        assert X.dtype == complex
+        assert np.array_equal(X, herm_solve(S.astype(complex), B.astype(complex)))
+
     def test_reads_upper_triangle_only(self, rng):
         # chain.gain and twopath.fuse pass Grams that are not symmetrized:
         # the strict lower triangle and the diagonal's imaginary parts are
@@ -126,8 +136,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SAME_HANDLES = """
 import scipy.linalg.lapack as lapack
 from seqcf import compression, linalg
-got = [*linalg._POTRF, *linalg._POTRS, compression._ZHEEVD]
-want = [lapack.dpotrf, lapack.zpotrf, lapack.dpotrs, lapack.zpotrs, lapack.zheevd]
+got = [linalg._ZPOTRF, linalg._ZPOTRS, compression._ZHEEVD]
+want = [lapack.zpotrf, lapack.zpotrs, lapack.zheevd]
+assert len(got) == len(want)
 assert all(a is b for a, b in zip(got, want)), "not the handles scipy.linalg.lapack hands out"
 """
 

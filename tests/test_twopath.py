@@ -231,6 +231,18 @@ class TestRidgedFusion:
         with pytest.raises(np.linalg.LinAlgError):
             fuse(paths, 1.0)
 
+    def test_round_off_floor_covers_a_cancelled_noise(self):
+        # Z = [[1, 1e-3], [1e-3, 1e-6 - 1e-16]] has an eigenvalue of about
+        # -1e-16, as cancellation leaves on an overloaded arc: beyond the
+        # ridge of its second entry (1e-18), within its path's floor of
+        # len(S) eps max S_kk (8.9e-16). That path sees nothing, so the
+        # fusion is the other path's LMMSE
+        blind = PathSummary(G=np.zeros((2, 2), dtype=complex),
+                            Z=np.array([[1.0, 1e-3], [1e-3, 1e-6 - 1e-16]], dtype=complex))
+        seen = PathSummary(G=np.eye(2, dtype=complex), Z=np.eye(2, dtype=complex))
+        got = sinr_fused(*fuse([blind, seen], 1.0))
+        assert np.allclose(got, lmmse_sinr(seen.G, seen.Z, 1.0), rtol=1e-10, atol=0.0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_gram_raises(self, rng, bad):
         _, (s1, s2_) = TestFuse().two_path_setup(rng)
