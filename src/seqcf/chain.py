@@ -21,14 +21,14 @@ from .linalg import ensure_psd, herm, herm_solve
 ZERO_RATE_TOL = 1e-12
 
 # the compression designs a chain can run: each maps an AP's P, R_l, T, C_pre
-# and p to the noise it forwards, in the form the chain carries (EIU's diagonal
-# noise as its diagonal). Each looks its seqcf functions up when called, so a
-# wrapper patched onto the module sees every call
+# and p to the noise it forwards: its outcome's noise, in the form the chain
+# carries (EIU's diagonal noise as its diagonal). Each looks its seqcf
+# functions up when called, so a wrapper patched onto the module sees every call
 DESIGNS = {
-    "eiu": lambda P, R_l, T, C_pre, p: comp.eiu(P, R_l).q,
-    "scnm": lambda P, R_l, T, C_pre, p: comp.scnm(P, R_l).Q,
+    "eiu": lambda P, R_l, T, C_pre, p: comp.eiu(P, R_l).noise,
+    "scnm": lambda P, R_l, T, C_pre, p: comp.scnm(P, R_l).noise,
     "wsinm": lambda P, R_l, T, C_pre, p: comp.wsinm(
-        P, R_l, metrics.interference_context(T, C_pre, p)).Q,
+        P, R_l, metrics.interference_context(T, C_pre, p)).noise,
 }
 
 
@@ -138,7 +138,7 @@ def centralized(p: float, sigma2: float, H: list) -> ChainState:
         raise ValueError("the chain is empty: H has no AP")
     Hs = np.concatenate(H)
     K = Hs.shape[1]
-    J = (Hs.conj().T @ Hs) / sigma2
+    J = np.dot(Hs.conj().T, Hs) / sigma2
     J.flat[::K + 1] += 1.0 / p
     C = herm(herm_solve(J, np.eye(K, dtype=complex)))
     T = -C / p
@@ -171,17 +171,18 @@ def run_chain(p: float, sigma2: float, H: list, strategy: str, rates) -> ChainSt
     compress = DESIGNS[strategy]
     K = H[0].shape[1]
     st = initial_state(K, p)
+    C, P, T = st.C, st.P, st.T
     start = max(np.flatnonzero(rates <= ZERO_RATE_TOL), default=-1) + 1
     # the previous AP's compression noise, a zero diagonal before the first;
     # EIU's is diagonal and carried as its diagonal
     Q_l = np.zeros(K)
     for H_l, R_l in zip(H[start:], rates[start:].tolist()):
-        Gamma, HC = gain(st.C, H_l, sigma2)
+        Gamma, HC = gain(C, H_l, sigma2)
         GHC = np.dot(Gamma, HC)
-        C_pre = st.C - GHC        # (I - Gamma H) C_{l-1}, before compression
-        T = propagate_combiners(st.T, Gamma, H_l)
+        C_pre = C - GHC           # (I - Gamma H) C_{l-1}, before compression
+        T = propagate_combiners(T, Gamma, H_l)
         # Q_l is still the previous AP's noise here
-        P = update_pre_compression_corr(st.P, Q_l, Gamma, H_l, GHC)
+        P = update_pre_compression_corr(P, Q_l, Gamma, H_l, GHC)
         Q_l = compress(P, R_l, T, C_pre, p)
-        st = ChainState(C=update_error_cov(C_pre, Q_l), P=P, T=T)
-    return st
+        C = update_error_cov(C_pre, Q_l)
+    return ChainState(C=C, P=P, T=T)

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -49,11 +50,23 @@ class SolverError(RuntimeError):
 
 @dataclass
 class CompressionOutcome:
-    Q: np.ndarray
-    achieved_rate: float                 # log2 det(P Q^-1 + I) on the support
+    """A design's outcome. noise is the compression noise as a chain carries
+    it: EIU's as its diagonal (K,), SCNM's and WSINM's as the K x K Q. Only
+    diagnostics read the dense Q and achieved_rate, log2 det(P Q^-1 + I) on
+    Q's support: each is formed on first read, the rate by form_rate."""
+    noise: np.ndarray
+    form_rate: Callable[[], float]
     weights: np.ndarray | None = None    # WSINM only
     bcd_iters: int = 0
     objective_trace: list = field(default_factory=list)
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        return self.noise if self.noise.ndim == 2 else np.diag(self.noise).astype(complex)
+
+    @cached_property
+    def achieved_rate(self) -> float:
+        return self.form_rate()
 
 
 def _support_rate_bits(Pr: np.ndarray, d: np.ndarray) -> float:
@@ -62,36 +75,21 @@ def _support_rate_bits(Pr: np.ndarray, d: np.ndarray) -> float:
     return float((ld - np.sum(np.log(d))) / LN2)
 
 
-class _EiuOutcome(CompressionOutcome):
-    """EIU's outcome. Its noise is diagonal: q holds that diagonal, which an
-    EIU chain carries, and the dense Q and the rate are formed on first read,
-    the rate from the Hermitian P and the budget R_l that eiu was given."""
+def _eiu_rate(P: np.ndarray, q: np.ndarray, R_l: float) -> float:
+    """EIU's rate at Hermitian P, diagonal noise q and budget R_l: the log-det
+    rate on the support of q, plus the b = R_l / K bits of each entry sent
+    losslessly (q_k = 0 < P_kk), whose log-det term is infinite.
 
-    def __init__(self, P: np.ndarray, q: np.ndarray, R_l: float):
-        super().__init__(Q=None, achieved_rate=math.nan)
-        del self.Q, self.achieved_rate     # hand the names to the cached properties
-        self._P, self.q, self._R_l = P, q, R_l
-
-    @cached_property
-    def Q(self) -> np.ndarray:
-        return np.diag(self.q).astype(complex)
-
-    @cached_property
-    def achieved_rate(self) -> float:
-        """The log-det rate on the support of q, plus the b = R_l / K bits of
-        each entry sent losslessly (q_k = 0 < P_kk), whose log-det term is
-        infinite.
-
-        At most R_l in exact arithmetic, by Hadamard's inequality (each
-        supported entry adds at most log2(1 + P_kk / q_k) = b bits). As the
-        difference of two log-dets near 1e3 nats, a tiny rate may read a few
-        1e-12 bits over R_l (3.6e-12 at R_T = 2.4e-10 to 1e-5, six drops).
-        """
-        keep = self.q > RANK_TOL * self.q.max(initial=0.0)
-        rate = _support_rate_bits(self._P[np.ix_(keep, keep)], self.q[keep])
-        lossless = np.count_nonzero((self.q == 0.0) & (self._P.diagonal().real > 0.0))
-        # 0 * inf would be NaN: an outcome without lossless entries adds nothing
-        return rate + self._R_l * (lossless / len(self.q)) if lossless else rate
+    At most R_l in exact arithmetic, by Hadamard's inequality (each
+    supported entry adds at most log2(1 + P_kk / q_k) = b bits). As the
+    difference of two log-dets near 1e3 nats, a tiny rate may read a few
+    1e-12 bits over R_l (3.6e-12 at R_T = 2.4e-10 to 1e-5, six drops).
+    """
+    keep = q > RANK_TOL * q.max(initial=0.0)
+    rate = _support_rate_bits(P[np.ix_(keep, keep)], q[keep])
+    lossless = np.count_nonzero((q == 0.0) & (P.diagonal().real > 0.0))
+    # 0 * inf would be NaN: an outcome without lossless entries adds nothing
+    return rate + R_l * (lossless / len(q)) if lossless else rate
 
 
 def achieved_rate_bits(P: np.ndarray, Q: np.ndarray) -> float:
@@ -107,7 +105,7 @@ def eiu(P: np.ndarray, R_l: float) -> CompressionOutcome:
 
     Per rate-distortion theory the per-entry noise variance is P[k,k] / (2^b - 1),
     formed as P[k,k] 2^-b / -expm1(-b ln 2): it neither overflows nor cancels at
-    any b > 0, and is 0 at b = inf, where nothing is lost. Q is diagonal.
+    any b > 0, and is 0 at b = inf, where nothing is lost: the noise is Q's diagonal.
     P is Hermitian, as the P update leaves it, and must be PSD by the
     package's rule (check_psd, else PsdError), as in every design: a
     non-finite or genuinely indefinite P raises even where its diagonal is
@@ -120,7 +118,7 @@ def eiu(P: np.ndarray, R_l: float) -> CompressionOutcome:
     check_psd(P, "P")
     q = np.maximum(P.diagonal().real, 0.0)
     q *= 2.0 ** -b / -math.expm1(-b * LN2)
-    return _EiuOutcome(P, q, R_l)
+    return CompressionOutcome(q, lambda: _eiu_rate(P, q, R_l))
 
 
 def _mode_noise(lam: np.ndarray, mu: float) -> np.ndarray:
@@ -223,7 +221,7 @@ def _rate_model(lam: list, R_l: float, mu0: float):
 def _solve_mode_noises(lam: np.ndarray, R_l: float, mu0: float = math.nan) -> tuple:
     """(d, mu, lam_n, d_n): the per-eigenmode noise variances meeting the
     rate constraint with equality and their multiplier, in lam's units, and
-    the spectrum and noises the solve ran on, from which the caller rates them.
+    the spectrum and noises the solve ran on, from which _outcome rates it when read.
     lam holds positive eigenvalues in ascending order, as zheevd returns them,
     less than 500 binades wide (so that lam_n * lam_n is a normal float), as
     every spectrum _eigen_solve passes is.
@@ -317,16 +315,16 @@ def _eigen_solve(P: np.ndarray, R_l: float, mu0: float, ws=None) -> tuple:
 
 
 def _outcome(R_l: float, solve: tuple, ws=None, **extra) -> CompressionOutcome:
-    """The outcome of _eigen_solve's solve at R_l and ws: Q = U diag(d on pos,
-    0 elsewhere) U^H, its modes first divided by ws row-wise (W^-1/2 U for
-    W^1/2 = diag(ws)), symmetrized once, and its rate from the scaled modes,
-    or R_l for a lossless solve (d = 0)."""
+    """The outcome of _eigen_solve's solve at R_l and ws: noise Q = U diag(d on
+    pos, 0 elsewhere) U^H, its modes first divided by ws row-wise (W^-1/2 U
+    for W^1/2 = diag(ws)), symmetrized once; its rate, formed when read, is
+    the scaled modes' (_mode_rate), or R_l for a lossless solve (d = 0)."""
     U, pos, d, _, lam, dn = solve
     U = U if ws is None else U / ws[:, None]
     dfull = np.zeros(U.shape[1])
     dfull[pos] = d
-    return CompressionOutcome(Q=herm((U * dfull) @ U.conj().T),
-                              achieved_rate=_mode_rate(lam, dn) if dn.all() else R_l, **extra)
+    return CompressionOutcome(herm(np.dot(U * dfull, U.conj().T)),
+                              lambda: _mode_rate(lam, dn) if dn.all() else R_l, **extra)
 
 
 def scnm(P: np.ndarray, R_l: float) -> CompressionOutcome:

@@ -38,7 +38,7 @@ def split_paths(L: int) -> tuple[list, list]:
 def summarize_path(chain: ChainState, p: float) -> PathSummary:
     """Effective channel G = T and noise Z = C - p (I-T)(I-T)^H of one path."""
     D = np.eye(chain.T.shape[0]) - chain.T
-    Z = chain.C - p * (D @ D.conj().T)
+    Z = chain.C - p * np.dot(D, D.conj().T)
     return PathSummary(G=chain.T, Z=ensure_psd(Z, name="Z"))
 
 
@@ -63,7 +63,7 @@ def fuse(paths: list, p: float) -> tuple[np.ndarray, np.ndarray]:
     indefinite beyond that, or not finite, raises LinAlgError.
     """
     G = np.vstack([path.G for path in paths])
-    S = p * (G @ G.conj().T)
+    S = p * np.dot(G, G.conj().T)
     K = G.shape[1]
     for i, path in enumerate(paths):
         S[i * K:(i + 1) * K, i * K:(i + 1) * K] += path.Z

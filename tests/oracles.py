@@ -339,8 +339,7 @@ def run_recorded(p, sigma2, H, strategy, rates, run=None):
     finally:
         setattr(compression, strategy, real)
     K = H[0].shape[1]
-    zero = compression.CompressionOutcome(Q=np.zeros((K, K), dtype=complex),
-                                          achieved_rate=0.0)
+    zero = compression.CompressionOutcome(np.zeros((K, K), dtype=complex), lambda: 0.0)
     return st, [zero] * (len(rates) - len(live)) + live
 
 
@@ -385,5 +384,5 @@ def stacked_wsinm(P, R_l, interference_base):
                                      <= comp.BCD_REL_TOL * max(abs(prev_obj), 1e-300)):
             break
         prev_obj = obj_w
-    return comp.CompressionOutcome(Q=out.Q, achieved_rate=out.achieved_rate,
+    return comp.CompressionOutcome(out.Q, lambda: out.achieved_rate,
                                    weights=w, bcd_iters=iters, objective_trace=trace_vals)

@@ -58,3 +58,7 @@ def test_tracer_counts_each_chain_helper_once_per_computed_ap(monkeypatch):
     # tp-lf-scnm 2 on each arc, and the centralized chain none
     helpers = ("gain", "propagate_combiners", "update_pre_compression_corr", "update_error_cov")
     assert {h: tr.calls[f"chain.{h}"] for h in helpers} == dict.fromkeys(helpers, 4 + 3 + 2 + 2)
+    # the rate gate read every design outcome's rate, and the BCD iterations
+    # of each WSINM outcome, one per AP that sp-log-wsinm computes
+    assert tr.rate_violations == 0
+    assert len(tr.bcd_iters) == 3

@@ -80,7 +80,7 @@ class TestEiu:
         # read does, once, and gets the float the eager formula gives
         P = rand_psd(rng, 4)
         P[2, :] = P[:, 2] = 0.0
-        q = eiu(P, 12.0).q
+        q = eiu(P, 12.0).noise
         keep = q > comp.RANK_TOL * q.max()
         expected = comp._support_rate_bits(P[np.ix_(keep, keep)], q[keep])
         calls = []
@@ -104,12 +104,12 @@ class TestEiu:
         pdiag = np.diag(P).real
         out = eiu(P, b * K)
         b = b * K / K                      # the bits eiu sees
-        assert np.array_equal(out.q, pdiag * (2.0 ** -b / -math.expm1(-b * LN2)))
-        assert np.all(out.q >= 0.0)
+        assert np.array_equal(out.noise, pdiag * (2.0 ** -b / -math.expm1(-b * LN2)))
+        assert np.all(out.noise >= 0.0)
         assert np.all(np.isfinite(out.Q))
         assert out.achieved_rate <= b * K
         if b >= 1100.0:
-            assert not out.q.any()
+            assert not out.noise.any()
 
     @pytest.mark.parametrize("scale", [1e-200, 1e-6, 1.0, 1e6, 1e200])
     def test_each_entry_carries_its_bits(self, scale):
@@ -122,8 +122,8 @@ class TestEiu:
         for b in np.concatenate([np.geomspace(5e-14, 1023.9, 400), [1e-13, 1e-12, 1.0, 54.0]]):
             out = eiu(P, 3.0 * b)
             b = 3.0 * b / 3.0
-            normal = out.q >= np.finfo(float).tiny
-            bits = np.log1p(pdiag[normal] / out.q[normal]) / LN2
+            normal = out.noise >= np.finfo(float).tiny
+            bits = np.log1p(pdiag[normal] / out.noise[normal]) / LN2
             assert np.all(np.abs(bits - b) <= 1e-15 * b), (b, bits)
 
     @pytest.mark.parametrize("b", [1100.0, 1e4, np.inf])
@@ -134,28 +134,12 @@ class TestEiu:
         K = 3
         P = rand_psd(rng, K, jitter=0.1)
         out = eiu(P, b * K)
-        assert not out.q.any()
+        assert not out.noise.any()
         assert out.achieved_rate == b * K
         P[1, :] = P[:, 1] = 0.0
         rate = eiu(P, b * K).achieved_rate
         assert 0.0 < rate <= b * K
         assert rate == (b * K) * (2 / K)
-
-    def test_dense_q_formed_on_first_read(self):
-        # an EIU chain carries each outcome's diagonal q and never forms its
-        # dense Q; the first read does, once, as exactly the complex diag(q)
-        cfg = NetworkConfig(L=12, N=10, K=20)
-        rng = np.random.default_rng(2026)
-        H = draw_channels(cfg, place_network(cfg, rng), rng).H
-        _, outcomes = oracles.run_recorded(cfg.p, cfg.sigma2, H, "eiu",
-                                           schedule("ef", cfg.R_T, cfg.L))
-        assert len(outcomes) == cfg.L
-        assert all("Q" not in vars(out) for out in outcomes)
-        for out in outcomes:
-            Q = out.Q
-            assert Q.dtype == complex
-            assert np.array_equal(Q, np.diag(out.q).astype(complex))
-            assert out.Q is Q
 
 
 class TestScnm:
@@ -251,6 +235,61 @@ def count_calls(monkeypatch, module, name):
     calls, real = [], getattr(module, name)
     monkeypatch.setattr(module, name, lambda *a: calls.append(1) or real(*a))
     return calls
+
+
+@pytest.mark.parametrize("design", ["eiu", "scnm", "wsinm"])
+def test_chain_forms_outcomes_only_as_far_as_read(monkeypatch, design):
+    # a chain carries each outcome's noise alone: no design rates its outcome
+    # inside run_chain, and EIU forms no dense Q there (EIU's noise is its
+    # diagonal q). The first read of each recorded outcome forms them, once,
+    # as the eager formulas give them: the rate of the last rate solve's scaled
+    # modes (R_l for a lossless one) or EIU's support log-det, and Q, the
+    # complex diag(q) for EIU and the noise itself for the others
+    cfg = NetworkConfig(L=12, N=10, K=20)
+    rng = np.random.default_rng(2026)
+    H = draw_channels(cfg, place_network(cfg, rng), rng).H
+    real_solve, real_rate = comp._solve_mode_noises, comp._mode_rate
+    real_support, real_design = comp._support_rate_bits, getattr(comp, design)
+    solves, rated, recorded = [], [], []
+
+    def solve(*a):
+        n = len(rated)
+        solves.append(real_solve(*a))
+        del rated[n:]                # the bisection's own rate evaluations
+        return solves[-1]
+
+    def record(P, R_l, *a):
+        recorded.append((real_design(P, R_l, *a), P, R_l, solves[-1] if solves else None))
+        return recorded[-1][0]
+
+    monkeypatch.setattr(comp, "_solve_mode_noises", solve)
+    monkeypatch.setattr(comp, "_mode_rate", lambda *a: rated.append(1) or real_rate(*a))
+    support_rated = count_calls(monkeypatch, comp, "_support_rate_bits")
+    monkeypatch.setattr(comp, design, record)
+    with monkeypatch.context() as mp:
+        # WSINM's interference context reads diag(T) and diag(C) with np.diag
+        diags = count_calls(mp, np, "diag") if design == "eiu" else []
+        run_chain(cfg.p, cfg.sigma2, H, design, schedule("ef", cfg.R_T, cfg.L))
+    assert len(recorded) == cfg.L
+    assert rated == support_rated == diags == []
+    for out, P, R_l, last in recorded:
+        if design == "eiu":
+            q = out.noise
+            assert q.all()           # no entry is sent losslessly at this budget
+            keep = q > comp.RANK_TOL * q.max()
+            rate = real_support(P[np.ix_(keep, keep)], q[keep])
+            Q = np.diag(q).astype(complex)
+        else:
+            lam, dn = last[2:]
+            rate, Q = real_rate(lam, dn) if dn.all() else R_l, out.noise
+        assert "Q" not in vars(out) and "achieved_rate" not in vars(out)
+        assert out.achieved_rate == rate
+        assert out.achieved_rate == rate
+        got = out.Q
+        assert got.dtype == complex and np.array_equal(got, Q)
+        assert out.Q is got
+    # each outcome was rated once, by its first read
+    assert len(rated) + len(support_rated) == cfg.L
 
 
 def assert_same_solve(lam, R, mu0=np.nan, rated=(), oracle_rated=()):
@@ -774,7 +813,7 @@ class TestOnePsdRule:
     def test_integer_p_accepted(self):
         # the check runs on a complex copy of an integer P
         P = np.diag([1, 4])
-        assert np.array_equal(eiu(P, 2.0).q, [1.0, 4.0])
+        assert np.array_equal(eiu(P, 2.0).noise, [1.0, 4.0])
         assert scnm(P, 2.0).achieved_rate == pytest.approx(2.0, abs=1e-9)
 
 

@@ -222,6 +222,27 @@ class TestRunExperiment:
         assert sum(chains) == L and len(chains) == (1 if label[:2] == "sp" else 2)
         assert got == pytest.approx(ref, rel=1e-12)
 
+    def test_sum_se_invariant_to_user_order(self):
+        # relabelling the users, the columns of every H_l, permutes every
+        # chain statistic and every design's noise alike, so no strategy's
+        # sum SE moves beyond round-off
+        import seqcf.experiment as exp
+        from seqcf import draw_channels, place_network
+
+        cfg = NetworkConfig()
+        strategies = [Strategy(pm, alloc, compr) for pm in exp.PATH_MODES
+                      for alloc in ("ef", "lf") for compr in exp.COMPRESSIONS]
+        worst = 0.0
+        for drop in range(4):
+            rng = np.random.default_rng(np.random.SeedSequence((42, drop)))
+            H = draw_channels(cfg, place_network(cfg, rng), rng).H
+            perm = rng.permutation(cfg.K)
+            for strategy in strategies:
+                ref = exp.simulate_trial(cfg, strategy, H)
+                got = exp.simulate_trial(cfg, strategy, [h[:, perm] for h in H])
+                worst = max(worst, abs(got - ref) / ref)
+        assert worst <= 1e-12
+
     def test_eiu_beyond_1023_bits_per_user(self):
         # R_T = 250000 over L = 12, K = 20 gives b of about 1042 bits per user,
         # past the largest power of two a float holds: the cell completes and
